@@ -12,7 +12,8 @@
 // points at, so the first gateway join of any daemon routes over the
 // wire into one shared tree instead of rooting n disjoint ones. Event
 // IDs are drawn from disjoint per-daemon ranges (daemon i publishes
-// IDs above (i+1)<<40) because receipt dedup keys on the ID.
+// IDs above (i+1)<<proto.EventSpaceShift) because receipt dedup keys on
+// the ID.
 //
 // Publishing is fire-and-forget (pubsub.PublishAsync): no daemon can
 // take a cluster-wide receipt census, so deliveries surface through the
@@ -181,7 +182,7 @@ func newDaemon(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{cfg: cfg, space: space, lc: lc, sessions: make(map[io.Closer]struct{})}
 
-	lc.SetEventSpace(int64(cfg.Node+1) << 40)
+	lc.SetEventSpace(int64(cfg.Node+1) << proto.EventSpaceShift)
 	lc.SetContact(func() core.ProcID { return AnchorProc })
 
 	brokerOpts := []pubsub.Option{

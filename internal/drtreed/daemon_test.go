@@ -2,6 +2,7 @@ package drtreed
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -10,12 +11,21 @@ import (
 
 	"drtree/internal/core"
 	"drtree/internal/filter"
+	"drtree/internal/geom"
+	"drtree/internal/proto"
 	"drtree/internal/ws"
 )
 
-// startCluster boots n daemons on loopback port-0 listeners and returns
-// them, overlay-listener first so peers know each other's real ports.
+// startCluster boots n two-gateway daemons (see startClusterOf).
 func startCluster(t *testing.T, n int) []*Daemon {
+	t.Helper()
+	return startClusterOf(t, n, 2)
+}
+
+// startClusterOf boots n daemons of the given gateway-pool size on
+// loopback port-0 listeners and returns them, overlay-listener first so
+// peers know each other's real ports.
+func startClusterOf(t *testing.T, n, gateways int) []*Daemon {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	peers := make([]string, n)
@@ -39,7 +49,7 @@ func startCluster(t *testing.T, n int) []*Daemon {
 			WithListener(lns[i]),
 			WithHTTPListener(hln),
 			WithSpace("price", "volume"),
-			WithGateways(2),
+			WithGateways(gateways),
 			WithLogf(t.Logf),
 		)
 		if err != nil {
@@ -318,6 +328,10 @@ func TestSingleDaemonRPCLifecycle(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	ds := startCluster(t, 1)
 	base := "http://" + ds[0].HTTPAddr()
+	cl := dialDaemon(t, ds[0])
+	if err := cl.Subscribe(1, "price in [10, 20] && volume in [0, 100]"); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -337,13 +351,115 @@ func TestHTTPEndpoints(t *testing.T) {
 		Node     int `json:"node"`
 		Gateways []struct {
 			ProcID int `json:"ProcID"`
+			Joined bool
+			Filter geom.Rect
 		} `json:"gateways"`
+		Overlay *proto.LiveStats `json:"overlay"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.Gateways) != 2 {
 		t.Fatalf("statsz gateways = %d, want 2", len(stats.Gateways))
+	}
+	// Subscriber 1 hashes to gateway 1, whose overlay filter is the
+	// subscription's rectangle; the idle gateway's is empty (null).
+	if g := stats.Gateways[1]; !g.Joined || !g.Filter.Equal(geom.R2(10, 0, 20, 100)) {
+		t.Errorf("statsz gateway 1 = %+v, want joined with filter [10,20]x[0,100]", g)
+	}
+	if g := stats.Gateways[0]; g.Joined || !g.Filter.IsEmpty() {
+		t.Errorf("statsz gateway 0 = %+v, want not joined, empty filter", g)
+	}
+	// The gateway's join went through the anchor: the overlay counters
+	// have seen traffic.
+	if stats.Overlay == nil || stats.Overlay.Dispatched == 0 {
+		t.Errorf("statsz overlay = %+v, want the live runtime's counters", stats.Overlay)
+	}
+}
+
+// TestThreeDaemonIdleBudget is the quiescent-stabilization budget: a
+// converged three-daemon overlay (every gateway joined: 13 actors) that
+// is left alone sends at most 2000 overlay messages a second across all
+// three transports. At a fixed 2ms check period it sent ~15 000.
+func TestThreeDaemonIdleBudget(t *testing.T) {
+	const gateways = 4
+	ds := startClusterOf(t, 3, gateways)
+	// Subscriber id lands on gateway id%4 of its daemon: four consecutive
+	// ids join all four. Every filter contains the probe quote below.
+	got := make(chan int64, 64)
+	id := int64(0)
+	for _, d := range ds {
+		cl := dialDaemon(t, d)
+		for g := 0; g < gateways; g++ {
+			id++
+			if err := cl.Subscribe(id, fmt.Sprintf("price in [0, %d] && volume in [0, 1000]", 100+id)); err != nil {
+				t.Fatalf("subscribe %d: %v", id, err)
+			}
+		}
+		go func() {
+			for e := range cl.Events() {
+				got <- e.Subscriber
+			}
+		}()
+	}
+	// Converged: one publish reaches all twelve subscribers. Republish
+	// (with a fresh price) while MBRs are still settling.
+	pub := dialDaemon(t, ds[1])
+	deadline := time.Now().Add(60 * time.Second)
+	for price := 50.0; ; price++ {
+		if time.Now().After(deadline) {
+			t.Fatal("overlay never converged: no publish reached all twelve subscribers")
+		}
+		for len(got) > 0 {
+			<-got
+		}
+		if err := pub.Publish(5, filter.Event{"price": price, "volume": 10}); err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[int64]bool)
+		for settle := time.After(500 * time.Millisecond); len(seen) < int(id); {
+			select {
+			case s := <-got:
+				seen[s] = true
+				continue
+			case <-settle:
+			}
+			break
+		}
+		if len(seen) == int(id) {
+			break
+		}
+	}
+
+	sent := func() (n uint64) {
+		for _, d := range ds {
+			n += d.TransportStats().Sent
+		}
+		return n
+	}
+	time.Sleep(time.Second)
+	before := sent()
+	time.Sleep(time.Second)
+	idle := sent() - before
+	actors, backedOff := 0, 0
+	for _, d := range ds {
+		actors += d.lc.Len()
+		backedOff += d.lc.Stats().BackedOff
+	}
+	t.Logf("idle second: %d overlay messages, %d of %d actors backed off", idle, backedOff, actors)
+	if actors != 1+3*gateways {
+		t.Fatalf("%d overlay actors, want the anchor and %d gateways", actors, 3*gateways)
+	}
+	if idle > 2000 {
+		for i, d := range ds {
+			t.Logf("daemon %d: overlay %+v actors %+v", i, d.lc.Stats(), d.lc.ActorStates())
+		}
+		t.Fatalf("%d overlay messages in an idle second, budget is 2000 (%d of %d actors backed off)", idle, backedOff, actors)
+	}
+	for _, d := range ds {
+		if st := d.lc.Stats(); st.DroppedEvents+st.DroppedProtocol != 0 {
+			t.Errorf("mailbox drops on an idle overlay: %+v", st)
+		}
 	}
 }
 

@@ -99,12 +99,14 @@ func (d *Daemon) serveStats(w http.ResponseWriter, _ *http.Request) {
 		Node        int                  `json:"node"`
 		Subscribers int                  `json:"subscribers"`
 		Transport   any                  `json:"transport"`
+		Overlay     proto.LiveStats      `json:"overlay"`
 		Gateways    []pubsub.GatewayStat `json:"gateways"`
 		Actors      []proto.ActorState   `json:"actors"`
 	}{
 		Node:        d.cfg.Node,
 		Subscribers: d.broker.Len(),
 		Transport:   d.tp.Stats(),
+		Overlay:     d.lc.Stats(),
 		Gateways:    d.broker.GatewayStats(),
 		Actors:      d.lc.ActorStates(),
 	}

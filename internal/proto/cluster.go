@@ -360,7 +360,7 @@ func (c *Cluster) PublishBatch(batch []core.Publication) ([]core.Delivery, error
 		ids[i] = c.nextE
 		idx[ids[i]] = i
 		for _, node := range c.nodes {
-			delete(node.seen, ids[i])
+			node.seen.forget(ids[i])
 		}
 		// From must be NoProc at the injection point: a producer owning
 		// interior instances (for example the root) must still descend
@@ -399,7 +399,7 @@ func (c *Cluster) PublishBatch(batch []core.Publication) ([]core.Delivery, error
 		d.Messages = msgs[i]
 		for _, pid := range idList {
 			node := c.nodes[pid]
-			if !node.seen[ids[i]] {
+			if !node.seen.has(ids[i]) {
 				continue
 			}
 			d.Received = append(d.Received, pid)

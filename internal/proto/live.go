@@ -15,9 +15,10 @@ import (
 // process and real channels instead of the deterministic round scheduler:
 // the concurrent runtime the repro hint calls for ("goroutines fit node
 // simulation naturally"). Each actor goroutine drains its mailbox and
-// fires its CHECK_* timers on a real ticker; an undeliverable send (dead
-// mailbox) bounces back to the sender like the round-based substrate's
-// failure notices.
+// fires its CHECK_* timers on a real ticker whose period adapts: checkBase
+// while the node's protocol state is moving, doubling up to checkCap
+// while it is not (see run). An undeliverable send (dead mailbox) bounces
+// back to the sender like the round-based substrate's failure notices.
 //
 // LiveCluster trades determinism for real concurrency; the experiments
 // use the deterministic Cluster, and the live runtime demonstrates that
@@ -30,13 +31,12 @@ type LiveCluster struct {
 	wg     sync.WaitGroup
 	closed bool
 	nextE  int64
-	// sent counts dispatched messages; eventMsgs counts only event
-	// dissemination messages (the Delivery.Messages metric), with
-	// msgsByEvent attributing them to the event ID they carry;
+	// stats counts dispatched messages, the event dissemination messages
+	// among them (the Delivery.Messages metric) and mailbox drops;
+	// msgsByEvent attributes event messages to the event ID they carry;
 	// pendingEvents counts event messages enqueued in mailboxes but not
 	// yet processed (Publish waits for it to reach zero).
-	sent          int
-	eventMsgs     int
+	stats         LiveStats
 	msgsByEvent   map[int64]int
 	pendingEvents int
 
@@ -53,6 +53,15 @@ type liveActor struct {
 	node *Node
 	box  chan simnet.Message
 	stop chan struct{}
+
+	// Timer pacing, guarded by the cluster lock (see pace): the current
+	// CHECK_* period, the state fingerprint after the latest turn, whether
+	// any turn since the previous tick moved it, and since when the node
+	// has been a root without interruption (zero: it is not one).
+	period    time.Duration
+	fp        uint64
+	moved     bool
+	rootSince time.Time
 }
 
 // NewLiveCluster creates an empty concurrent cluster.
@@ -102,6 +111,8 @@ func (lc *LiveCluster) join(id core.ProcID, filter geom.Rect, contact core.ProcI
 		node: newNode(id, filter, lc.cfg),
 		box:  make(chan simnet.Message, 256),
 		stop: make(chan struct{}),
+
+		period: checkBase,
 	}
 	lc.actors[id] = a
 	a.node.deliverCB = func(eventID int64, ev geom.Point, matched bool) {
@@ -199,76 +210,151 @@ func (lc *LiveCluster) Crash(id core.ProcID) error {
 	return nil
 }
 
-// rootAuditTicks gates auditRoot on networked clusters: a node must
-// have been a stable self-proclaimed root for this many consecutive
-// periodic ticks (2ms each) before it re-verifies the claim through the
+// The CHECK_* period of a live actor. The paper leaves the period of its
+// stabilization modules free; a fixed short one keeps a converged overlay
+// busy doing nothing (13 actors at 2ms exchange ~15k probes and answers a
+// second). So the period adapts, with no knob: checkBase while the node's
+// protocol state moves, doubling after every quiescent tick up to
+// checkCap, back to checkBase the moment it moves again.
+//
+// checkCap is the longest a silent fault — a crashed neighbour, a
+// corrupted variable: nothing that sends this node a message — can wait
+// to be noticed; once noticed, repair runs at checkBase. 64ms keeps that
+// wait under the root-audit delay and under 4% of the smallest adaptive
+// Stabilize budget (800 rounds of checkBase = 1.6s), and five quiet
+// ticks (62ms) reach it. It bounds detection only: MBR changes do not
+// wait for probes (Node.pushUp).
+const (
+	checkBase = 2 * time.Millisecond
+	checkCap  = 64 * time.Millisecond
+)
+
+// rootAuditAfter gates auditRoot on networked clusters: a node must have
+// been a stable self-proclaimed root for this long without interruption,
+// as seen by its ticks, before it re-verifies the claim through the
 // cluster's global contact function. Auditing only from quiescent trees
 // matters: an audit answered mid-churn can shed levels off a tree that
 // was about to repair itself, and concurrent merges from several
-// half-formed roots feed the very churn the audit is meant to end.
-const rootAuditTicks = 50
+// half-formed roots feed the very churn the audit is meant to end. It is
+// a duration, not a tick count, so partition-heal time does not stretch
+// when the root's timer has backed off.
+const rootAuditAfter = 100 * time.Millisecond
 
 // run is one actor goroutine: drain the mailbox, fire periodic checks.
+// The ticker is re-armed only when the period changes: a goroutine that
+// reset a one-shot timer after every tick measured ~60µs slower publish
+// acks at the base period than the runtime re-arming a ticker itself.
 func (lc *LiveCluster) run(a *liveActor) {
 	defer lc.wg.Done()
-	ticker := time.NewTicker(2 * time.Millisecond)
+	armed := checkBase
+	ticker := time.NewTicker(armed)
 	defer ticker.Stop()
-	rootStreak := 0
 	for {
+		var rearm time.Duration
 		select {
 		case <-a.stop:
 			return
 		case m := <-a.box:
-			lc.withActor(a, func() {
+			rearm = lc.withActor(a, false, func() {
 				if _, ok := m.Payload.(mEvent); ok {
 					lc.pendingEvents--
 				}
 				a.node.process(m)
 			})
 		case <-ticker.C:
-			contact := lc.Contact()
-			lc.withActor(a, func() {
-				a.node.periodic(contact)
-				if lc.contactFn == nil {
-					return
-				}
-				// Networked cluster: the local oracle cannot rule on root
-				// claims it cannot see, so a root that has stayed stable
-				// for a full streak re-verifies through the global
-				// bootstrap contact and disjoint trees on different
-				// daemons reconcile.
-				if !a.node.isRootInstance(a.node.top) {
-					rootStreak = 0
-					return
-				}
-				if rootStreak++; rootStreak >= rootAuditTicks {
-					rootStreak = 0
-					a.node.auditRoot(lc.contactFn())
-				}
-			})
+			rearm = lc.withActor(a, true, func() { lc.tickLocked(a) })
+		}
+		if rearm > 0 && rearm != armed {
+			armed = rearm
+			ticker.Reset(armed)
 		}
 	}
 }
 
-// withActor runs fn and the resulting dispatch under the cluster lock:
-// actor turns are serialized, which keeps the legality snapshot (and the
-// race detector) happy while preserving the message-driven semantics.
-func (lc *LiveCluster) withActor(a *liveActor, fn func()) {
+// tickLocked fires the node's CHECK_* timers and, on a networked cluster,
+// the root audit.
+func (lc *LiveCluster) tickLocked(a *liveActor) {
+	a.node.periodic(lc.contactLocked())
+	if lc.contactFn == nil {
+		return
+	}
+	// Networked cluster: the local oracle cannot rule on root claims it
+	// cannot see, so a root that has stayed one for rootAuditAfter
+	// re-verifies through the global bootstrap contact and disjoint
+	// trees on different daemons reconcile.
+	if !a.node.isRootInstance(a.node.top) {
+		a.rootSince = time.Time{}
+		return
+	}
+	now := time.Now()
+	if a.rootSince.IsZero() {
+		a.rootSince = now
+	} else if now.Sub(a.rootSince) >= rootAuditAfter {
+		a.rootSince = now
+		a.node.auditRoot(lc.contactFn())
+	}
+}
+
+// withActor runs fn as one turn of actor a under the cluster lock: actor
+// turns are serialized, which keeps the legality snapshot (and the race
+// detector) happy while preserving the message-driven semantics. The
+// turn ends with the eager upward report (Node.pushUp), the dispatch of
+// everything it sent, and the pacing decision; the result is the period
+// a's ticker should run at from now on, or 0 to leave it as it is.
+func (lc *LiveCluster) withActor(a *liveActor, tick bool, fn func()) time.Duration {
 	lc.mu.Lock()
 	fn()
+	a.node.pushUp()
 	lc.dispatchLocked(a.node.drainOut())
+	rearm := a.pace(tick)
 	fires := lc.takeHooksLocked()
 	lc.mu.Unlock()
 	lc.fireHooks(fires)
+	return rearm
+}
+
+// pace decides a's CHECK_* period after a turn, from protocol state
+// alone. A turn that moved the state fingerprint — and any change made
+// from outside a turn since the last one (UpdateFilter, the fault
+// injectors) — snaps the period to checkBase and asks for the ticker to
+// be re-armed at once. A tick doubles the period when it and everything
+// since the previous tick left the fingerprint alone and no re-join is
+// pending (a pending re-join is retried every tick and must not wait);
+// otherwise it stays at checkBase. Probe answers that confirm the
+// caches, and event traffic, move nothing and wake nobody. A root due an
+// audit before its next tick is woken for it.
+func (a *liveActor) pace(tick bool) time.Duration {
+	if fp := a.node.fingerprint(); fp != a.fp {
+		a.fp, a.moved = fp, true
+	}
+	if !tick {
+		if a.moved && a.period > checkBase {
+			a.period = checkBase
+			return checkBase
+		}
+		return 0
+	}
+	if a.moved || a.node.rejoinPending {
+		a.period = checkBase
+	} else {
+		a.period = min(2*a.period, checkCap)
+	}
+	a.moved = false
+	if !a.rootSince.IsZero() {
+		// Never below checkBase: a ticker takes no non-positive period.
+		return min(a.period, max(checkBase, rootAuditAfter-time.Since(a.rootSince)))
+	}
+	return a.period
 }
 
 // dispatchLocked delivers outgoing messages to mailboxes; sends to dead
-// or saturated mailboxes bounce back to the sender.
+// mailboxes bounce back to the sender, sends to saturated ones are
+// dropped and counted.
 func (lc *LiveCluster) dispatchLocked(msgs []simnet.Message) {
 	for _, m := range msgs {
-		lc.sent++
+		lc.stats.Dispatched++
 		if ev, ok := m.Payload.(mEvent); ok {
-			lc.eventMsgs++
+			lc.stats.EventMsgs++
 			// Attribute to the owning publish only while it is being
 			// tracked, so stragglers past a budget expiry cannot grow the
 			// map without bound.
@@ -285,28 +371,64 @@ func (lc *LiveCluster) dispatchLocked(msgs []simnet.Message) {
 				continue
 			}
 			if src := lc.actors[core.ProcID(m.From)]; src != nil {
-				select {
-				case src.box <- simnet.Message{
+				lc.enqueueLocked(src, simnet.Message{
 					From: m.To, To: m.From,
 					Payload: simnet.Bounce{To: simnet.NodeID(m.To), Original: m.Payload},
-				}:
-				default:
-				}
+				})
 			}
 			continue
 		}
-		select {
-		case dst.box <- m:
-			if _, ok := m.Payload.(mEvent); ok {
-				lc.pendingEvents++
-			}
-		default:
-			// Saturated mailbox: drop. For protocol traffic this is
-			// transient loss the periodic checks repair; a dropped event
-			// message is a lost delivery, which the 256-slot mailboxes
-			// make practically unreachable for test workloads.
+		lc.enqueueLocked(dst, m)
+	}
+}
+
+// enqueueLocked puts m in dst's mailbox. A saturated mailbox drops it:
+// for protocol traffic that is transient loss the periodic checks
+// repair; a dropped event message is a lost delivery. Both are counted
+// (Stats), because nothing else would show them.
+func (lc *LiveCluster) enqueueLocked(dst *liveActor, m simnet.Message) {
+	_, isEvent := m.Payload.(mEvent)
+	select {
+	case dst.box <- m:
+		if isEvent {
+			lc.pendingEvents++
+		}
+	default:
+		if isEvent {
+			lc.stats.DroppedEvents++
+		} else {
+			lc.stats.DroppedProtocol++
 		}
 	}
+}
+
+// LiveStats are the live runtime's own counters (Stats).
+type LiveStats struct {
+	// Dispatched counts messages sent by local actors, local and remote
+	// destinations alike; EventMsgs counts the event dissemination
+	// messages among them.
+	Dispatched uint64 `json:"dispatched"`
+	EventMsgs  uint64 `json:"event_msgs"`
+	// DroppedEvents and DroppedProtocol count messages (dispatched here or
+	// delivered by the substrate) lost to a full actor mailbox.
+	DroppedEvents   uint64 `json:"dropped_events"`
+	DroppedProtocol uint64 `json:"dropped_protocol"`
+	// BackedOff is the number of actors whose CHECK_* period currently
+	// stands above the base period.
+	BackedOff int `json:"backed_off"`
+}
+
+// Stats snapshots the runtime counters.
+func (lc *LiveCluster) Stats() LiveStats {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	st := lc.stats
+	for _, a := range lc.actors {
+		if a.period > checkBase {
+			st.BackedOff++
+		}
+	}
+	return st
 }
 
 // Oracle returns the current best contact (tallest self-parented actor).
@@ -375,7 +497,7 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 		lc.nextE++
 		ids[i] = lc.nextE
 		for _, b := range lc.actors {
-			delete(b.node.seen, ids[i])
+			b.node.seen.forget(ids[i])
 		}
 		lc.msgsByEvent[ids[i]] = 0
 		a := lc.actors[batch[i].Producer]
@@ -392,7 +514,7 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 		seen, msgs := 0, 0
 		for _, b := range lc.actors {
 			for _, id := range ids {
-				if b.node.seen[id] {
+				if b.node.seen.has(id) {
 					seen++
 				}
 			}
@@ -423,7 +545,7 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 		delete(lc.msgsByEvent, ids[i])
 		for _, pid := range pids {
 			n := lc.actors[pid].node
-			if !n.seen[ids[i]] {
+			if !n.seen.has(ids[i]) {
 				continue
 			}
 			d.Received = append(d.Received, pid)
@@ -437,8 +559,10 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 	return out, nil
 }
 
-// budgetDuration maps a round budget onto the live runtime's 2ms actor
-// tick (one tick ≈ one round of repair opportunity), so a configured
+// budgetDuration maps a round budget onto wall-clock time at one base
+// check period per round (an actor under repair ticks at checkBase, so
+// one period ≈ one round of repair opportunity; a backed-off actor's
+// first tick adds at most checkCap, a few dozen rounds), so a configured
 // budget means the same thing on both message-passing runtimes. 0 uses
 // the same adaptive default as the round scheduler.
 func (lc *LiveCluster) budgetDuration(configured int) time.Duration {
@@ -448,7 +572,7 @@ func (lc *LiveCluster) budgetDuration(configured int) time.Duration {
 		rounds = 800 + 200*len(lc.actors)
 		lc.mu.Unlock()
 	}
-	return time.Duration(rounds) * 2 * time.Millisecond
+	return time.Duration(rounds) * checkBase
 }
 
 // Stabilize waits for the actors' periodic checks to restore a legal

@@ -2,11 +2,15 @@ package proto
 
 import (
 	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"drtree/internal/core"
 	"drtree/internal/geom"
+	"drtree/internal/simnet"
 )
 
 func TestLiveClusterValidation(t *testing.T) {
@@ -30,42 +34,13 @@ func TestLiveClusterValidation(t *testing.T) {
 }
 
 func TestLiveClusterGrowsAndStabilizes(t *testing.T) {
-	lc, err := NewLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	rng := rand.New(rand.NewPCG(31, 31))
-	for i := 1; i <= 20; i++ {
-		x, y := rng.Float64()*400, rng.Float64()*400
-		if err := lc.Join(core.ProcID(i), geom.R2(x, y, x+30, y+30)); err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
-	}
-	if err := lc.AwaitLegal(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if lc.Len() != 20 {
+	if lc := grownLive(t, 20, 31); lc.Len() != 20 {
 		t.Fatalf("Len = %d", lc.Len())
 	}
 }
 
 func TestLiveClusterRepairsCrash(t *testing.T) {
-	lc, err := NewLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	rng := rand.New(rand.NewPCG(32, 32))
-	for i := 1; i <= 15; i++ {
-		x, y := rng.Float64()*400, rng.Float64()*400
-		if err := lc.Join(core.ProcID(i), geom.R2(x, y, x+30, y+30)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lc.AwaitLegal(30 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	lc := grownLive(t, 15, 32)
 	// Crash the current root; the live actors must elect and repair.
 	root := lc.Oracle()
 	if err := lc.Crash(root); err != nil {
@@ -172,5 +147,407 @@ func TestLiveEngineSurface(t *testing.T) {
 	}
 	if _, err := lc.Publish(99, ev); err == nil {
 		t.Fatal("publish from unknown producer must error")
+	}
+}
+
+// grownLive builds a converged local cluster of n processes with small
+// random filters in [0,400]², closed with the test.
+func grownLive(t *testing.T, n int, seed uint64) *LiveCluster {
+	t.Helper()
+	lc, err := NewLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	rng := rand.New(rand.NewPCG(seed, seed))
+	for i := 1; i <= n; i++ {
+		x, y := rng.Float64()*370, rng.Float64()*370
+		if err := lc.Join(core.ProcID(i), geom.R2(x, y, x+30, y+30)); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	if err := lc.AwaitLegal(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return lc
+}
+
+// periods snapshots every actor's current CHECK_* period.
+func (lc *LiveCluster) periods() map[core.ProcID]time.Duration {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	out := make(map[core.ProcID]time.Duration, len(lc.actors))
+	for id, a := range lc.actors {
+		out[id] = a.period
+	}
+	return out
+}
+
+// awaitAllAtCap waits until every actor's timer has backed off to the cap.
+func awaitAllAtCap(t *testing.T, lc *LiveCluster) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		slow := 0
+		ps := lc.periods()
+		for _, p := range ps {
+			if p == checkCap {
+				slow++
+			}
+		}
+		if slow == len(ps) {
+			if st := lc.Stats(); st.BackedOff != len(ps) {
+				t.Fatalf("Stats().BackedOff = %d with all %d actors at the cap", st.BackedOff, len(ps))
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d actors backed off to the cap: %v (legal: %v)", slow, len(ps), ps, lc.CheckLegal())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// interiorNonRoot picks a process owning an interior instance that is not
+// the root, and the height of its topmost instance.
+func interiorNonRoot(t *testing.T, lc *LiveCluster) (core.ProcID, int) {
+	t.Helper()
+	root, _ := lc.Root()
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	for _, id := range lc.procIDsLocked() {
+		if n := lc.actors[id].node; id != root && n.top >= 1 {
+			return id, n.top
+		}
+	}
+	t.Fatal("no interior non-root process")
+	return core.NoProc, 0
+}
+
+// TestLiveWakeUpFromCap: on a cluster every actor of which has backed off
+// to the cap, each silent fault is still repaired inside the unchanged
+// Stabilize budget, and the overlay backs off again afterwards.
+func TestLiveWakeUpFromCap(t *testing.T) {
+	lc := grownLive(t, 24, 41)
+	faults := []struct {
+		name   string
+		inject func() error
+	}{
+		{"crash of an interior actor", func() error {
+			id, _ := interiorNonRoot(t, lc)
+			return lc.Crash(id)
+		}},
+		{"corrupt parent", func() error {
+			id, h := interiorNonRoot(t, lc)
+			return lc.CorruptParent(id, h, id)
+		}},
+		{"corrupt children", func() error {
+			id, h := interiorNonRoot(t, lc)
+			return lc.CorruptChildren(id, h, nil)
+		}},
+		{"corrupt MBR", func() error {
+			id, h := interiorNonRoot(t, lc)
+			return lc.CorruptMBR(id, h, geom.R2(900, 900, 901, 901))
+		}},
+		{"corrupt underloaded", func() error {
+			id, h := interiorNonRoot(t, lc)
+			return lc.CorruptUnderloaded(id, h)
+		}},
+	}
+	for _, f := range faults {
+		awaitAllAtCap(t, lc)
+		if err := f.inject(); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if lc.CheckLegal() == nil {
+			t.Fatalf("%s: the fault left the configuration legal; the test would prove nothing", f.name)
+		}
+		if st := lc.Stabilize(); !st.Converged {
+			t.Fatalf("%s: not repaired inside the Stabilize budget: %v", f.name, lc.CheckLegal())
+		}
+	}
+	awaitAllAtCap(t, lc)
+}
+
+// TestLiveJoinWakesBackedOffActor: a join arriving at a fully backed-off
+// overlay puts the actors whose state it changes back at the base period
+// at once, not at their next expiry.
+func TestLiveJoinWakesBackedOffActor(t *testing.T) {
+	lc := grownLive(t, 12, 42)
+	awaitAllAtCap(t, lc)
+	const joiner = 99
+	start := time.Now()
+	if err := lc.Join(joiner, geom.R2(380, 380, 395, 395)); err != nil {
+		t.Fatal(err)
+	}
+	// The window at the base period is two ticks wide; poll it without
+	// sleeping.
+	woken := core.NoProc
+	for woken == core.NoProc && time.Since(start) < checkCap/2 {
+		for id, p := range lc.periods() {
+			if id != joiner && p == checkBase {
+				woken = id
+			}
+		}
+		runtime.Gosched()
+	}
+	if woken == core.NoProc {
+		t.Fatalf("no backed-off actor returned to the base period within %v of a join: %v", checkCap/2, lc.periods())
+	}
+	if err := lc.AwaitLegal(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	awaitAllAtCap(t, lc)
+}
+
+// TestLivePaceDecidesFromState drives one actor's pacing by hand: what
+// backs the timer off and what snaps it back is the node's protocol
+// state, not the kind of message handled.
+func TestLivePaceDecidesFromState(t *testing.T) {
+	cfg := Config{MinFanout: 2, MaxFanout: 4}.withDefaults()
+	n := newNode(1, geom.R2(0, 0, 10, 10), cfg)
+	// A root over itself and two remote leaves.
+	in := instance{parent: 1, mbr: geom.R2(0, 0, 30, 30)}
+	in.putChild(1, geom.R2(0, 0, 10, 10), false)
+	in.putChild(2, geom.R2(10, 10, 20, 20), false)
+	in.putChild(3, geom.R2(20, 20, 30, 30), false)
+	n.setInst(1, in)
+	n.top = 1
+	a := &liveActor{node: n, period: checkBase}
+	turn := func(tick bool, fn func()) time.Duration {
+		fn()
+		n.pushUp()
+		n.drainOut()
+		return a.pace(tick)
+	}
+	tick := func() time.Duration { return turn(true, func() { n.periodic(1) }) }
+	msg := func(from core.ProcID, payload any) time.Duration {
+		return turn(false, func() { n.process(simnet.Message{From: simnet.NodeID(from), To: 1, Payload: payload}) })
+	}
+
+	if got := tick(); got != checkBase {
+		t.Fatalf("first tick after creation re-arms %v, want the base period", got)
+	}
+	want := checkBase
+	for i := 0; i < 8; i++ {
+		want = min(2*want, checkCap)
+		if got := tick(); got != want {
+			t.Fatalf("quiescent tick %d re-arms %v, want %v", i, got, want)
+		}
+	}
+	if a.period != checkCap {
+		t.Fatalf("period %v after eight quiescent ticks, want the cap", a.period)
+	}
+
+	// Traffic that leaves the state alone wakes nothing: an event, a
+	// probe, a probe answer confirming the cache.
+	confirm := mChildReport{Height: 1, MBR: geom.R2(10, 10, 20, 20), ParentIs: 1, Exists: true}
+	for name, p := range map[string]any{
+		"event":            mEvent{ID: 7, Ev: geom.Point{15, 15}, Height: 1},
+		"parent query":     mParentQuery{Height: 0, Child: 2},
+		"confirming probe": confirm,
+	} {
+		if got := msg(2, p); got != 0 || a.period != checkCap {
+			t.Fatalf("%s: re-arm %v, period %v; want the timer left at the cap", name, got, a.period)
+		}
+	}
+	if got := tick(); got != checkCap {
+		t.Fatalf("tick after state-neutral traffic re-arms %v, want the cap", got)
+	}
+
+	// A probe answer that changes a cached MBR snaps the timer back at
+	// once, and the next tick still counts as disturbed.
+	grown := confirm
+	grown.MBR = geom.R2(10, 10, 25, 25)
+	if got := msg(2, grown); got != checkBase || a.period != checkBase {
+		t.Fatalf("changed cache: re-arm %v, period %v; want both at the base period", got, a.period)
+	}
+	if got := tick(); got != checkBase {
+		t.Fatalf("tick after a change re-arms %v, want the base period", got)
+	}
+	if got := tick(); got != 2*checkBase {
+		t.Fatalf("second tick after a change re-arms %v, want %v", got, 2*checkBase)
+	}
+
+	// A change made outside any turn (a fault injector) is caught by the
+	// next turn, whatever that turn handles.
+	a.period = checkCap
+	n.at(1).underloaded = true
+	if got := msg(2, mParentQuery{Height: 0, Child: 2}); got != checkBase {
+		t.Fatalf("corruption seen by the next turn re-arms %v, want the base period", got)
+	}
+
+	// A pending re-join never backs off, however still the state is.
+	n.rejoinPending = true
+	for i := 0; i < 4; i++ {
+		if got := turn(true, func() {}); got != checkBase {
+			t.Fatalf("tick %d with a re-join pending re-arms %v, want the base period", i, got)
+		}
+	}
+}
+
+// TestLiveEagerPropagation: with every timer at the cap, a grown leaf
+// filter reaches the root MBR hop by hop — well inside one cap period on
+// a tree of height >= 2, where probe-carried propagation would need one
+// period per level — and an event in the grown area is delivered.
+func TestLiveEagerPropagation(t *testing.T) {
+	lc := grownLive(t, 24, 43)
+	if _, h := lc.Root(); h < 2 {
+		t.Fatalf("tree height %d, the test needs >= 2", h)
+	}
+	awaitAllAtCap(t, lc)
+	// A leaf-only process whose parent is not the root.
+	root, _ := lc.Root()
+	leaf := core.NoProc
+	lc.mu.Lock()
+	for _, id := range lc.procIDsLocked() {
+		if n := lc.actors[id].node; n.top == 0 && n.at(0).parent != root {
+			leaf = id
+			break
+		}
+	}
+	lc.mu.Unlock()
+	if leaf == core.NoProc {
+		t.Fatal("no leaf below a non-root parent")
+	}
+	old, _ := lc.Filter(leaf)
+	grown := old.Union(geom.R2(700, 700, 720, 720))
+	start := time.Now()
+	if err := lc.UpdateFilter(leaf, grown); err != nil {
+		t.Fatal(err)
+	}
+	for !lc.RootMBR().Contains(grown) {
+		if time.Since(start) > checkCap {
+			t.Fatalf("root MBR %v does not contain the grown filter %v one cap period after the update", lc.RootMBR(), grown)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	producer := core.ProcID(1)
+	if producer == leaf {
+		producer = 2
+	}
+	d, err := lc.Publish(producer, geom.Point{710, 710})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(d.TruePositives, leaf) {
+		t.Fatalf("event in the grown area missed process %d: %+v", leaf, d)
+	}
+	if st := lc.Stabilize(); !st.Converged {
+		t.Fatalf("no convergence after the update: %v", lc.CheckLegal())
+	}
+}
+
+// auditSink is a substrate that records when root-audit joins leave for
+// the remote bootstrap contact.
+type auditSink struct {
+	mu    sync.Mutex
+	times []time.Time
+}
+
+func (s *auditSink) Send(msgs ...simnet.Message) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range msgs {
+		if _, ok := m.Payload.(mJoin); ok {
+			s.times = append(s.times, time.Now())
+		}
+	}
+}
+
+func (s *auditSink) audits() []time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.times)
+}
+
+// TestLiveRootAuditAtCap: a root whose timer ticks every 64ms still
+// audits its claim after every 100ms of tenure, not after every second
+// tick.
+func TestLiveRootAuditAtCap(t *testing.T) {
+	lc, err := NewLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	sink := &auditSink{}
+	const remoteAnchor = 1000
+	if err := lc.AttachSubstrate(sink, func(p core.ProcID) bool { return p < remoteAnchor }); err != nil {
+		t.Fatal(err)
+	}
+	// The first process roots itself (no contact yet); only then does the
+	// cluster learn of a bootstrap contact on another daemon — a healed
+	// partition seen from the minority side.
+	if err := lc.Join(1, geom.R2(0, 0, 10, 10)); err != nil {
+		t.Fatal(err)
+	}
+	lc.SetContact(func() core.ProcID { return remoteAnchor })
+	awaitAllAtCap(t, lc)
+
+	from := len(sink.audits())
+	const gaps = 4
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sink.audits()) < from+gaps+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d audits in 5s from a root at the cap", len(sink.audits())-from)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if p := lc.periods()[1]; p != checkCap {
+		t.Fatalf("root period %v while auditing, want the cap (audits must not count as changes)", p)
+	}
+	at := sink.audits()[from : from+gaps+1]
+	for i := 1; i < len(at); i++ {
+		if gap := at[i].Sub(at[i-1]); gap < rootAuditAfter-5*time.Millisecond {
+			t.Fatalf("audit %d came %v after the previous one, tenure must reach %v", i, gap, rootAuditAfter)
+		}
+	}
+	// Two cap periods (128ms) is what a tick-count audit would give.
+	if mean := at[gaps].Sub(at[0]) / gaps; mean > rootAuditAfter+15*time.Millisecond {
+		t.Fatalf("mean audit spacing %v at the cap, want ≈%v", mean, rootAuditAfter)
+	}
+}
+
+// TestReceiptSetWindowsPerRange: event IDs from different publisher
+// ranges do not prune each other, and a quiet range's backlog does not
+// make every later delivery rescan the set.
+func TestReceiptSetWindowsPerRange(t *testing.T) {
+	n := newNode(1, geom.R2(0, 0, 10, 10), Config{MinFanout: 2, MaxFanout: 4}.withDefaults())
+	ev := geom.Point{5, 5}
+	const lowBase, highBase = int64(1) << EventSpaceShift, int64(2) << EventSpaceShift
+
+	// Fill the low range to the cap, then let one foreign-range event in.
+	for i := int64(1); i <= seenCap; i++ {
+		n.deliver(lowBase+i, ev)
+	}
+	n.deliver(highBase+1, ev)
+	before := n.Delivered
+	n.deliver(lowBase+seenCap, ev)   // the newest low-range event, again
+	n.deliver(lowBase+seenCap-9, ev) // and a recent one
+	if n.Delivered != before {
+		t.Fatalf("a foreign-range arrival made the node forget recent receipts: %d duplicates delivered", n.Delivered-before)
+	}
+
+	// The high-range publisher leaves seenCap-1 receipts and goes quiet;
+	// the low range keeps publishing.
+	for i := int64(2); i < seenCap; i++ {
+		n.deliver(highBase+i, ev)
+	}
+	scans := n.seen.scans
+	const more = 10 * seenCap
+	for i := int64(1); i <= more; i++ {
+		n.deliver(lowBase+seenCap+i, ev)
+	}
+	// One scan per seenCap-seenWindow arrivals, give or take one.
+	if got, max := n.seen.scans-scans, more/(seenCap-seenWindow)+2; got > max {
+		t.Fatalf("%d prune scans for %d deliveries beside a quiet range, want <= %d", got, more, max)
+	}
+	if got := len(n.seen.ranges[lowBase>>EventSpaceShift]); got > seenCap {
+		t.Fatalf("low range holds %d receipts, cap is %d", got, seenCap)
+	}
+	before = n.Delivered
+	n.deliver(highBase+seenCap-1, ev)
+	if n.Delivered != before {
+		t.Fatal("the quiet range's latest receipt was pruned by another range's traffic")
 	}
 }

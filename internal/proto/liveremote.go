@@ -93,7 +93,9 @@ func (lc *LiveCluster) SetEventHook(fn EventHook) {
 // SetEventSpace moves the cluster's event-ID counter to base so that
 // concurrently publishing daemons draw from disjoint ID ranges (receipt
 // sets are keyed by event ID; a collision would suppress a delivery).
-// Forward-only: a base at or below the current counter is a no-op.
+// Publisher k uses base k<<EventSpaceShift: receipt sets are windowed
+// per such range. Forward-only: a base at or below the current counter
+// is a no-op.
 func (lc *LiveCluster) SetEventSpace(base int64) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
@@ -102,14 +104,8 @@ func (lc *LiveCluster) SetEventSpace(base int64) {
 	}
 }
 
-// Contact returns the best join/rejoin contact: the local oracle when a
-// local stable root exists, else the configured bootstrap contact.
-func (lc *LiveCluster) Contact() core.ProcID {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.contactLocked()
-}
-
+// contactLocked returns the best join/rejoin contact: the local oracle
+// when a local stable root exists, else the configured bootstrap contact.
 func (lc *LiveCluster) contactLocked() core.ProcID {
 	if c := lc.oracleLocked(); c != core.NoProc {
 		return c
@@ -149,15 +145,7 @@ func (lc *LiveCluster) Deliver(m simnet.Message) {
 		}
 		return
 	}
-	select {
-	case dst.box <- m:
-		if _, ok := m.Payload.(mEvent); ok {
-			lc.pendingEvents++
-		}
-	default:
-		// Saturated mailbox: transient loss, same policy as a local
-		// dispatch — the periodic checks repair protocol traffic.
-	}
+	lc.enqueueLocked(dst, m)
 }
 
 // InjectEvent starts an asynchronous dissemination from producer and

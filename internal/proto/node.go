@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"math"
 	"slices"
 
 	"drtree/internal/core"
@@ -24,11 +25,13 @@ type Config struct {
 	// PublishBudget bounds, in rounds, how long one Publish may run
 	// before giving up on draining the network. 0 means adaptive
 	// (800 + 200 per live process). The goroutine-backed LiveCluster
-	// maps rounds onto its 2ms actor tick.
+	// has no round clock and reads one round as one base check period
+	// (checkBase) of wall-clock time, however far its actors' timers
+	// have backed off.
 	PublishBudget int
 	// StabilizeBudget bounds, in rounds, one Stabilize call. 0 means
-	// adaptive (800 + 200 per live process); the LiveCluster tick
-	// mapping applies here too.
+	// adaptive (800 + 200 per live process); the LiveCluster reading of
+	// a round applies here too.
 	StabilizeBudget int
 }
 
@@ -140,8 +143,13 @@ type Node struct {
 	// rejoinPending marks an orphaned topmost instance awaiting re-join.
 	rejoinPending bool
 
+	// told is what the parent of the topmost instance was last sent about
+	// it unasked (reportTop); the live runtime's pushUp reports again when
+	// the instance has moved away from it.
+	told topView
+
 	// Delivery accounting.
-	seen      map[int64]bool
+	seen      receiptSet
 	Delivered int
 	FalsePos  int
 
@@ -160,7 +168,6 @@ func newNode(id core.ProcID, filter geom.Rect, cfg Config) *Node {
 		filter: filter,
 		cfg:    cfg,
 		inst:   make([]instance, 0, 4),
-		seen:   make(map[int64]bool),
 	}
 	n.setInst(0, instance{parent: id, mbr: filter})
 	return n
@@ -295,45 +302,127 @@ func (n *Node) process(m simnet.Message) {
 }
 
 // onFilterUpdate replaces this node's subscription filter (FILTER_UPDATE,
-// the FilterUpdater capability): the leaf MBR follows the filter, the
-// parent's cached view is refreshed eagerly one level up, and the
-// periodic CHECK_MBR probes propagate the change to the root over the
-// following check periods.
+// the FilterUpdater capability): the leaf MBR follows the filter, the own
+// chain is made coherent at once, and the parent of the topmost instance
+// is told without waiting for its next CHECK_CHILDREN probe. From there
+// the change travels to the root with the CHECK_MBR probes (round-based
+// Cluster) or hop by hop with each ancestor's pushUp (LiveCluster).
 func (n *Node) onFilterUpdate(p mFilterUpdate) {
 	n.filter = p.Filter
 	n.recomputeMBR(0)
 	if n.at(0) == nil {
 		return
 	}
-	if n.top > 0 {
-		// The node owns interior instances: its own-child cache at height 1
-		// is read locally; refresh it and recompute upward along the own
-		// chain so the local view is coherent immediately.
-		for h := 1; h <= n.top; h++ {
-			hi := n.at(h)
-			if hi == nil {
-				break
+	n.refreshOwnChain()
+	n.reportTop()
+}
+
+// refreshOwnChain recomputes the interior instances bottom-up from the
+// cached views of their children, reading the own child locally, so a
+// change low in the own chain shows in the topmost MBR in the same turn.
+func (n *Node) refreshOwnChain() {
+	for h := 1; h <= n.top; h++ {
+		hi := n.at(h)
+		if hi == nil {
+			break
+		}
+		if low := n.at(h - 1); low != nil {
+			if i := hi.childIndex(n.id); i >= 0 {
+				hi.childMBR[i] = low.mbr
 			}
-			if low := n.at(h - 1); low != nil {
-				if i := hi.childIndex(n.id); i >= 0 {
-					hi.childMBR[i] = low.mbr
-				}
-			}
-			n.recomputeMBR(h)
+		}
+		n.recomputeMBR(h)
+	}
+}
+
+// topView is the part of a topmost instance its parent caches.
+type topView struct {
+	parent core.ProcID
+	height int
+	mbr    geom.Rect
+	under  bool
+}
+
+// reportTop sends the parent of the topmost instance the answer its next
+// CHECK_CHILDREN probe would get, and remembers what it said.
+func (n *Node) reportTop() {
+	top := n.at(n.top)
+	if top == nil || top.parent == n.id || top.parent == core.NoProc {
+		return
+	}
+	n.send(top.parent, mChildReport{
+		Height:      n.top + 1,
+		MBR:         top.mbr,
+		Underloaded: top.underloaded,
+		ParentIs:    top.parent,
+		Exists:      true,
+	})
+	n.told = topView{parent: top.parent, height: n.top, mbr: top.mbr, under: top.underloaded}
+}
+
+// pushUp ends every actor turn of the live runtime: whatever the turn
+// changed below is folded into the topmost instance, and when that
+// instance's (MBR, underloaded) is no longer what its parent was last
+// told, the parent is told now. A grown or shrunk MBR thus reaches the
+// root in one message per level instead of one check period per level,
+// which is what lets the live CHECK_* timers back off without opening a
+// false-negative window (see checkCap). The round-based Cluster does not
+// call it: its message counts are exact-gated and its check period is a
+// round count, not a delay.
+func (n *Node) pushUp() {
+	n.refreshOwnChain()
+	top := n.at(n.top)
+	if top == nil || n.rejoinPending {
+		return
+	}
+	if t := n.told; t.parent == top.parent && t.height == n.top &&
+		t.under == top.underloaded && t.mbr.Equal(top.mbr) {
+		return
+	}
+	n.reportTop()
+}
+
+// fingerprint hashes everything the stabilization modules read and write:
+// top, rejoinPending, the filter, and every instance's parent, MBR,
+// underloaded flag, underRounds and cached children. Two equal
+// fingerprints mean a turn left the protocol state as it was, whatever
+// messages it handled; the live runtime paces its timers on that. (A
+// 64-bit collision would only delay a back-off reset by one period.)
+func (n *Node) fingerprint() uint64 {
+	h := fpHash(1).word(uint64(len(n.inst))).word(uint64(n.top)).flag(n.rejoinPending).rect(n.filter)
+	for i := range n.inst {
+		in := &n.inst[i]
+		h = h.flag(in.live).word(uint64(in.parent)).rect(in.mbr).
+			flag(in.underloaded).word(uint64(in.underRounds)).word(uint64(len(in.childID)))
+		for j, c := range in.childID {
+			h = h.word(uint64(c)).rect(in.childMBR[j]).flag(in.childUnder[j])
 		}
 	}
-	// Tell the parent of the topmost instance about the new MBR without
-	// waiting for its next CHECK_CHILDREN probe.
-	top := n.at(n.top)
-	if top != nil && top.parent != n.id && top.parent != core.NoProc {
-		n.send(top.parent, mChildReport{
-			Height:      n.top + 1,
-			MBR:         top.mbr,
-			Underloaded: top.underloaded,
-			ParentIs:    top.parent,
-			Exists:      true,
-		})
+	return uint64(h)
+}
+
+// fpHash is fingerprint's running hash: multiply-xorshift over 64-bit words.
+type fpHash uint64
+
+func (h fpHash) word(w uint64) fpHash {
+	h = (h ^ fpHash(w)) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
+func (h fpHash) flag(b bool) fpHash {
+	if b {
+		return h.word(1)
 	}
+	return h.word(0)
+}
+
+func (h fpHash) rect(r geom.Rect) fpHash {
+	d := r.Dims()
+	h = h.word(uint64(d))
+	for i := 0; i < d; i++ {
+		h = h.word(math.Float64bits(r.Lo(i))).word(math.Float64bits(r.Hi(i)))
+	}
+	return h
 }
 
 // onJoin routes a join request (Figure 8): climb to the root, then

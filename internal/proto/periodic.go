@@ -230,32 +230,65 @@ func (n *Node) onEvent(p mEvent) {
 	}
 }
 
+// EventSpaceShift is the width of one publisher's event-ID range: a
+// cluster whose SetEventSpace base is k<<EventSpaceShift draws its IDs
+// from range k (a purely local cluster stays in range 0). IDs are
+// monotone within a range and say nothing across ranges, so the receipt
+// set is windowed per range.
+const EventSpaceShift = 40
+
 // seenCap / seenWindow bound the per-node receipt set for long-running
-// processes: once the set reaches seenCap entries, receipts more than
-// seenWindow event IDs behind the newest are pruned. Event IDs are
-// monotone per publisher, so pruning only forgets long-settled events;
-// a duplicate arriving later than that is re-delivered (at-most-once
-// becomes best-effort beyond the window), which a daemon tolerates and
-// the bounded-batch test workloads never reach.
+// processes, per publisher range: once a range holds seenCap receipts,
+// those more than seenWindow event IDs behind the arrival are pruned. A
+// prune leaves about seenWindow of a range's dense IDs, so the scan
+// is paid once per seenCap-seenWindow arrivals of that range and never
+// for another range's backlog. Pruning only forgets long-settled
+// events; a duplicate arriving later than that is re-delivered
+// (at-most-once becomes best-effort beyond the window), which a daemon
+// tolerates and the bounded-batch test workloads never reach.
 const (
 	seenCap    = 8192
 	seenWindow = 4096
 )
 
-// deliver records the physical receipt of an event (idempotent within
-// the retention window).
-func (n *Node) deliver(id int64, ev geom.Point) {
-	if n.seen[id] {
-		return
+// receiptSet records which events a node has physically received.
+type receiptSet struct {
+	ranges map[int64]map[int64]bool // id>>EventSpaceShift -> IDs seen
+	scans  int                      // prune passes, for the amortisation test
+}
+
+func (s *receiptSet) has(id int64) bool { return s.ranges[id>>EventSpaceShift][id] }
+
+func (s *receiptSet) forget(id int64) { delete(s.ranges[id>>EventSpaceShift], id) }
+
+func (s *receiptSet) add(id int64) {
+	k := id >> EventSpaceShift
+	r := s.ranges[k]
+	if r == nil {
+		if s.ranges == nil {
+			s.ranges = make(map[int64]map[int64]bool)
+		}
+		r = make(map[int64]bool)
+		s.ranges[k] = r
 	}
-	if len(n.seen) >= seenCap {
-		for old := range n.seen {
+	if len(r) >= seenCap {
+		s.scans++
+		for old := range r {
 			if old <= id-seenWindow {
-				delete(n.seen, old)
+				delete(r, old)
 			}
 		}
 	}
-	n.seen[id] = true
+	r[id] = true
+}
+
+// deliver records the physical receipt of an event (idempotent within
+// the retention window).
+func (n *Node) deliver(id int64, ev geom.Point) {
+	if n.seen.has(id) {
+		return
+	}
+	n.seen.add(id)
 	n.Delivered++
 	matched := n.filter.ContainsPoint(ev)
 	if !matched {
