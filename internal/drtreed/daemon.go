@@ -114,27 +114,9 @@ type Daemon struct {
 	mu       sync.Mutex
 	closed   bool
 	sessions map[io.Closer]struct{}
-	closeWG  sync.WaitGroup
-}
+	closeWG  sync.WaitGroup // one count per open session
 
-// addSession registers a front-end session for shutdown teardown.
-// False means the daemon is closing and the session must not start.
-func (d *Daemon) addSession(c io.Closer) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return false
-	}
-	d.sessions[c] = struct{}{}
-	d.closeWG.Add(1)
-	return true
-}
-
-func (d *Daemon) dropSession(c io.Closer) {
-	d.mu.Lock()
-	delete(d.sessions, c)
-	d.mu.Unlock()
-	d.closeWG.Done()
+	rpcStats, wsStats frontStats
 }
 
 // gatewayBase returns the first gateway procID of daemon node.
@@ -216,6 +198,8 @@ func newDaemon(cfg Config) (*Daemon, error) {
 		Owner:    ownerOf,
 		OnClient: d.serveRPC,
 		Logf:     cfg.Logf,
+
+		WriteTimeout: sessionWriteTimeout,
 	})
 	if err != nil {
 		d.closeStore()
@@ -345,8 +329,8 @@ func (d *Daemon) Close() error {
 		d.httpSrv.Shutdown(ctx)
 		cancel()
 	}
-	// Closing the session sockets unblocks their reader goroutines;
-	// closing the broker then ends the notify pumps (queues close).
+	// Closing the session sockets unblocks their reader goroutines, which
+	// tear the sessions down (outbox included).
 	for _, c := range open {
 		c.Close()
 	}
@@ -389,119 +373,47 @@ func eventFromVectors(attrs []string, values []float64) (filter.Event, error) {
 // serveRPC runs one framed binary client session (transport.OnClient):
 // Subscribe/Unsubscribe/Publish/Attach requests each answered with an
 // Ack bearing the request's Ref, and Notify frames pushed as the
-// subscriber's queue drains. Subscriptions die with the session —
-// unless the daemon itself is shutting down, in which case they stay
-// registered (and, on a durable daemon, journaled) so a restart
-// resumes them and clients re-attach by subscription ID.
+// session's outbox drains. Subscriptions die with the session (see
+// session.close).
 func (d *Daemon) serveRPC(c *transport.Conn) {
-	if !d.addSession(c) {
-		c.Close()
+	c.OnBatchWrite(d.rpcStats.batchWrite)
+	s := d.openSession(c, &d.rpcStats, func(id core.ProcID, e pubsub.Envelope) error {
+		attrs, values := d.eventVectors(e.Event)
+		n := wire.Notify{Subscriber: int64(id), Seq: e.Seq, Attrs: attrs, Values: values}
+		return c.QueueMessage(simnet.Message{Payload: n})
+	}, c.Flush)
+	if s == nil {
 		return
 	}
-	defer d.dropSession(c)
-	defer c.Close()
-	var (
-		mu    sync.Mutex
-		owned = make(map[core.ProcID]bool)
-	)
-	defer func() {
-		if d.closing() {
-			return
-		}
-		mu.Lock()
-		ids := make([]core.ProcID, 0, len(owned))
-		for id := range owned {
-			ids = append(ids, id)
-		}
-		mu.Unlock()
-		for _, id := range ids {
-			d.broker.Unsubscribe(id)
-		}
-	}()
-	ack := func(ref uint64, err error) bool {
-		a := wire.Ack{Ref: ref}
-		if err != nil {
-			a.Err = err.Error()
-		}
-		return c.WriteMessage(simnet.Message{Payload: a}) == nil
-	}
+	defer s.close()
 	for {
 		m, err := c.ReadMessage()
 		if err != nil {
 			return
 		}
+		var ref uint64
 		switch p := m.Payload.(type) {
 		case wire.Subscribe:
-			id := core.ProcID(p.ID)
-			var ch <-chan pubsub.Envelope
-			f, err := filter.Parse(p.Expr)
-			if err == nil {
-				ch, err = d.broker.SubscribeChan(id, f)
-			}
-			if err == nil {
-				mu.Lock()
-				owned[id] = true
-				mu.Unlock()
-				d.closeWG.Add(1)
-				go d.pumpNotifies(c, id, ch)
-			}
-			if !ack(p.Ref, err) {
-				return
-			}
+			ref, err = p.Ref, s.subscribe(core.ProcID(p.ID), p.Expr)
 		case wire.Attach:
-			id := core.ProcID(p.ID)
-			ch, err := d.broker.AttachChan(id)
-			if err == nil {
-				mu.Lock()
-				owned[id] = true
-				mu.Unlock()
-				d.closeWG.Add(1)
-				go d.pumpNotifies(c, id, ch)
-			}
-			if !ack(p.Ref, err) {
-				return
-			}
+			ref, err = p.Ref, s.attach(core.ProcID(p.ID))
 		case wire.Unsubscribe:
-			id := core.ProcID(p.ID)
-			err := d.broker.Unsubscribe(id)
-			if err == nil {
-				mu.Lock()
-				delete(owned, id)
-				mu.Unlock()
-			}
-			if !ack(p.Ref, err) {
-				return
-			}
+			ref, err = p.Ref, s.unsubscribe(core.ProcID(p.ID))
 		case wire.Publish:
-			ev, err := eventFromVectors(p.Attrs, p.Values)
-			if err == nil {
+			var ev filter.Event
+			if ev, err = eventFromVectors(p.Attrs, p.Values); err == nil {
 				err = d.broker.PublishAsync(core.ProcID(p.Producer), ev)
 			}
-			if !ack(p.Ref, err) {
-				return
-			}
+			ref = p.Ref
 		default:
 			d.cfg.Logf("drtreed: client %s sent unexpected %T, dropping session", c.RemoteAddr(), m.Payload)
 			return
 		}
-	}
-}
-
-// pumpNotifies drains one subscriber's delivery channel onto the
-// session socket. A write failure (deadline expiry included — the slow
-// consumer case) closes the whole session; the session teardown then
-// unsubscribes, which closes this channel and ends the pump.
-func (d *Daemon) pumpNotifies(c *transport.Conn, id core.ProcID, ch <-chan pubsub.Envelope) {
-	defer d.closeWG.Done()
-	for e := range ch {
-		attrs, values := d.eventVectors(e.Event)
-		n := wire.Notify{Subscriber: int64(id), Seq: e.Seq, Attrs: attrs, Values: values}
-		if err := c.WriteMessage(simnet.Message{Payload: n}); err != nil {
-			c.Close()
-			// Keep draining so the queue's drainer is never blocked on a
-			// dead session; envelopes are discarded.
-			for range ch {
-			}
+		a := wire.Ack{Ref: ref}
+		if err != nil {
+			a.Err = err.Error()
+		}
+		if c.WriteMessage(simnet.Message{Payload: a}) != nil {
 			return
 		}
 	}

@@ -375,6 +375,92 @@ func TestHTTPEndpoints(t *testing.T) {
 	if stats.Overlay == nil || stats.Overlay.Dispatched == 0 {
 		t.Errorf("statsz overlay = %+v, want the live runtime's counters", stats.Overlay)
 	}
+
+	// The client edge: frames per write is readable from /statsz. A lone
+	// match leaves in a write of its own (no delay was added to wait for
+	// company); twenty matches for one session leave in fewer than twenty.
+	// sessions reads sessions.rpc once the write carrying delivery number
+	// frames has been counted (the client can see a frame a moment
+	// before the daemon has counted its write).
+	sessions := func(frames uint64) frontSnapshot {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			resp, err := http.Get(base + "/statsz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stats struct {
+				Sessions struct{ RPC, WS frontSnapshot } `json:"sessions"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&stats)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Sessions.WS != (frontSnapshot{}) {
+				t.Errorf("statsz sessions.ws = %+v with no WebSocket session", stats.Sessions.WS)
+			}
+			if got := stats.Sessions.RPC; got.NotifyFrames >= frames || time.Now().After(deadline) {
+				return got
+			}
+		}
+	}
+	// The publisher sits on a session of its own, so no ack shares the
+	// subscriber's socket.
+	pub := dialDaemon(t, ds[0])
+	if err := pub.Subscribe(2, "price in [900, 901]"); err != nil {
+		t.Fatal(err)
+	}
+	received := uint64(0) // deliveries read from cl so far
+	// publish fires one event and reports whether all its matches
+	// arrived; a publish racing a gateway's join may be lost (publishing
+	// is fire-and-forget), so the measured publishes follow a converged
+	// one.
+	publish := func(matches int) bool {
+		t.Helper()
+		if err := pub.Publish(2, filter.Event{"price": 15, "volume": 5}); err != nil {
+			t.Fatal(err)
+		}
+		timeout := time.After(time.Second)
+		for i := 0; i < matches; i++ {
+			select {
+			case <-cl.Events():
+				received++
+			case <-timeout:
+				return false
+			}
+		}
+		return true
+	}
+	converged := func(matches int) frontSnapshot {
+		t.Helper()
+		for tries := 0; !publish(matches); tries++ {
+			if tries == 20 {
+				t.Fatalf("no publish reached all %d matches", matches)
+			}
+		}
+		return sessions(received)
+	}
+	before := converged(1)
+	if !publish(1) {
+		t.Fatal("lone match not delivered on a converged overlay")
+	}
+	if got := sessions(received); got.Open != 2 || got.NotifyFrames != before.NotifyFrames+1 ||
+		got.NotifyWrites != before.NotifyWrites+1 || got.NotifyBytes <= before.NotifyBytes {
+		t.Fatalf("statsz sessions.rpc %+v -> %+v, want 2 open and the lone match in a write of its own", base, got)
+	}
+	for id := int64(101); id < 120; id++ {
+		if err := cl.Subscribe(id, "price in [10, 20] && volume in [0, 100]"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = converged(20)
+	if !publish(20) {
+		t.Fatal("20 matches not delivered on a converged overlay")
+	}
+	if got := sessions(received); got.NotifyFrames != before.NotifyFrames+20 || got.NotifyWrites-before.NotifyWrites >= 20 {
+		t.Fatalf("statsz sessions.rpc %+v -> %+v, want 20 more frames in fewer than 20 writes", base, got)
+	}
 }
 
 // TestThreeDaemonIdleBudget is the quiescent-stabilization budget: a

@@ -21,7 +21,7 @@ package drtreed
 // it.
 //
 // Requests are answered in order; "event" frames interleave as the
-// subscriber's queue drains. A session's subscriptions die with it,
+// session's outbox drains. A session's subscriptions die with it,
 // unless the daemon itself is shutting down (they then persist for the
 // restart).
 
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"drtree/internal/core"
 	"drtree/internal/filter"
@@ -38,11 +37,6 @@ import (
 	"drtree/internal/pubsub"
 	"drtree/internal/ws"
 )
-
-// wsWriteTimeout bounds every WebSocket frame write: a subscriber that
-// stops reading loses its session (close-on-overflow at the socket),
-// never stalls the daemon.
-const wsWriteTimeout = 5 * time.Second
 
 // WSProtoVersion is the JSON WebSocket protocol's current major
 // version, carried in every frame's "v" field. Version 0 (the field
@@ -96,12 +90,16 @@ func (d *Daemon) startHTTP() error {
 // serveStats dumps a JSON snapshot of the daemon's counters.
 func (d *Daemon) serveStats(w http.ResponseWriter, _ *http.Request) {
 	stats := struct {
-		Node        int                  `json:"node"`
-		Subscribers int                  `json:"subscribers"`
-		Transport   any                  `json:"transport"`
-		Overlay     proto.LiveStats      `json:"overlay"`
-		Gateways    []pubsub.GatewayStat `json:"gateways"`
-		Actors      []proto.ActorState   `json:"actors"`
+		Node        int `json:"node"`
+		Subscribers int `json:"subscribers"`
+		Transport   any `json:"transport"`
+		Sessions    struct {
+			RPC frontSnapshot `json:"rpc"`
+			WS  frontSnapshot `json:"ws"`
+		} `json:"sessions"`
+		Overlay  proto.LiveStats      `json:"overlay"`
+		Gateways []pubsub.GatewayStat `json:"gateways"`
+		Actors   []proto.ActorState   `json:"actors"`
 	}{
 		Node:        d.cfg.Node,
 		Subscribers: d.broker.Len(),
@@ -110,6 +108,7 @@ func (d *Daemon) serveStats(w http.ResponseWriter, _ *http.Request) {
 		Gateways:    d.broker.GatewayStats(),
 		Actors:      d.lc.ActorStates(),
 	}
+	stats.Sessions.RPC, stats.Sessions.WS = d.rpcStats.snapshot(), d.wsStats.snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(stats)
 }
@@ -120,131 +119,49 @@ func (d *Daemon) serveWS(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
-	if !d.addSession(c) {
-		c.Close()
+	c.SetWriteTimeout(sessionWriteTimeout)
+	c.OnBatchWrite(d.wsStats.batchWrite)
+	s := d.openSession(c, &d.wsStats, func(id core.ProcID, e pubsub.Envelope) error {
+		buf, err := json.Marshal(wsReply{V: WSProtoVersion, Op: "event", ID: int64(id), Seq: e.Seq, Event: e.Event})
+		if err != nil {
+			return err
+		}
+		return c.QueueText(buf)
+	}, c.Flush)
+	if s == nil {
 		return
 	}
-	defer d.dropSession(c)
-	defer c.Close()
-	c.SetWriteTimeout(wsWriteTimeout)
-
-	owned := make(map[core.ProcID]bool)
-	defer func() {
-		if d.closing() {
-			return
-		}
-		for id := range owned {
-			d.broker.Unsubscribe(id)
-		}
-	}()
-	reply := func(rep wsReply) bool {
-		rep.V = WSProtoVersion
-		buf, err := json.Marshal(rep)
-		if err != nil {
-			return false
-		}
-		return c.WriteText(buf) == nil
-	}
-	fail := func(err error) bool { return reply(wsReply{Op: "error", Error: err.Error()}) }
+	defer s.close()
 	for {
 		_, payload, err := c.ReadMessage()
 		if err != nil {
 			return
 		}
 		var req wsRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			if !fail(fmt.Errorf("bad request: %w", err)) {
-				return
-			}
-			continue
-		}
-		if req.V != 0 && req.V != WSProtoVersion {
-			if !fail(fmt.Errorf("unsupported protocol version %d (this daemon speaks %d)", req.V, WSProtoVersion)) {
-				return
-			}
-			continue
-		}
-		switch req.Op {
-		case "subscribe":
-			id := core.ProcID(req.ID)
-			var ch <-chan pubsub.Envelope
-			f, err := filter.Parse(req.Filter)
-			if err == nil {
-				ch, err = d.broker.SubscribeChan(id, f)
-			}
-			if err != nil {
-				if !fail(err) {
-					return
-				}
-				continue
-			}
-			owned[id] = true
-			d.closeWG.Add(1)
-			go d.pumpWS(c, id, ch)
-			if !reply(wsReply{Op: "ok"}) {
-				return
-			}
-		case "attach":
-			id := core.ProcID(req.ID)
-			ch, err := d.broker.AttachChan(id)
-			if err != nil {
-				if !fail(err) {
-					return
-				}
-				continue
-			}
-			owned[id] = true
-			d.closeWG.Add(1)
-			go d.pumpWS(c, id, ch)
-			if !reply(wsReply{Op: "ok"}) {
-				return
-			}
-		case "unsubscribe":
-			id := core.ProcID(req.ID)
-			if err := d.broker.Unsubscribe(id); err != nil {
-				if !fail(err) {
-					return
-				}
-				continue
-			}
-			delete(owned, id)
-			if !reply(wsReply{Op: "ok"}) {
-				return
-			}
-		case "publish":
-			err := d.broker.PublishAsync(core.ProcID(req.Producer), filter.Event(req.Event))
-			if err != nil {
-				if !fail(err) {
-					return
-				}
-				continue
-			}
-			if !reply(wsReply{Op: "ok"}) {
-				return
-			}
-		default:
-			if !fail(fmt.Errorf("unknown op %q", req.Op)) {
-				return
+		if err = json.Unmarshal(payload, &req); err != nil {
+			err = fmt.Errorf("bad request: %w", err)
+		} else if req.V != 0 && req.V != WSProtoVersion {
+			err = fmt.Errorf("unsupported protocol version %d (this daemon speaks %d)", req.V, WSProtoVersion)
+		} else {
+			switch req.Op {
+			case "subscribe":
+				err = s.subscribe(core.ProcID(req.ID), req.Filter)
+			case "attach":
+				err = s.attach(core.ProcID(req.ID))
+			case "unsubscribe":
+				err = s.unsubscribe(core.ProcID(req.ID))
+			case "publish":
+				err = d.broker.PublishAsync(core.ProcID(req.Producer), filter.Event(req.Event))
+			default:
+				err = fmt.Errorf("unknown op %q", req.Op)
 			}
 		}
-	}
-}
-
-// pumpWS drains one subscriber's delivery channel into event frames. A
-// write failure (the slow-subscriber deadline included) closes the
-// session; teardown unsubscribes, which closes ch and ends the pump.
-func (d *Daemon) pumpWS(c *ws.Conn, id core.ProcID, ch <-chan pubsub.Envelope) {
-	defer d.closeWG.Done()
-	for e := range ch {
-		rep := wsReply{V: WSProtoVersion, Op: "event", ID: int64(id), Seq: e.Seq, Event: e.Event}
-		buf, err := json.Marshal(rep)
+		rep := wsReply{V: WSProtoVersion, Op: "ok"}
 		if err != nil {
-			continue
+			rep.Op, rep.Error = "error", err.Error()
 		}
-		if err := c.WriteText(buf); err != nil {
-			c.Close()
-			for range ch {
-			}
+		buf, err := json.Marshal(rep)
+		if err != nil || c.WriteText(buf) != nil {
 			return
 		}
 	}

@@ -2,8 +2,9 @@ package pubsub
 
 // The subscriber delivery layer: SubscribeFunc and SubscribeChan attach
 // a bounded per-subscriber queue (internal/eventbus) drained by its own
-// goroutine, so events matched by classifyBatch are handed to consumer
-// code without the publish path ever waiting on it. Enqueueing happens
+// goroutine — or, for the subscribers of one Outbox, by the outbox's —
+// so events matched by classifyBatch are handed to consumer code
+// without the publish path ever waiting on it. Enqueueing happens
 // in Broker.dispatch, strictly after classifyBatch has released every
 // gateway lock: a consumer can at worst slow the one publishing
 // goroutine that opted into the Block policy, never the classify pass
@@ -127,14 +128,13 @@ func newConsumer(cfg deliveryConfig) (*consumer, error) {
 // Unsubscribe/Close; the overflow policy decides what happens to events
 // arriving while it lags.
 func (b *Broker) SubscribeFunc(id core.ProcID, f filter.Filter, h Handler, opts ...DeliveryOption) error {
-	if h == nil {
-		return fmt.Errorf("pubsub: nil handler")
-	}
-	cfg, err := b.resolveDelivery(opts)
-	if err != nil {
-		return err
-	}
-	cons, err := newConsumer(cfg)
+	return b.subscribeFunc(nil, id, f, h, opts)
+}
+
+// subscribeFunc is SubscribeFunc with the drainer chosen: ob's, or one
+// of the subscriber's own when ob is nil.
+func (b *Broker) subscribeFunc(ob *Outbox, id core.ProcID, f filter.Filter, h Handler, opts []DeliveryOption) error {
+	cons, err := b.newFuncConsumer(h, opts)
 	if err != nil {
 		return err
 	}
@@ -142,11 +142,76 @@ func (b *Broker) SubscribeFunc(id core.ProcID, f filter.Filter, h Handler, opts 
 		cons.q.Close()
 		return err
 	}
-	cons.q.Run(func(e Envelope, attempt int) error {
+	startDelivery(ob, cons, h)
+	return nil
+}
+
+// newFuncConsumer builds the consumer shared by the handler-backed
+// subscribe and attach calls.
+func (b *Broker) newFuncConsumer(h Handler, opts []DeliveryOption) (*consumer, error) {
+	if h == nil {
+		return nil, fmt.Errorf("pubsub: nil handler")
+	}
+	cfg, err := b.resolveDelivery(opts)
+	if err != nil {
+		return nil, err
+	}
+	return newConsumer(cfg)
+}
+
+// Outbox drains the delivery queues of every subscriber bound to it on
+// one goroutine, and calls flush each time it has handed over all that
+// was ready — so handlers that only append to a shared buffer (the
+// subscribers of one client socket) cost one write per burst, not one
+// per event. A lone event is flushed at once: nothing waits for
+// company. Queue capacity, overflow policy, Seq numbering and
+// DeliveryStats stay per subscriber; what the subscribers of an outbox
+// share is fate — a handler or flush that blocks stalls them all (their
+// queues shed per policy meanwhile), never a publisher or another
+// outbox.
+type Outbox struct {
+	b *Broker
+	g *eventbus.Group[Envelope]
+}
+
+// NewOutbox starts an outbox. flush runs on the outbox's goroutine,
+// never concurrently with a handler; it may be nil.
+func (b *Broker) NewOutbox(flush func()) *Outbox {
+	return &Outbox{b: b, g: eventbus.NewGroup[Envelope](flush)}
+}
+
+// SubscribeFunc is Broker.SubscribeFunc with the handler invoked on the
+// outbox's goroutine.
+func (o *Outbox) SubscribeFunc(id core.ProcID, f filter.Filter, h Handler, opts ...DeliveryOption) error {
+	return o.b.subscribeFunc(o, id, f, h, opts)
+}
+
+// AttachFunc is Broker.AttachFunc with the handler invoked on the
+// outbox's goroutine.
+func (o *Outbox) AttachFunc(id core.ProcID, h Handler, opts ...DeliveryOption) error {
+	return o.b.attachFunc(o, id, h, opts)
+}
+
+// Close stops the outbox and waits for its goroutine to exit (a handler
+// or flush in flight finishes first). Its subscribers stay registered,
+// undelivered, until they are unsubscribed.
+func (o *Outbox) Close() {
+	o.g.Close()
+	<-o.g.Done()
+}
+
+// startDelivery hands cons's envelopes to h: on ob's drainer, or — ob
+// nil — on one of the consumer's own.
+func startDelivery(ob *Outbox, cons *consumer, h Handler) {
+	deliver := func(e Envelope, attempt int) error {
 		e.Attempt = attempt
 		return h(e)
-	})
-	return nil
+	}
+	if ob == nil {
+		cons.q.Run(deliver)
+	} else {
+		ob.g.Add(cons.q, deliver)
+	}
 }
 
 // SubscribeChan registers subscriber id with the given filter and
@@ -240,14 +305,11 @@ func (b *Broker) attach(id core.ProcID, cons *consumer) error {
 // SubscribeFunc; the subscription's filter is unchanged. Fails if id is
 // not registered or already has a consumer.
 func (b *Broker) AttachFunc(id core.ProcID, h Handler, opts ...DeliveryOption) error {
-	if h == nil {
-		return fmt.Errorf("pubsub: nil handler")
-	}
-	cfg, err := b.resolveDelivery(opts)
-	if err != nil {
-		return err
-	}
-	cons, err := newConsumer(cfg)
+	return b.attachFunc(nil, id, h, opts)
+}
+
+func (b *Broker) attachFunc(ob *Outbox, id core.ProcID, h Handler, opts []DeliveryOption) error {
+	cons, err := b.newFuncConsumer(h, opts)
 	if err != nil {
 		return err
 	}
@@ -255,10 +317,7 @@ func (b *Broker) AttachFunc(id core.ProcID, h Handler, opts ...DeliveryOption) e
 		cons.q.Close()
 		return err
 	}
-	cons.q.Run(func(e Envelope, attempt int) error {
-		e.Attempt = attempt
-		return h(e)
-	})
+	startDelivery(ob, cons, h)
 	return nil
 }
 

@@ -384,3 +384,115 @@ func TestFrozenConsumerNeverBlocksPublish(t *testing.T) {
 		t.Fatalf("gateway aggregate QueueDepth = %d < subscriber's %d", aggDepth, st.Depth)
 	}
 }
+
+// TestOutboxOneFlushPerBurst: the subscribers of an outbox are served
+// on one goroutine — a batch matching all of them is handed over and
+// flushed once, a lone event is flushed at once — with per-subscriber
+// Seq, stats and options intact; and a flush that never returns stalls
+// only them: their queues shed, publishers and a subscriber outside the
+// outbox carry on.
+func TestOutboxOneFlushPerBurst(t *testing.T) {
+	b := newDeliveryBroker(t, 2)
+	var (
+		mu      sync.Mutex
+		pending []Envelope   // appended by handlers, taken by flush
+		flushes [][]Envelope // what each flush carried
+		freeze  = make(chan struct{})
+		stuck   = make(chan struct{}, 1) // a frozen flush announces itself
+		frozen  atomic.Bool
+	)
+	ob := b.NewOutbox(func() {
+		if frozen.Load() {
+			stuck <- struct{}{}
+			<-freeze
+		}
+		mu.Lock()
+		flushes, pending = append(flushes, pending), nil
+		mu.Unlock()
+	})
+	defer ob.Close()
+	defer close(freeze)
+	all := filter.Range("x", 0, 10)
+	h := func(e Envelope) error {
+		mu.Lock()
+		pending = append(pending, e)
+		mu.Unlock()
+		return nil
+	}
+	for id := core.ProcID(1); id <= 3; id++ {
+		if err := ob.SubscribeFunc(id, all, h, WithQueueDepth(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ob.SubscribeFunc(3, all, h); err == nil {
+		t.Fatal("duplicate id must be refused through an outbox too")
+	}
+	if err := ob.AttachFunc(9, h); err == nil {
+		t.Fatal("attach of an unknown id must be refused through an outbox too")
+	}
+	var outside atomic.Int64
+	if err := b.SubscribeFunc(4, all, func(Envelope) error { outside.Add(1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	flushed := func() (n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, f := range flushes {
+			n += len(f)
+		}
+		return n
+	}
+
+	// One batch: 3 events x 3 subscribers are enqueued before the
+	// publisher returns to us, so they leave in far fewer flushes than
+	// envelopes (one, unless the drainer got ahead of the publisher).
+	if _, err := b.PublishBatch(1, []filter.Event{{"x": 1}, {"x": 2}, {"x": 3}}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "burst flushed", func() bool { return flushed() == 9 })
+	mu.Lock()
+	if len(flushes) >= 9 {
+		t.Errorf("9 envelopes left in %d flushes: nothing was coalesced", len(flushes))
+	}
+	mu.Unlock()
+	// A lone event does not wait for company.
+	if _, err := b.Publish(1, filter.Event{"x": 50}); err != nil { // matches nobody
+		t.Fatal(err)
+	}
+	before := flushed()
+	if _, err := b.Publish(2, filter.Event{"x": 4}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "lone event flushed", func() bool { return flushed() == before+3 })
+	for id := core.ProcID(1); id <= 3; id++ {
+		if st, _ := b.DeliveryStatsOf(id); st.Delivered != 4 || st.Dropped != 0 || st.Capacity != 4 {
+			t.Fatalf("subscriber %d: %+v, want 4 delivered through a 4-slot queue", id, st)
+		}
+	}
+
+	// A flush that blocks is the outbox's own problem.
+	frozen.Store(true)
+	if _, err := b.Publish(1, filter.Event{"x": 5}); err != nil {
+		t.Fatal(err)
+	}
+	<-stuck
+	start := time.Now()
+	for i := 0; i < 50; i++ {
+		if _, err := b.Publish(1, filter.Event{"x": 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("50 publishes took %v beside a frozen outbox", d)
+	}
+	waitUntil(t, "outside subscriber served", func() bool { return outside.Load() == 55 })
+	for id := core.ProcID(1); id <= 3; id++ {
+		if st, _ := b.DeliveryStatsOf(id); st.Delivered != 5 || st.Dropped != 46 || st.Depth != 4 {
+			t.Fatalf("subscriber %d behind a frozen flush: %+v, want 5 delivered, 46 shed, a full queue", id, st)
+		}
+	}
+	// Unsubscribe never waits for the frozen drainer.
+	if err := b.Unsubscribe(2); err != nil {
+		t.Fatal(err)
+	}
+}

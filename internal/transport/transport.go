@@ -9,8 +9,9 @@
 // Topology is a static peer table: daemon i listens on Peers[i] and
 // keeps one outbound link per remote peer. Each link is a goroutine
 // owning a bounded queue and one TCP connection, lazily dialed and
-// re-dialed with jittered exponential backoff; writes carry a deadline
-// so a wedged peer cannot stall the link forever. Connections are
+// re-dialed with jittered exponential backoff; whatever is queued when
+// the link goroutine looks leaves in one write, and writes carry a
+// deadline so a wedged peer cannot stall the link forever. Connections are
 // unidirectional: i→j traffic flows on the connection i dialed, j→i on
 // the one j dialed, which keeps reconnect logic trivially symmetric.
 //
@@ -90,7 +91,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats mirrors simnet.Stats for the socket substrate. Sent counts
-// messages accepted by Send; Delivered counts inbound frames handed to
+// messages accepted by Send; Writes counts the socket writes that
+// carried them to peers (frames per write = messages that reached a
+// link / Writes); Delivered counts inbound frames handed to
 // Deliver; Dropped counts queue-overflow and shutdown losses;
 // Bounced counts undeliverable messages answered with a Bounce;
 // Partitioned counts messages suppressed by an induced partition;
@@ -99,6 +102,7 @@ func (c Config) withDefaults() Config {
 // connections.
 type Stats struct {
 	Sent        uint64
+	Writes      uint64
 	Delivered   uint64
 	Dropped     uint64
 	Bounced     uint64
@@ -120,6 +124,7 @@ type TCP struct {
 	closed atomic.Bool
 
 	sent        atomic.Uint64
+	writes      atomic.Uint64
 	delivered   atomic.Uint64
 	dropped     atomic.Uint64
 	bounced     atomic.Uint64
@@ -220,6 +225,7 @@ func (t *TCP) Partition(peer int, severed bool) {
 func (t *TCP) Stats() Stats {
 	return Stats{
 		Sent:        t.sent.Load(),
+		Writes:      t.writes.Load(),
 		Delivered:   t.delivered.Load(),
 		Dropped:     t.dropped.Load(),
 		Bounced:     t.bounced.Load(),
@@ -241,9 +247,10 @@ func (t *TCP) Close() error {
 	return err
 }
 
-// runLink owns one outbound connection: dial lazily, write each queued
-// frame under a deadline, bounce what cannot be delivered, redial with
-// jittered exponential backoff.
+// runLink owns one outbound connection: dial lazily, write what is
+// queued — one message or a burst — in one Write under a deadline,
+// bounce what cannot be delivered, redial with jittered exponential
+// backoff.
 func (t *TCP) runLink(l *link) {
 	defer t.wg.Done()
 	rng := rand.New(rand.NewPCG(uint64(l.peer)*7919, uint64(time.Now().UnixNano())))
@@ -254,6 +261,7 @@ func (t *TCP) runLink(l *link) {
 			conn.Close()
 		}
 	}()
+	var wb burst
 	for {
 		select {
 		case <-t.stop:
@@ -289,17 +297,61 @@ func (t *TCP) runLink(l *link) {
 					failedDials = 0
 				}
 			}
-			conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-			if err := wire.WriteMessage(conn, m); err != nil {
+			if err := t.writeBurst(l, conn, m, &wb); err != nil {
 				t.cfg.Logf("transport[%d]: write to peer %d: %v", t.cfg.Self, l.peer, err)
 				conn.Close()
 				conn = nil
 				t.reconnects.Add(1)
-				t.bounce(m)
-				continue
 			}
 		}
 	}
+}
+
+// burst is a link's reused write state: the frames of one write and the
+// messages they carry.
+type burst struct {
+	buf  []byte
+	msgs []simnet.Message
+}
+
+// writeBurst sends m and whatever else is already queued on l — up to
+// the high-water mark — in one Write under the write deadline. Every
+// message is still checked on its own: one drained behind a partition
+// is suppressed, one that cannot be encoded bounces alone, and when the
+// write fails every message of the burst bounces.
+func (t *TCP) writeBurst(l *link, conn net.Conn, m simnet.Message, b *burst) error {
+	b.buf, b.msgs = b.buf[:0], b.msgs[:0]
+	defer func() { clear(b.msgs) }() // the reused slice must not pin payloads
+	for more := true; more; {
+		if l.partitioned.Load() {
+			t.partitioned.Add(1)
+		} else if buf, err := wire.AppendFrame(b.buf, m); err != nil {
+			t.cfg.Logf("transport[%d]: encode for peer %d: %v", t.cfg.Self, l.peer, err)
+			t.bounce(m)
+		} else {
+			b.buf, b.msgs = buf, append(b.msgs, m)
+		}
+		if len(b.buf) >= flushHighWater {
+			break
+		}
+		select {
+		case m = <-l.q:
+		default:
+			more = false
+		}
+	}
+	if len(b.msgs) == 0 {
+		return nil
+	}
+	conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+	if _, err := conn.Write(b.buf); err != nil {
+		for _, m := range b.msgs {
+			t.bounce(m)
+		}
+		return err
+	}
+	t.writes.Add(1)
+	return nil
 }
 
 // dialPeer makes one connection attempt (with handshake) per call,

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,5 +314,170 @@ func TestSendAfterCloseDrops(t *testing.T) {
 	t0.Send(simnet.Message{From: 101, To: 201, Payload: wire.Ack{Ref: 1}})
 	if s := t0.Stats(); s.Dropped == 0 {
 		t.Fatalf("stats = %+v, want Dropped > 0 after close", s)
+	}
+}
+
+// fakeLinkConn is the write side of a peer connection under test
+// control: it records what is written, or fails every write.
+type fakeLinkConn struct {
+	net.Conn
+	fail   error
+	writes [][]byte
+}
+
+func (c *fakeLinkConn) SetWriteDeadline(time.Time) error { return nil }
+
+func (c *fakeLinkConn) Write(p []byte) (int, error) {
+	if c.fail != nil {
+		return 0, c.fail
+	}
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// heldLink builds a transport whose one link has no goroutine, so a
+// test decides when the queue is looked at: Send queues, writeBurst
+// drains.
+func heldLink(deliver func(simnet.Message)) (*TCP, *link) {
+	l := &link{peer: 1, q: make(chan simnet.Message, 64)}
+	t := &TCP{
+		cfg:   Config{Self: 0, Deliver: deliver, Owner: ownerByHundreds}.withDefaults(),
+		links: []*link{nil, l},
+		stop:  make(chan struct{}),
+	}
+	return t, l
+}
+
+func burstMessages(n int) []simnet.Message {
+	msgs := make([]simnet.Message, n)
+	for i := range msgs {
+		msgs[i] = simnet.Message{From: 101, To: simnet.NodeID(201 + i), Payload: wire.Ack{Ref: uint64(i)}}
+	}
+	return msgs
+}
+
+// TestBurstLeavesInOneWrite: what is queued when the link looks leaves
+// in one write, in order, and counts one Write for all of it.
+func TestBurstLeavesInOneWrite(t *testing.T) {
+	tp, l := heldLink(func(simnet.Message) { t.Error("nothing may bounce") })
+	msgs := burstMessages(12)
+	tp.Send(msgs...)
+	conn := &fakeLinkConn{}
+	if err := tp.writeBurst(l, conn, <-l.q, new(burst)); err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.writes) != 1 {
+		t.Fatalf("%d writes for a queued burst, want 1", len(conn.writes))
+	}
+	data := conn.writes[0]
+	for i, want := range msgs {
+		got, n, err := wire.DecodeFrame(data)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: %#v, %v; want %#v", i, got, err, want)
+		}
+		data = data[n:]
+	}
+	if len(data) != 0 {
+		t.Fatalf("%d trailing bytes", len(data))
+	}
+	if s := tp.Stats(); s.Sent != 12 || s.Writes != 1 {
+		t.Fatalf("stats = %+v, want Sent=12 Writes=1", s)
+	}
+}
+
+// TestFailedBurstBouncesEveryFrameOnce: when the one write of a burst
+// fails, each message it carried is answered with exactly one bounce.
+func TestFailedBurstBouncesEveryFrameOnce(t *testing.T) {
+	bounces := make(map[simnet.NodeID]int)
+	tp, l := heldLink(func(m simnet.Message) {
+		b, ok := m.Payload.(simnet.Bounce)
+		if !ok || m.To != 101 {
+			t.Errorf("delivered %#v, want a bounce to 101", m)
+		}
+		bounces[b.To]++
+	})
+	msgs := burstMessages(9)
+	tp.Send(msgs...)
+	conn := &fakeLinkConn{fail: errors.New("broken pipe")}
+	if err := tp.writeBurst(l, conn, <-l.q, new(burst)); err == nil {
+		t.Fatal("a failed write must be reported so the link redials")
+	}
+	for _, m := range msgs {
+		if bounces[m.To] != 1 {
+			t.Errorf("message to %d bounced %d times, want 1", m.To, bounces[m.To])
+		}
+	}
+	if s := tp.Stats(); s.Bounced != 9 || s.Writes != 0 || len(l.q) != 0 {
+		t.Fatalf("stats = %+v, queue %d; want Bounced=9 Writes=0, queue empty", s, len(l.q))
+	}
+}
+
+// TestPartitionSetBehindQueuedMessages: messages accepted by Send and
+// still queued when the partition is induced are suppressed as the link
+// drains them — neither written nor bounced.
+func TestPartitionSetBehindQueuedMessages(t *testing.T) {
+	tp, l := heldLink(func(simnet.Message) { t.Error("a partition is silent: nothing may bounce") })
+	tp.Send(burstMessages(5)...)
+	tp.Partition(1, true)
+	conn := &fakeLinkConn{}
+	if err := tp.writeBurst(l, conn, <-l.q, new(burst)); err != nil {
+		t.Fatal(err)
+	}
+	if s := tp.Stats(); len(conn.writes) != 0 || s.Partitioned != 5 || s.Writes != 0 {
+		t.Fatalf("%d writes, stats = %+v; want no write and Partitioned=5", len(conn.writes), s)
+	}
+}
+
+// TestConnQueueThenFlush: queued frames leave in order in one write
+// with the next flush (or the next WriteMessage), an empty flush is
+// free, and after a write error every call fails fast.
+func TestConnQueueThenFlush(t *testing.T) {
+	fc := &fakeLinkConn{}
+	c := newConn(fc, nil, time.Second)
+	var frames, bytes int
+	c.OnBatchWrite(func(f, b int) { frames, bytes = frames+f, bytes+b })
+	msgs := burstMessages(4)
+	for _, m := range msgs[:3] {
+		if err := c.QueueMessage(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(fc.writes) != 0 {
+		t.Fatal("QueueMessage wrote before the flush")
+	}
+	if err := c.WriteMessage(msgs[3]); err != nil { // an ack rides with the queued notifies, after them
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil || len(fc.writes) != 1 {
+		t.Fatalf("flush of an empty buffer: %v, %d writes; want nil and the one write so far", err, len(fc.writes))
+	}
+	data := fc.writes[0]
+	for i, want := range msgs {
+		got, n, err := wire.DecodeFrame(data)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: %#v, %v; want %#v", i, got, err, want)
+		}
+		data = data[n:]
+	}
+	if frames != 3 || bytes == 0 || bytes >= len(fc.writes[0]) {
+		t.Fatalf("batch hook saw %d frames, %d bytes of a %d-byte write; want the 3 queued frames only", frames, bytes, len(fc.writes[0]))
+	}
+
+	// A burst past the high-water mark is written out before any flush.
+	big := simnet.Message{Payload: wire.Subscribe{Expr: strings.Repeat("x", flushHighWater)}}
+	if err := c.QueueMessage(big); err != nil || len(fc.writes) != 2 {
+		t.Fatalf("oversize frame: %v, %d writes; want it written through", err, len(fc.writes))
+	}
+
+	fc.fail = errors.New("broken pipe")
+	if err := c.WriteMessage(msgs[0]); err == nil {
+		t.Fatal("write error not reported")
+	}
+	fc.fail = nil
+	if c.QueueMessage(msgs[0]) == nil || c.Flush() == nil || c.WriteMessage(msgs[0]) == nil {
+		t.Fatal("a connection that failed a write must fail every later call")
+	}
+	if len(fc.writes) != 2 {
+		t.Fatalf("%d writes, want none after the error", len(fc.writes))
 	}
 }

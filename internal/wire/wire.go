@@ -22,6 +22,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -377,16 +378,19 @@ func WriteMessage(w io.Writer, m simnet.Message) error {
 	return err
 }
 
-// StreamReader decodes a sequence of frames from an io.Reader, reusing
-// one internal buffer across messages.
+// StreamReader decodes a sequence of frames from an io.Reader, reading
+// through a bufio.Reader — a burst of small frames costs one read, not
+// two per frame — and reusing one frame buffer across messages.
 type StreamReader struct {
-	r   io.Reader
+	r   *bufio.Reader
 	hdr [lenSize]byte
 	buf []byte
 }
 
-// NewStreamReader wraps r for frame-at-a-time decoding.
-func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: r} }
+// NewStreamReader wraps r for frame-at-a-time decoding. A *bufio.Reader
+// of at least the default size is used as it is; frames larger than the
+// buffer bypass it.
+func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: bufio.NewReader(r)} }
 
 // ReadMessage reads and decodes the next frame. It returns io.EOF on a
 // clean end of stream and io.ErrUnexpectedEOF when the stream dies

@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"drtree/internal/simnet"
 )
@@ -76,6 +78,10 @@ func TestAppendFrameConcatenates(t *testing.T) {
 	}
 }
 
+// TestStreamReader decodes one stream of frames however the source
+// slices it: everything in one read (several frames per read — the
+// reader buffers), one byte per read (a frame spans many reads), and
+// through a caller-supplied bufio.Reader.
 func TestStreamReader(t *testing.T) {
 	msgs := rpcMessages()
 	var stream bytes.Buffer
@@ -84,18 +90,25 @@ func TestStreamReader(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 	}
-	sr := NewStreamReader(&stream)
-	for i, want := range msgs {
-		got, err := sr.ReadMessage()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("read %d: got %#v want %#v", i, got, want)
-		}
+	sources := map[string]func([]byte) io.Reader{
+		"one read":      func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"byte per read": func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+		"own bufio":     func(b []byte) io.Reader { return bufio.NewReaderSize(bytes.NewReader(b), 8<<10) },
 	}
-	if _, err := sr.ReadMessage(); err != io.EOF {
-		t.Fatalf("end of stream: got %v, want io.EOF", err)
+	for name, source := range sources {
+		sr := NewStreamReader(source(stream.Bytes()))
+		for i, want := range msgs {
+			got, err := sr.ReadMessage()
+			if err != nil {
+				t.Fatalf("%s: read %d: %v", name, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: read %d: got %#v want %#v", name, i, got, want)
+			}
+		}
+		if _, err := sr.ReadMessage(); err != io.EOF {
+			t.Fatalf("%s: end of stream: got %v, want io.EOF", name, err)
+		}
 	}
 }
 

@@ -7,9 +7,10 @@
 // repo takes no external dependencies, so the daemon carries its own.
 //
 // Concurrency contract: one goroutine owns the read side (ReadMessage),
-// writes are serialized under an internal mutex with an optional
-// per-frame deadline — the same discipline as transport.Conn, so a slow
-// or dead peer fails its own connection without stalling others.
+// writes go through one reused buffer under an internal mutex with an
+// optional deadline — the same discipline as transport.Conn (queue,
+// then flush), so frames never interleave and a slow or dead peer fails
+// its own connection without stalling others.
 package ws
 
 import (
@@ -69,9 +70,20 @@ type Conn struct {
 	wmu          sync.Mutex
 	writeTimeout time.Duration
 	closeSent    bool
+	wbuf         []byte // frames queued since the last write
+	werr         error  // first write error; fails every later call
+
+	// Messages queued by QueueText that the next write will carry, and
+	// their frame bytes, reported to onBatch with that write.
+	batchFrames, batchBytes int
+	onBatch                 func(frames, bytes int)
 
 	rbuf []byte // frame scratch, reused across reads
 }
+
+// flushHighWater is the size at which the write buffer is written out
+// even though more frames are ready (see transport.Conn).
+const flushHighWater = 32 << 10
 
 // Accept upgrades an HTTP request to a WebSocket connection (server
 // side). On error the handshake failure has already been written to w.
@@ -320,14 +332,51 @@ func (c *Conn) readFrame() (op byte, fin bool, payload []byte, err error) {
 // WriteText sends one text message.
 func (c *Conn) WriteText(p []byte) error { return c.WriteMessage(OpText, p) }
 
-// WriteMessage sends one unfragmented message (or control frame). Safe
-// for concurrent use; each call writes under the configured deadline.
+// WriteMessage queues one unfragmented message (or control frame) and
+// writes everything queued, under the configured deadline. Safe for
+// concurrent use.
 func (c *Conn) WriteMessage(op byte, p []byte) error {
 	if len(p) > MaxPayload {
 		return fmt.Errorf("ws: message of %d bytes exceeds cap %d", len(p), MaxPayload)
 	}
 	return c.writeFrame(op, p)
 }
+
+// QueueText appends one text message to the write buffer without
+// writing it: the caller owes a Flush once it has nothing more to
+// queue. The buffer is written out early when it passes flushHighWater.
+// Safe for concurrent use.
+func (c *Conn) QueueText(p []byte) error {
+	if len(p) > MaxPayload {
+		return fmt.Errorf("ws: message of %d bytes exceeds cap %d", len(p), MaxPayload)
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	n, err := c.appendFrameLocked(OpText, p)
+	if err != nil {
+		return err
+	}
+	c.batchFrames++
+	c.batchBytes += n
+	if len(c.wbuf) >= flushHighWater {
+		return c.flushLocked()
+	}
+	return nil
+}
+
+// Flush writes everything queued in one Write under the configured
+// deadline; with nothing queued it is free. Safe for concurrent use.
+func (c *Conn) Flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.flushLocked()
+}
+
+// OnBatchWrite registers fn to be told, after each successful write
+// that carried messages queued with QueueText, how many and how many
+// bytes of them. fn runs under the connection's write lock; set it
+// before the connection is shared.
+func (c *Conn) OnBatchWrite(fn func(frames, bytes int)) { c.onBatch = fn }
 
 func (c *Conn) writeFrame(op byte, p []byte) error {
 	c.wmu.Lock()
@@ -336,6 +385,18 @@ func (c *Conn) writeFrame(op byte, p []byte) error {
 }
 
 func (c *Conn) writeFrameLocked(op byte, p []byte) error {
+	if _, err := c.appendFrameLocked(op, p); err != nil {
+		return err
+	}
+	return c.flushLocked()
+}
+
+// appendFrameLocked appends one frame to the write buffer and returns
+// its size.
+func (c *Conn) appendFrameLocked(op byte, p []byte) (int, error) {
+	if c.werr != nil {
+		return 0, c.werr
+	}
 	var hdr [14]byte
 	hdr[0] = 0x80 | op
 	i := 2
@@ -351,29 +412,43 @@ func (c *Conn) writeFrameLocked(op byte, p []byte) error {
 		binary.BigEndian.PutUint64(hdr[2:10], uint64(len(p)))
 		i = 10
 	}
-	buf := make([]byte, 0, i+4+len(p))
+	before := len(c.wbuf)
 	if c.client {
 		hdr[1] |= 0x80
-		var mask [4]byte
-		if _, err := rand.Read(mask[:]); err != nil {
-			return fmt.Errorf("ws: mask: %w", err)
+		if _, err := rand.Read(hdr[i : i+4]); err != nil {
+			return 0, fmt.Errorf("ws: mask: %w", err)
 		}
-		buf = append(buf, hdr[:i]...)
-		buf = append(buf, mask[:]...)
-		off := len(buf)
-		buf = append(buf, p...)
+		mask := hdr[i : i+4]
+		c.wbuf = append(c.wbuf, hdr[:i+4]...)
+		off := len(c.wbuf)
+		c.wbuf = append(c.wbuf, p...)
 		for j := range p {
-			buf[off+j] ^= mask[j%4]
+			c.wbuf[off+j] ^= mask[j%4]
 		}
 	} else {
-		buf = append(buf, hdr[:i]...)
-		buf = append(buf, p...)
+		c.wbuf = append(c.wbuf, hdr[:i]...)
+		c.wbuf = append(c.wbuf, p...)
+	}
+	return len(c.wbuf) - before, nil
+}
+
+func (c *Conn) flushLocked() error {
+	if c.werr != nil || len(c.wbuf) == 0 {
+		return c.werr
 	}
 	if c.writeTimeout > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 	}
-	_, err := c.c.Write(buf)
-	return err
+	_, c.werr = c.c.Write(c.wbuf)
+	if cap(c.wbuf) > 2*flushHighWater {
+		c.wbuf = nil // one oversize message must not pin its buffer
+	}
+	c.wbuf = c.wbuf[:0]
+	if c.werr == nil && c.batchFrames > 0 && c.onBatch != nil {
+		c.onBatch(c.batchFrames, c.batchBytes)
+	}
+	c.batchFrames, c.batchBytes = 0, 0
+	return c.werr
 }
 
 // writeClose sends the close frame once (idempotent, best-effort).

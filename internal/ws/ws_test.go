@@ -307,3 +307,71 @@ func TestSlowReaderHitsWriteDeadline(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// recordConn is the write side of a connection under test control.
+type recordConn struct {
+	net.Conn
+	fail   error
+	writes [][]byte
+}
+
+func (c *recordConn) SetWriteDeadline(time.Time) error { return nil }
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	if c.fail != nil {
+		return 0, c.fail
+	}
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestQueueTextThenFlush: queued messages leave in order in one write
+// with the next flush (or the next WriteText, which rides behind them),
+// masked or not; an empty flush is free; a burst past the high-water
+// mark is written out early; after a write error every call fails fast.
+func TestQueueTextThenFlush(t *testing.T) {
+	for _, client := range []bool{false, true} {
+		rc := &recordConn{}
+		c := &Conn{c: rc, client: client, writeTimeout: time.Second}
+		var frames, size int
+		c.OnBatchWrite(func(f, b int) { frames, size = frames+f, size+b })
+		for _, s := range []string{"one", "two", "three"} {
+			if err := c.QueueText([]byte(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(rc.writes) != 0 {
+			t.Fatal("QueueText wrote before the flush")
+		}
+		if err := c.WriteText([]byte("ack")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil || len(rc.writes) != 1 {
+			t.Fatalf("flush of an empty buffer: %v, %d writes; want nil and the one write so far", err, len(rc.writes))
+		}
+		peer := &Conn{c: rc, br: bufio.NewReader(bytes.NewReader(rc.writes[0])), client: !client}
+		for _, want := range []string{"one", "two", "three", "ack"} {
+			op, p, err := peer.ReadMessage()
+			if err != nil || op != OpText || string(p) != want {
+				t.Fatalf("client=%v: read %q (op %d, %v), want %q", client, p, op, err, want)
+			}
+		}
+		if frames != 3 || size == 0 || size >= len(rc.writes[0]) {
+			t.Fatalf("batch hook saw %d frames, %d bytes of a %d-byte write; want the 3 queued messages only", frames, size, len(rc.writes[0]))
+		}
+		if err := c.QueueText(make([]byte, flushHighWater)); err != nil || len(rc.writes) != 2 {
+			t.Fatalf("oversize message: %v, %d writes; want it written through", err, len(rc.writes))
+		}
+		rc.fail = errors.New("broken pipe")
+		if err := c.WriteText([]byte("x")); err == nil {
+			t.Fatal("write error not reported")
+		}
+		rc.fail = nil
+		if c.QueueText([]byte("x")) == nil || c.Flush() == nil || c.WriteText([]byte("x")) == nil {
+			t.Fatal("a connection that failed a write must fail every later call")
+		}
+		if len(rc.writes) != 2 {
+			t.Fatalf("%d writes, want none after the error", len(rc.writes))
+		}
+	}
+}
