@@ -1,24 +1,17 @@
 // Command drtree-bench regenerates the paper's quantitative artifacts
 // (experiments E1-E10, see DESIGN.md §3 and EXPERIMENTS.md) and prints
-// one paper-style table per experiment. With -bench-core it instead runs
-// the core hot-path micro-benchmarks and records the ns/op and alloc
-// baselines to a JSON file (the repository keeps BENCH_core.json); with
-// -bench-proto it measures the wire protocol's dissemination costs —
-// publish latency in rounds and per-round/per-publish message counts —
-// and records them likewise (BENCH_proto.json); with -bench-broker it
-// measures the batched publish pipeline through the gateway Broker at
-// batch sizes 1/16/256 over both the sequential and the wire engine,
-// plus the subscriber-scale sweep (1k → 1M subscribers on the adaptive
-// gateway pool, pinning the pool size and the sublinear match-scan
-// cost), the drift and Zipf-hotspot scenario rows at 100k subscribers,
-// and the frozen-consumer delivery scenario (pinning the delivery-layer
-// delivered/dropped totals that certify the never-block guarantee)
-// (BENCH_broker.json).
+// one paper-style table per experiment.
 //
-// -gate re-runs all three benchmark suites and diffs the deterministic
-// counters (allocs, message and round counts — never wall-clock fields)
-// against the committed BENCH_*.json baselines, failing on any
-// difference: the CI perf-gate job locks the recorded wins in.
+// It also owns the repository's deterministic benchmark suites (the
+// table in suite.go): core (hot-path allocs and arena residency), proto
+// (the wire protocol's rounds and messages per publish) and broker (the
+// gateway Broker's batched pipeline over both engines, the 1k → 1M
+// subscriber-scale sweep, the drift and Zipf scenarios, the
+// frozen-consumer delivery totals). -bench-<suite> measures one suite
+// into a JSON file (the committed BENCH_<suite>.json); -gate measures
+// every suite and fails on any difference in names, labels or counters —
+// never the wall-clock info — from those baselines, which is how the CI
+// perf-gate job locks the recorded wins in.
 //
 // -loadgen drives the sharded Broker with concurrent publishers and
 // reports wall-clock throughput (the EXPERIMENTS.md loadgen table).
@@ -34,72 +27,66 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand/v2"
+	"io"
 	"os"
-	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"testing"
 	"time"
 
 	"drtree/internal/core"
-	"drtree/internal/engine"
 	"drtree/internal/experiments"
 	"drtree/internal/filter"
-	"drtree/internal/geom"
-	"drtree/internal/proto"
 	"drtree/internal/pubsub"
-	"drtree/internal/workload"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	seed := flag.Uint64("seed", 1, "random seed for all experiments")
-	exp := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-	benchCore := flag.String("bench-core", "", "run the core hot-path benchmarks and write the baselines to this JSON file")
-	benchProto := flag.String("bench-proto", "", "run the wire-protocol dissemination benchmarks and write the baselines to this JSON file")
-	benchBroker := flag.String("bench-broker", "", "run the batched broker-pipeline benchmarks and write the baselines to this JSON file")
-	gate := flag.Bool("gate", false, "re-run all benchmark suites and fail if any deterministic counter differs from the committed BENCH_*.json")
-	loadgen := flag.Bool("loadgen", false, "drive the sharded broker with concurrent publishers and report wall-clock throughput")
-	lgPublishers := flag.String("loadgen-publishers", "1,2,4,8", "comma-separated publisher counts for -loadgen")
-	lgSubs := flag.Int("loadgen-subs", 1000, "subscriber population for -loadgen")
-	lgGateways := flag.Int("loadgen-gateways", 16, "gateway pool size for -loadgen (overlay processes shared by all subscribers)")
-	lgEvents := flag.Int("loadgen-events", 20000, "events published per -loadgen row")
-	lgBatch := flag.Int("loadgen-batch", 64, "events per PublishBatch call in -loadgen")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drtree-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "random seed for all experiments")
+	exp := fs.String("exp", "", "comma-separated experiment IDs (default: all)")
+	ss := suites(true)
+	benchPaths := make([]*string, len(ss))
+	for i, s := range ss {
+		benchPaths[i] = fs.String("bench-"+s.name, "", "measure "+s.what+" and write the rows to this JSON file")
+	}
+	gate := fs.Bool("gate", false, "measure every benchmark suite and fail if any label or deterministic counter differs from the committed BENCH_*.json")
+	loadgen := fs.Bool("loadgen", false, "drive the sharded broker with concurrent publishers and report wall-clock throughput")
+	lgPublishers := fs.String("loadgen-publishers", "1,2,4,8", "comma-separated publisher counts for -loadgen")
+	lgSubs := fs.Int("loadgen-subs", 1000, "subscriber population for -loadgen")
+	lgGateways := fs.Int("loadgen-gateways", 16, "gateway pool size for -loadgen (overlay processes shared by all subscribers)")
+	lgEvents := fs.Int("loadgen-events", 20000, "events published per -loadgen row")
+	lgBatch := fs.Int("loadgen-batch", 64, "events per PublishBatch call in -loadgen")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
+	for i, s := range ss {
+		if *benchPaths[i] != "" {
+			return runBench(s, *benchPaths[i], stdout, stderr)
+		}
+	}
 	switch {
-	case *benchCore != "":
-		return runBenchCore(*benchCore)
-	case *benchProto != "":
-		return runBenchProto(*benchProto)
-	case *benchBroker != "":
-		return runBenchBroker(*benchBroker)
 	case *gate:
-		return runGate()
+		return runGate(ss, stdout, stderr)
 	case *loadgen:
 		pubs, err := parseIntList(*lgPublishers)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		return runLoadgen(pubs, *lgSubs, *lgGateways, *lgEvents, *lgBatch)
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		if e = strings.TrimSpace(strings.ToUpper(e)); e != "" {
-			want[e] = true
-		}
+		return runLoadgen(pubs, *lgSubs, *lgGateways, *lgEvents, *lgBatch, stdout, stderr)
 	}
 
 	runners := []struct {
@@ -117,6 +104,22 @@ func run() int {
 		{"E9", func() experiments.Result { return experiments.RunE9(*seed, 120, 300) }},
 		{"E10", func() experiments.Result { return experiments.RunE10(*seed, 100, 400) }},
 	}
+	valid := make([]string, len(runners))
+	for i, r := range runners {
+		valid[i] = r.id
+	}
+	want := map[string]bool{}
+	for _, e := range strings.Split(*exp, ",") {
+		e = strings.TrimSpace(strings.ToUpper(e))
+		if e == "" {
+			continue
+		}
+		if !slices.Contains(valid, e) {
+			fmt.Fprintf(stderr, "drtree-bench: unknown experiment %q (valid: %s)\n", e, strings.Join(valid, ", "))
+			return 1
+		}
+		want[e] = true
+	}
 
 	failures := 0
 	for _, r := range runners {
@@ -124,13 +127,13 @@ func run() int {
 			continue
 		}
 		res := r.run()
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		if res.Err != nil {
 			failures++
 		}
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "%d experiment(s) failed to reproduce\n", failures)
+		fmt.Fprintf(stderr, "%d experiment(s) failed to reproduce\n", failures)
 		return 1
 	}
 	return 0
@@ -156,959 +159,6 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-// writeJSON writes v to path as indented JSON with a trailing newline.
-func writeJSON(path string, v any) error {
-	out, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
-}
-
-// readJSONStrict decodes path into v, rejecting unknown fields so the
-// committed baselines and the recorder cannot drift apart silently.
-func readJSONStrict(path string, v any) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// benchRecord is one recorded benchmark baseline. The arena_* fields are
-// the sequential engine's instance-arena residency after the workload
-// (slots allocated / live / on the free list): they are exact,
-// deterministic counters, so the perf gate catches both handle leaks
-// (live drifting above the process count) and recycling regressions
-// (free slots piling up where reuse is expected).
-type benchRecord struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	ArenaCap    int     `json:"arena_cap"`
-	ArenaLive   int     `json:"arena_live"`
-	ArenaFree   int     `json:"arena_free"`
-}
-
-// measureBenchCore measures the core hot paths guarded by this repo's
-// performance budget — a 1000-subscriber build-up (per-join cost),
-// steady-state publishing on the resulting tree, and a seeded
-// join/leave/crash churn cycle that exercises the arena free list. The
-// first two workloads replicate BenchmarkJoin1000 and
-// BenchmarkPublishN1000 in internal/core seed-for-seed (PCG(2,2) for the
-// join build-up; benchTree's PCG(1,1000) build and continuing event
-// stream for publish) so numbers are comparable with `go test -bench`.
-// PublishWorkers is pinned to 1 everywhere: the recorded counters must
-// not depend on the machine's core count.
-func measureBenchCore() []benchRecord {
-	// The recorded allocs/op must be exact across machines and binaries:
-	// with the collector running, GC pacing (which shifts with binary
-	// size and heap history) decides when pooled buffers are dropped and
-	// re-allocated, wobbling the churn workload's count by a few parts
-	// per million. Switching GC off for the measurement removes the only
-	// nondeterministic allocation source; the workloads' live heap is
-	// bounded (tens of MB per iteration), so the process stays small.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
-	build := func(b *testing.B, s1, s2 uint64) (*core.Tree, *rand.Rand) {
-		rng := rand.New(rand.NewPCG(s1, s2))
-		tr := core.MustNew(core.Params{MinFanout: 2, MaxFanout: 4, PublishWorkers: 1})
-		for k := 1; k <= 1000; k++ {
-			x, y := rng.Float64()*1000, rng.Float64()*1000
-			if err := tr.Join(core.ProcID(k), geom.R2(x, y, x+15, y+15)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return tr, rng
-	}
-
-	var joinArena, publishArena, churnArena core.ArenaStats
-	joinRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr, _ := build(b, 2, 2)
-			joinArena = tr.ArenaStats()
-		}
-	})
-
-	publishRes := testing.Benchmark(func(b *testing.B) {
-		tr, rng := build(b, 1, 1000)
-		ids := tr.ProcIDs()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-			if _, err := tr.Publish(ids[i%len(ids)], ev); err != nil {
-				b.Fatal(err)
-			}
-		}
-		publishArena = tr.ArenaStats()
-	})
-
-	// Churn: half the population leaves or crashes and a new cohort joins,
-	// so departures push handles onto the free list and the joins reclaim
-	// them. The final residency is a deterministic fingerprint of the
-	// release/reuse discipline.
-	churnRes := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr, rng := build(b, 7, 7)
-			for k := 1; k <= 500; k++ {
-				id := core.ProcID(1 + rng.IntN(1000))
-				if _, ok := tr.Filter(id); !ok {
-					continue
-				}
-				var err error
-				if k%2 == 0 {
-					err = tr.Leave(id)
-				} else {
-					err = tr.Crash(id)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			tr.Stabilize()
-			for k := 1001; k <= 1250; k++ {
-				x, y := rng.Float64()*1000, rng.Float64()*1000
-				if err := tr.Join(core.ProcID(k), geom.R2(x, y, x+15, y+15)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			churnArena = tr.ArenaStats()
-		}
-	})
-
-	rec := func(name string, r testing.BenchmarkResult, ar core.ArenaStats) benchRecord {
-		return benchRecord{
-			Name:        name,
-			NsPerOp:     float64(r.NsPerOp()),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			ArenaCap:    ar.Cap,
-			ArenaLive:   ar.Live,
-			ArenaFree:   ar.Free,
-		}
-	}
-	return []benchRecord{
-		rec("BenchmarkJoin1000", joinRes, joinArena),
-		rec("BenchmarkPublishN1000", publishRes, publishArena),
-		rec("BenchmarkChurnArena", churnRes, churnArena),
-	}
-}
-
-// runBenchCore records the core baselines to path.
-func runBenchCore(path string) int {
-	records := measureBenchCore()
-	if err := writeJSON(path, records); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, r := range records {
-		fmt.Printf("%-24s %12.0f ns/op %10d B/op %8d allocs/op\n", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return 0
-}
-
-// protoRecord is one recorded wire-protocol dissemination baseline.
-type protoRecord struct {
-	Name             string  `json:"name"`
-	Population       int     `json:"population"`
-	Events           int     `json:"events"`
-	RoundsPerPublish float64 `json:"rounds_per_publish"`
-	MsgsPerPublish   float64 `json:"msgs_per_publish"`
-	MsgsPerRound     float64 `json:"msgs_per_round"`
-}
-
-// measureBenchProto measures the message-passing engine's dissemination
-// costs at two populations: the overlay is built and stabilized once,
-// then a fixed seeded event stream is published and the per-publish
-// latency (in network rounds) and message counts are averaged. The
-// numbers are deterministic — the round scheduler and the PCG seeds pin
-// every delivery — so the artifact doubles as a regression baseline for
-// protocol chattiness.
-func measureBenchProto() ([]protoRecord, error) {
-	var records []protoRecord
-	for _, n := range []int{100, 400} {
-		const events = 200
-		cl, err := proto.NewCluster(proto.Config{MinFanout: 2, MaxFanout: 4})
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewPCG(uint64(n), 0xBE7C))
-		for i := 1; i <= n; i++ {
-			x, y := rng.Float64()*1000, rng.Float64()*1000
-			if err := cl.Join(core.ProcID(i), geom.R2(x, y, x+15, y+15)); err != nil {
-				return nil, err
-			}
-			cl.Step(false)
-		}
-		if st := cl.Stabilize(); !st.Converged {
-			return nil, fmt.Errorf("population %d did not stabilize: %v", n, cl.CheckLegal())
-		}
-		ids := cl.IDs()
-		var rounds, msgs int
-		for k := 0; k < events; k++ {
-			ev := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-			d, err := cl.Publish(ids[k%len(ids)], ev)
-			if err != nil {
-				return nil, err
-			}
-			rounds += d.Rounds
-			msgs += d.Messages
-		}
-		records = append(records, protoRecord{
-			Name:             fmt.Sprintf("ProtoPublish%d", n),
-			Population:       n,
-			Events:           events,
-			RoundsPerPublish: float64(rounds) / float64(events),
-			MsgsPerPublish:   float64(msgs) / float64(events),
-			MsgsPerRound:     float64(msgs) / float64(max(rounds, 1)),
-		})
-	}
-	return records, nil
-}
-
-// runBenchProto records the wire-protocol baselines to path.
-func runBenchProto(path string) int {
-	records, err := measureBenchProto()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if err := writeJSON(path, records); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, r := range records {
-		fmt.Printf("%-20s %8.2f rounds/publish %8.2f msgs/publish %8.2f msgs/round\n",
-			r.Name, r.RoundsPerPublish, r.MsgsPerPublish, r.MsgsPerRound)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return 0
-}
-
-// brokerRecord is one recorded broker batch-pipeline baseline. The
-// wall-clock NsPerEvent is informational only; AllocsPerEvent (sequential
-// engine; -1 when not measured), MsgsPerEvent, RoundsPerBatch,
-// ScanVisitedPerEvent (total R-tree nodes visited to classify one event:
-// the top-level routing tree over gateway unions plus every match index
-// probed — the cost that replaced the global subscriber scan),
-// GatewayVisitedPerEvent (match indexes the routing tree could not
-// prune) and FullReunions are deterministic and enforced by the perf
-// gate. Gateways is gated too: on adaptive rows it pins the pool size
-// the policy grew to.
-type brokerRecord struct {
-	Name                   string  `json:"name"`
-	Engine                 string  `json:"engine"`
-	Population             int     `json:"population"`
-	Gateways               int     `json:"gateways"`
-	Batch                  int     `json:"batch"`
-	NsPerEvent             float64 `json:"ns_per_event"`
-	AllocsPerEvent         float64 `json:"allocs_per_event"`
-	MsgsPerEvent           float64 `json:"msgs_per_event"`
-	RoundsPerBatch         float64 `json:"rounds_per_batch"`
-	ScanVisitedPerEvent    float64 `json:"scan_visited_per_event"`
-	GatewayVisitedPerEvent float64 `json:"gateway_visited_per_event"`
-	// FullReunions counts the O(entries) union recomputations the
-	// incremental re-union could not avoid over the row's whole workload
-	// (nonzero only where churn shrinks unions — the drift row). A rise
-	// means boundary-attainment bookkeeping regressed.
-	FullReunions int64 `json:"full_reunions"`
-	// Arena residency of the sequential engine's instance arena after
-	// the workload (zero for the wire engine): deterministic, gated.
-	ArenaCap  int `json:"arena_cap"`
-	ArenaLive int `json:"arena_live"`
-	ArenaFree int `json:"arena_free"`
-	// Delivery-layer counters of the frozen-consumer scenario (zero for
-	// the publish-pipeline rows): events handed to subscriber handlers
-	// and events shed by bounded queues. Deterministic, gated — a
-	// regression in the never-block guarantee shifts both.
-	DeliveredEvents int64 `json:"delivered_events"`
-	DroppedEvents   int64 `json:"dropped_events"`
-	// Cross-daemon publish→notify latency over loopback TCP (the
-	// NetPublish row; zero elsewhere). Wall-clock, informational only —
-	// never compared by -gate.
-	NetP50Ns int64 `json:"net_p50_ns"`
-	NetP99Ns int64 `json:"net_p99_ns"`
-}
-
-// batchSizes are the broker pipeline's measured batch sizes. Powers of
-// two keep the allocs/event division exact in float64, so the baseline
-// survives a JSON round trip bit-for-bit.
-var batchSizes = []int{1, 16, 256}
-
-// scaleSizes are the subscriber populations of the gateway-scale sweep:
-// the per-event classification cost at the top size must stay within ~2x
-// of the bottom size — the sublinear-scan contract of the adaptive
-// gateway tier (asserted by the smoke test and pinned exactly by the
-// perf gate). The sweep tops out at one million subscribers: the
-// adaptive policy grows the pool with the population while the two-level
-// routing tree keeps per-event classification nearly flat, so the row
-// certifies the tier at three orders of magnitude above the seed's
-// original scale.
-var scaleSizes = []int{1_000, 10_000, 100_000, 1_000_000}
-
-// scaleGateways is the fixed pool size of the batch-size rows (the
-// adaptive scale sweep sizes its own pool via scalePolicy).
-const scaleGateways = 16
-
-// scalePolicy is the adaptive pool of the scale sweep: split gateways
-// past ~2048 subscribers, never below 4 or above 4096 processes. The
-// per-gateway match indexes then stay bounded as the population grows;
-// what is left to certify is that the top-level routing tree keeps the
-// number of indexes *visited* per event from growing with the pool.
-func scalePolicy() pubsub.Option { return pubsub.WithGatewayPolicy(2048, 4, 4096) }
-
-// brokerWorkload builds a broker over eng with n seeded rectangle
-// subscribers on the given gateway pool (a WithGateways or
-// WithGatewayPolicy option) and returns it with a fixed 256-event
-// stream. The subscription side length shrinks as 1/sqrt(n) so the
-// expected matching population per event is constant across n — the
-// sweep then isolates the *scan* cost from the (necessarily linear)
-// output size. Seeds are pinned so every measurement (and every CI run)
-// sees the same overlay and the same events.
-func brokerWorkload(eng engine.Engine, n int, pool pubsub.Option) (*pubsub.Broker, []filter.Event, error) {
-	b, err := pubsub.New(filter.MustSpace("x", "y"), eng, pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	side := 15 * math.Sqrt(1000/float64(n))
-	rng := rand.New(rand.NewPCG(uint64(n), 0xB20CE2))
-	for i := 1; i <= n; i++ {
-		x, y := rng.Float64()*1000, rng.Float64()*1000
-		f := filter.Range("x", x, x+side).And(filter.Range("y", y, y+side))
-		if err := b.Subscribe(core.ProcID(i), f); err != nil {
-			return nil, nil, err
-		}
-	}
-	evs := make([]filter.Event, 256)
-	for k := range evs {
-		evs[k] = filter.Event{"x": rng.Float64() * 1000, "y": rng.Float64() * 1000}
-	}
-	return b, evs, nil
-}
-
-// sumCounters totals the deterministic per-event counters of a batch.
-func sumCounters(notes []pubsub.Notification) (msgs, visited, gwVisited int) {
-	for _, n := range notes {
-		msgs += n.Messages
-		visited += n.ScanVisited
-		gwVisited += n.GatewayVisited
-	}
-	return msgs, visited, gwVisited
-}
-
-// fullReunions totals the shrink-path union recomputations across the
-// broker's gateway pool.
-func fullReunions(b *pubsub.Broker) int64 {
-	var n int64
-	for _, st := range b.GatewayStats() {
-		n += int64(st.FullReunions)
-	}
-	return n
-}
-
-// measureBenchBroker measures the batched publish pipeline end to end
-// through the gateway Broker: over the sequential engine (1000
-// subscribers on 16 gateways; wall-clock and allocation cost per event
-// as the batch grows), over the deterministic wire engine (100
-// subscribers on 16 gateways; message and round cost per event — the
-// shared round budget is what makes a proto batch cheaper than
-// sequential publishes), the subscriber-scale sweep (1k → 1M
-// subscribers on the adaptive pool, pinning the pool size, the
-// match-scan cost, the routed gateway visits and allocs/event that
-// certify the sublinear classification), the drift and Zipf scenario
-// rows at 100k subscribers (the moving-interest and hotspot regimes,
-// with the drift row pinning the incremental re-union's FullReunions
-// count), plus the frozen-consumer delivery scenario whose exact
-// delivered/dropped totals pin the delivery layer's backpressure
-// contract.
-func measureBenchBroker() ([]brokerRecord, error) {
-	var records []brokerRecord
-
-	// Sequential engine: testing.Benchmark gives per-op wall/alloc costs;
-	// one op = one PublishBatch of the first `size` fixed events.
-	// PublishWorkers is pinned to 1 so allocs/event cannot vary with the
-	// machine's core count (the parallel path's per-worker scratch would
-	// otherwise make the gate machine-dependent).
-	for _, size := range batchSizes {
-		tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4, PublishWorkers: 1})
-		if err != nil {
-			return nil, err
-		}
-		b, evs, err := brokerWorkload(tree, 1000, pubsub.WithGateways(scaleGateways))
-		if err != nil {
-			return nil, err
-		}
-		chunk := evs[:size]
-		notes, err := b.PublishBatch(1, chunk)
-		if err != nil {
-			return nil, err
-		}
-		msgs, visited, gwVisited := sumCounters(notes)
-		res := testing.Benchmark(func(bb *testing.B) {
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				if _, err := b.PublishBatch(1, chunk); err != nil {
-					bb.Fatal(err)
-				}
-			}
-		})
-		ar := tree.ArenaStats()
-		records = append(records, brokerRecord{
-			Name:                   fmt.Sprintf("BrokerBatchCore/b%d", size),
-			Engine:                 "core",
-			Population:             1000,
-			Gateways:               scaleGateways,
-			Batch:                  size,
-			NsPerEvent:             float64(res.NsPerOp()) / float64(size),
-			AllocsPerEvent:         float64(res.AllocsPerOp()) / float64(size),
-			MsgsPerEvent:           float64(msgs) / float64(size),
-			ScanVisitedPerEvent:    float64(visited) / float64(size),
-			GatewayVisitedPerEvent: float64(gwVisited) / float64(size),
-			ArenaCap:               ar.Cap,
-			ArenaLive:              ar.Live,
-			ArenaFree:              ar.Free,
-		})
-	}
-
-	// Wire engine: the round scheduler is deterministic, so one measured
-	// batch pins msgs/event and rounds/batch exactly; wall time is
-	// informational.
-	cl, err := proto.NewCluster(proto.Config{MinFanout: 2, MaxFanout: 4})
-	if err != nil {
-		return nil, err
-	}
-	bp, evs, err := brokerWorkload(cl, 100, pubsub.WithGateways(scaleGateways))
-	if err != nil {
-		return nil, err
-	}
-	if st := bp.Repair(); !st.Converged {
-		return nil, fmt.Errorf("broker wire overlay did not stabilize")
-	}
-	for _, size := range batchSizes {
-		chunk := evs[:size]
-		start := time.Now()
-		notes, err := bp.PublishBatch(1, chunk)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		msgs, visited, gwVisited := sumCounters(notes)
-		records = append(records, brokerRecord{
-			Name:                   fmt.Sprintf("BrokerBatchProto/b%d", size),
-			Engine:                 "proto",
-			Population:             100,
-			Gateways:               scaleGateways,
-			Batch:                  size,
-			NsPerEvent:             float64(elapsed.Nanoseconds()) / float64(size),
-			AllocsPerEvent:         -1,
-			MsgsPerEvent:           float64(msgs) / float64(size),
-			RoundsPerBatch:         float64(notes[0].Rounds),
-			ScanVisitedPerEvent:    float64(visited) / float64(size),
-			GatewayVisitedPerEvent: float64(gwVisited) / float64(size),
-		})
-	}
-
-	// Subscriber-scale sweep: the adaptive policy grows the pool with the
-	// population (recorded in Gateways) while the two-level routing tree
-	// keeps classification nearly flat; the recorded match-scan cost,
-	// routed gateway visits and allocs/event certify it (batch 16 keeps
-	// the division float-exact).
-	for _, n := range scaleSizes {
-		tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4, PublishWorkers: 1})
-		if err != nil {
-			return nil, err
-		}
-		b, evs, err := brokerWorkload(tree, n, scalePolicy())
-		if err != nil {
-			return nil, err
-		}
-		const size = 16
-		chunk := evs[:size]
-		notes, err := b.PublishBatch(1, chunk)
-		if err != nil {
-			return nil, err
-		}
-		msgs, visited, gwVisited := sumCounters(notes)
-		res := testing.Benchmark(func(bb *testing.B) {
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				if _, err := b.PublishBatch(1, chunk); err != nil {
-					bb.Fatal(err)
-				}
-			}
-		})
-		ar := tree.ArenaStats()
-		records = append(records, brokerRecord{
-			Name:                   fmt.Sprintf("BrokerScale/n%d", n),
-			Engine:                 "core",
-			Population:             n,
-			Gateways:               b.Gateways(),
-			Batch:                  size,
-			NsPerEvent:             float64(res.NsPerOp()) / float64(size),
-			AllocsPerEvent:         float64(res.AllocsPerOp()) / float64(size),
-			MsgsPerEvent:           float64(msgs) / float64(size),
-			ScanVisitedPerEvent:    float64(visited) / float64(size),
-			GatewayVisitedPerEvent: float64(gwVisited) / float64(size),
-			ArenaCap:               ar.Cap,
-			ArenaLive:              ar.Live,
-			ArenaFree:              ar.Free,
-		})
-	}
-
-	// Scenario rows: the drift and Zipf-hotspot workloads from
-	// internal/workload at 100k subscribers on the adaptive pool.
-	scen, err := measureBrokerScenarios()
-	if err != nil {
-		return nil, err
-	}
-	records = append(records, scen...)
-
-	// Delivery layer: a frozen consumer behind a bounded drop-oldest queue
-	// next to fast consumers. The drop and delivery totals are exact by
-	// construction, so the gate pins the never-block contract.
-	del, err := measureBrokerDelivery()
-	if err != nil {
-		return nil, err
-	}
-	records = append(records, del)
-
-	// Real sockets: cross-daemon publish→notify latency on loopback TCP.
-	// Pure wall-clock (the row's gated counters are constant zeros).
-	np, err := measureNetPublish()
-	if err != nil {
-		return nil, err
-	}
-	return append(records, np), nil
-}
-
-// measureBrokerScenarios records the dynamic-workload rows at 100k
-// subscribers on the adaptive pool, driven by the internal/workload
-// generators (everything seeded, so every counter is exact).
-//
-// BrokerDrift/n100000: every interest rectangle random-walks three
-// ticks (σ = 1% of the world per axis) with an UpdateFilter per move —
-// the continuous-motion regime the incremental re-union exists for.
-// FullReunions pins how many O(entries) union recomputations the
-// boundary-attainment counts could not avoid (moves that leave a
-// gateway's union boundary, mostly from world-edge clamping); a rise
-// means the shrink path degraded back toward recompute-per-update.
-//
-// BrokerZipf/n100000: the measured batch lands on Zipf-hotspot points
-// (16x16 cells, s=1.5) instead of uniform ones, so the load piles onto
-// the few gateways owning the hot cells — the skewed-popularity
-// regime's classification cost, pinned.
-func measureBrokerScenarios() ([]brokerRecord, error) {
-	const (
-		n    = 100_000
-		size = 16
-	)
-	w := workload.DefaultWorld()
-	rectFilter := func(r geom.Rect) filter.Filter {
-		return filter.Range("x", r.Lo(0), r.Hi(0)).And(filter.Range("y", r.Lo(1), r.Hi(1)))
-	}
-	build := func() (*core.Tree, *pubsub.Broker, []geom.Rect, *rand.Rand, error) {
-		tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4, PublishWorkers: 1})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		b, err := pubsub.New(filter.MustSpace("x", "y"), tree, scalePolicy())
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		rng := rand.New(rand.NewPCG(n, 0xD21F70))
-		rects := workload.Subscriptions(rng, w, workload.Uniform, n)
-		for i, r := range rects {
-			if err := b.Subscribe(core.ProcID(i+1), rectFilter(r)); err != nil {
-				return nil, nil, nil, nil, err
-			}
-		}
-		return tree, b, rects, rng, nil
-	}
-	measure := func(name string, tree *core.Tree, b *pubsub.Broker, evs []filter.Event) (brokerRecord, error) {
-		notes, err := b.PublishBatch(1, evs)
-		if err != nil {
-			return brokerRecord{}, err
-		}
-		msgs, visited, gwVisited := sumCounters(notes)
-		res := testing.Benchmark(func(bb *testing.B) {
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				if _, err := b.PublishBatch(1, evs); err != nil {
-					bb.Fatal(err)
-				}
-			}
-		})
-		ar := tree.ArenaStats()
-		return brokerRecord{
-			Name:                   name,
-			Engine:                 "core",
-			Population:             n,
-			Gateways:               b.Gateways(),
-			Batch:                  size,
-			NsPerEvent:             float64(res.NsPerOp()) / float64(size),
-			AllocsPerEvent:         float64(res.AllocsPerOp()) / float64(size),
-			MsgsPerEvent:           float64(msgs) / float64(size),
-			ScanVisitedPerEvent:    float64(visited) / float64(size),
-			GatewayVisitedPerEvent: float64(gwVisited) / float64(size),
-			FullReunions:           fullReunions(b),
-			ArenaCap:               ar.Cap,
-			ArenaLive:              ar.Live,
-			ArenaFree:              ar.Free,
-		}, nil
-	}
-	toEvents := func(pts []geom.Point) []filter.Event {
-		evs := make([]filter.Event, len(pts))
-		for i, p := range pts {
-			evs[i] = filter.Event{"x": p[0], "y": p[1]}
-		}
-		return evs
-	}
-
-	var records []brokerRecord
-
-	// Drift: three random-walk ticks of UpdateFilter churn over the whole
-	// population, then a uniform measured batch.
-	tree, b, rects, rng, err := build()
-	if err != nil {
-		return nil, err
-	}
-	for tick := 0; tick < 3; tick++ {
-		rects = workload.DriftRects(rng, w, rects, 0.01)
-		for i, r := range rects {
-			if err := b.UpdateFilter(core.ProcID(i+1), rectFilter(r)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	drift, err := measure("BrokerDrift/n100000", tree, b,
-		toEvents(workload.Events(rng, w, workload.UniformEvents, size, nil)))
-	if err != nil {
-		return nil, err
-	}
-	records = append(records, drift)
-
-	// Zipf: same subscription population, hotspot event stream.
-	tree, b, _, rng, err = build()
-	if err != nil {
-		return nil, err
-	}
-	zipf, err := measure("BrokerZipf/n100000", tree, b,
-		toEvents(workload.ZipfEvents(rng, w, size, 16, 1.5)))
-	if err != nil {
-		return nil, err
-	}
-	return append(records, zipf), nil
-}
-
-// measureBrokerDelivery runs the frozen-consumer delivery scenario: four
-// whole-domain subscribers on a 4-gateway pool, three draining instantly
-// and one frozen inside its handler behind a 32-slot drop-oldest queue.
-// One event is published and trapped in the frozen handler, then the
-// remaining 255 are published while the consumer stays stuck — the
-// publisher must never block, the fast consumers must receive all 256
-// events each, and the frozen queue must keep exactly its newest 32.
-// Every total is deterministic: delivered = 3*256 + (1 trapped + 32
-// queued) = 801, dropped = 255 - 32 = 223.
-func measureBrokerDelivery() (brokerRecord, error) {
-	const (
-		events    = 256
-		gws       = 4
-		frozenCap = 32
-		fast      = 3
-		frozenID  = core.ProcID(fast + 1)
-	)
-	tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4, PublishWorkers: 1})
-	if err != nil {
-		return brokerRecord{}, err
-	}
-	b, err := pubsub.New(filter.MustSpace("x", "y"), tree, pubsub.WithGateways(gws))
-	if err != nil {
-		return brokerRecord{}, err
-	}
-	defer b.Close()
-	all := filter.Range("x", 0, 1000).And(filter.Range("y", 0, 1000))
-	for id := 1; id <= fast; id++ {
-		err := b.SubscribeFunc(core.ProcID(id), all,
-			func(pubsub.Envelope) error { return nil },
-			pubsub.WithQueueDepth(events))
-		if err != nil {
-			return brokerRecord{}, err
-		}
-	}
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	err = b.SubscribeFunc(frozenID, all, func(pubsub.Envelope) error {
-		once.Do(func() { close(entered) })
-		<-release
-		return nil
-	}, pubsub.WithQueueDepth(frozenCap))
-	if err != nil {
-		return brokerRecord{}, err
-	}
-
-	rng := rand.New(rand.NewPCG(events, 0xF2023E))
-	evs := make([]filter.Event, events)
-	for k := range evs {
-		evs[k] = filter.Event{"x": rng.Float64() * 1000, "y": rng.Float64() * 1000}
-	}
-	waitFor := func(what string, cond func() bool) error {
-		deadline := time.Now().Add(30 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("broker delivery scenario: timed out waiting for %s", what)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		return nil
-	}
-	delivered := func(id core.ProcID) uint64 {
-		st, ok := b.DeliveryStatsOf(id)
-		if !ok {
-			return 0
-		}
-		return st.Delivered
-	}
-
-	// Trap the frozen consumer inside its handler with the first event,
-	// so its queue depth is pinned before the flood arrives.
-	start := time.Now()
-	notes, err := b.PublishBatch(1, evs[:1])
-	if err != nil {
-		return brokerRecord{}, err
-	}
-	select {
-	case <-entered:
-	case <-time.After(30 * time.Second):
-		return brokerRecord{}, fmt.Errorf("broker delivery scenario: frozen handler never entered")
-	}
-	flood, err := b.PublishBatch(1, evs[1:])
-	if err != nil {
-		return brokerRecord{}, err
-	}
-	notes = append(notes, flood...)
-	for id := 1; id <= fast; id++ {
-		id := core.ProcID(id)
-		if err := waitFor(fmt.Sprintf("fast consumer %d", id), func() bool { return delivered(id) == events }); err != nil {
-			return brokerRecord{}, err
-		}
-	}
-	// Thaw the consumer; it finishes the trapped event plus the newest
-	// frozenCap survivors of the flood.
-	close(release)
-	if err := waitFor("frozen consumer drain", func() bool { return delivered(frozenID) == 1+frozenCap }); err != nil {
-		return brokerRecord{}, err
-	}
-	elapsed := time.Since(start)
-
-	var deliveredTotal, droppedTotal int64
-	for _, st := range b.DeliveryStats() {
-		deliveredTotal += int64(st.Delivered)
-		droppedTotal += int64(st.Dropped)
-	}
-	msgs, visited, gwVisited := sumCounters(notes)
-	ar := tree.ArenaStats()
-	return brokerRecord{
-		Name:                   "BrokerDeliveryFrozen",
-		Engine:                 "core",
-		Population:             fast + 1,
-		Gateways:               gws,
-		Batch:                  events,
-		NsPerEvent:             float64(elapsed.Nanoseconds()) / float64(events),
-		AllocsPerEvent:         -1, // concurrent drainers make allocs nondeterministic
-		MsgsPerEvent:           float64(msgs) / float64(events),
-		ScanVisitedPerEvent:    float64(visited) / float64(events),
-		GatewayVisitedPerEvent: float64(gwVisited) / float64(events),
-		ArenaCap:               ar.Cap,
-		ArenaLive:              ar.Live,
-		ArenaFree:              ar.Free,
-		DeliveredEvents:        deliveredTotal,
-		DroppedEvents:          droppedTotal,
-	}, nil
-}
-
-// runBenchBroker records the broker batch-pipeline baselines to path.
-func runBenchBroker(path string) int {
-	records, err := measureBenchBroker()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	if err := writeJSON(path, records); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, r := range records {
-		if r.NetP50Ns > 0 {
-			fmt.Printf("%-22s publish→notify p50 %s p99 %s over loopback TCP (%d samples)\n",
-				r.Name, time.Duration(r.NetP50Ns), time.Duration(r.NetP99Ns), r.Batch)
-			continue
-		}
-		fmt.Printf("%-22s %10.0f ns/event %8.2f allocs/event %8.2f msgs/event %6.0f rounds/batch %8.2f scan-visits/event %6.2f gw-visits/event %4d gateways %5d delivered %5d dropped\n",
-			r.Name, r.NsPerEvent, r.AllocsPerEvent, r.MsgsPerEvent, r.RoundsPerBatch, r.ScanVisitedPerEvent,
-			r.GatewayVisitedPerEvent, r.Gateways, r.DeliveredEvents, r.DroppedEvents)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return 0
-}
-
-// gateViolations diffs the deterministic counters of the three suites
-// against the committed baselines, returning one message per mismatch.
-// Wall-clock and byte counters are never compared; a mismatch in either
-// direction fails (an improvement means the baseline must be re-recorded
-// and committed so the win is locked in).
-func gateViolations(coreGot, coreWant []benchRecord, protoGot, protoWant []protoRecord, brokerGot, brokerWant []brokerRecord) []string {
-	var out []string
-	mismatch := func(format string, args ...any) {
-		out = append(out, fmt.Sprintf(format, args...))
-	}
-	if len(coreGot) != len(coreWant) {
-		mismatch("core: %d records, baseline has %d", len(coreGot), len(coreWant))
-	} else {
-		for i := range coreGot {
-			g, w := coreGot[i], coreWant[i]
-			if g.Name != w.Name {
-				mismatch("core[%d]: name %q, baseline %q", i, g.Name, w.Name)
-			} else {
-				if g.AllocsPerOp != w.AllocsPerOp {
-					mismatch("core %s: %d allocs/op, baseline %d", g.Name, g.AllocsPerOp, w.AllocsPerOp)
-				}
-				if g.ArenaCap != w.ArenaCap || g.ArenaLive != w.ArenaLive || g.ArenaFree != w.ArenaFree {
-					mismatch("core %s: arena cap/live/free %d/%d/%d, baseline %d/%d/%d",
-						g.Name, g.ArenaCap, g.ArenaLive, g.ArenaFree, w.ArenaCap, w.ArenaLive, w.ArenaFree)
-				}
-			}
-		}
-	}
-	if len(protoGot) != len(protoWant) {
-		mismatch("proto: %d records, baseline has %d", len(protoGot), len(protoWant))
-	} else {
-		for i := range protoGot {
-			g, w := protoGot[i], protoWant[i]
-			if g.Name != w.Name {
-				mismatch("proto[%d]: name %q, baseline %q", i, g.Name, w.Name)
-				continue
-			}
-			if g.RoundsPerPublish != w.RoundsPerPublish {
-				mismatch("proto %s: %.4f rounds/publish, baseline %.4f", g.Name, g.RoundsPerPublish, w.RoundsPerPublish)
-			}
-			if g.MsgsPerPublish != w.MsgsPerPublish {
-				mismatch("proto %s: %.4f msgs/publish, baseline %.4f", g.Name, g.MsgsPerPublish, w.MsgsPerPublish)
-			}
-			if g.MsgsPerRound != w.MsgsPerRound {
-				mismatch("proto %s: %.4f msgs/round, baseline %.4f", g.Name, g.MsgsPerRound, w.MsgsPerRound)
-			}
-		}
-	}
-	if len(brokerGot) != len(brokerWant) {
-		mismatch("broker: %d records, baseline has %d", len(brokerGot), len(brokerWant))
-	} else {
-		for i := range brokerGot {
-			g, w := brokerGot[i], brokerWant[i]
-			if g.Name != w.Name {
-				mismatch("broker[%d]: name %q, baseline %q", i, g.Name, w.Name)
-				continue
-			}
-			// Pool size is deterministic even under the adaptive policy
-			// (growth follows only the seeded subscription stream), so a
-			// drift means the sizing behaviour itself changed.
-			if g.Gateways != w.Gateways {
-				mismatch("broker %s: %d gateways, baseline %d", g.Name, g.Gateways, w.Gateways)
-			}
-			if g.MsgsPerEvent != w.MsgsPerEvent {
-				mismatch("broker %s: %.4f msgs/event, baseline %.4f", g.Name, g.MsgsPerEvent, w.MsgsPerEvent)
-			}
-			if g.RoundsPerBatch != w.RoundsPerBatch {
-				mismatch("broker %s: %.0f rounds/batch, baseline %.0f", g.Name, g.RoundsPerBatch, w.RoundsPerBatch)
-			}
-			if g.ScanVisitedPerEvent != w.ScanVisitedPerEvent {
-				mismatch("broker %s: %.4f scan-visits/event, baseline %.4f", g.Name, g.ScanVisitedPerEvent, w.ScanVisitedPerEvent)
-			}
-			if g.GatewayVisitedPerEvent != w.GatewayVisitedPerEvent {
-				mismatch("broker %s: %.4f gateway-visits/event, baseline %.4f", g.Name, g.GatewayVisitedPerEvent, w.GatewayVisitedPerEvent)
-			}
-			if g.FullReunions != w.FullReunions {
-				mismatch("broker %s: %d full re-unions, baseline %d", g.Name, g.FullReunions, w.FullReunions)
-			}
-			// Allocation counts are gated only where both sides measured
-			// them (the wire engine's grow-only actor state makes its
-			// allocs non-constant, recorded as -1).
-			if g.AllocsPerEvent >= 0 && w.AllocsPerEvent >= 0 && g.AllocsPerEvent != w.AllocsPerEvent {
-				mismatch("broker %s: %.4f allocs/event, baseline %.4f", g.Name, g.AllocsPerEvent, w.AllocsPerEvent)
-			}
-			// Arena residency is exact for core-engine records and zero on
-			// both sides for the wire engine, so a plain comparison covers
-			// every row.
-			if g.ArenaCap != w.ArenaCap || g.ArenaLive != w.ArenaLive || g.ArenaFree != w.ArenaFree {
-				mismatch("broker %s: arena cap/live/free %d/%d/%d, baseline %d/%d/%d",
-					g.Name, g.ArenaCap, g.ArenaLive, g.ArenaFree, w.ArenaCap, w.ArenaLive, w.ArenaFree)
-			}
-			// Delivery totals are exact for the frozen-consumer scenario
-			// and zero on both sides everywhere else; a drift means the
-			// backpressure contract (what bounded queues keep and shed)
-			// changed.
-			if g.DeliveredEvents != w.DeliveredEvents {
-				mismatch("broker %s: %d delivered events, baseline %d", g.Name, g.DeliveredEvents, w.DeliveredEvents)
-			}
-			if g.DroppedEvents != w.DroppedEvents {
-				mismatch("broker %s: %d dropped events, baseline %d", g.Name, g.DroppedEvents, w.DroppedEvents)
-			}
-		}
-	}
-	return out
-}
-
-// runGate re-runs every benchmark suite and compares the deterministic
-// counters against the committed baselines in the current directory.
-func runGate() int {
-	var coreWant []benchRecord
-	var protoWant []protoRecord
-	var brokerWant []brokerRecord
-	for path, v := range map[string]any{
-		"BENCH_core.json":   &coreWant,
-		"BENCH_proto.json":  &protoWant,
-		"BENCH_broker.json": &brokerWant,
-	} {
-		if err := readJSONStrict(path, v); err != nil {
-			fmt.Fprintf(os.Stderr, "perf-gate: reading %s: %v\n", path, err)
-			return 1
-		}
-	}
-	coreGot := measureBenchCore()
-	protoGot, err := measureBenchProto()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perf-gate: proto suite: %v\n", err)
-		return 1
-	}
-	brokerGot, err := measureBenchBroker()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perf-gate: broker suite: %v\n", err)
-		return 1
-	}
-	violations := gateViolations(coreGot, coreWant, protoGot, protoWant, brokerGot, brokerWant)
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "perf-gate: MISMATCH %s\n", v)
-		}
-		fmt.Fprintln(os.Stderr, "perf-gate: deterministic counters drifted from the committed baselines.")
-		fmt.Fprintln(os.Stderr, "perf-gate: if the change is intended (a recorded win or an accepted cost), re-run")
-		fmt.Fprintln(os.Stderr, "perf-gate:   drtree-bench -bench-core BENCH_core.json -- then -bench-proto / -bench-broker likewise --")
-		fmt.Fprintln(os.Stderr, "perf-gate: and commit the refreshed baselines with the change.")
-		return 1
-	}
-	fmt.Printf("perf-gate: OK — %d core, %d proto, %d broker records match the committed baselines\n",
-		len(coreGot), len(protoGot), len(brokerGot))
-	return 0
-}
-
 // runLoadgen builds a gateway broker over the sequential engine and, for
 // each publisher count, streams a fixed event load through PublishBatch
 // from that many concurrent goroutines, printing the wall-clock
@@ -1116,74 +166,64 @@ func runGate() int {
 // parallel; the overlay traversal serializes behind the engine mutex, so
 // the scaling shows how much of the pipeline the gateway layer took off
 // the critical path.
-func runLoadgen(pubCounts []int, subs, gateways, events, batchSize int) int {
+func runLoadgen(pubCounts []int, subs, gateways, events, batchSize int, stdout, stderr io.Writer) int {
 	if subs < 1 || gateways < 1 || events < 1 || batchSize < 1 {
-		fmt.Fprintln(os.Stderr, "drtree-bench: -loadgen sizes must be positive")
+		fmt.Fprintln(stderr, "drtree-bench: -loadgen sizes must be positive")
 		return 1
 	}
-	fmt.Printf("loadgen: %d subscribers on %d gateways, %d events per row, batch size %d\n",
-		subs, gateways, events, batchSize)
-	fmt.Printf("%-12s %12s %14s %14s\n", "publishers", "wall (ms)", "events/sec", "msgs/event")
+	fmt.Fprintf(stdout, "loadgen: %d subscribers on %d gateways, %d events per row, batch size %d\n", subs, gateways, events, batchSize)
+	fmt.Fprintf(stdout, "%-12s %12s %14s %14s\n", "publishers", "wall (ms)", "events/sec", "msgs/event")
 	for _, p := range pubCounts {
 		tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		b, evs, err := brokerWorkload(tree, subs, pubsub.WithGateways(gateways))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		var wg sync.WaitGroup
-		var totalMsgs int64
-		var firstErr error
-		var mu sync.Mutex
+		msgs := make([]int64, p) // per publisher
+		errs := make([]error, p)
 		start := time.Now()
 		for w := 0; w < p; w++ {
-			// Distribute the remainder so exactly `events` are published
-			// whatever the publisher count.
+			// The remainder is spread so exactly `events` are published.
 			perPub := events / p
 			if w < events%p {
 				perPub++
 			}
 			wg.Add(1)
-			go func(w, perPub int) {
+			go func() {
 				defer wg.Done()
 				producer := core.ProcID(1 + w%subs)
-				msgs := int64(0)
-				var err error
-				for done := 0; done < perPub && err == nil; {
-					n := min(batchSize, perPub-done)
-					chunk := make([]filter.Event, n)
+				for done := 0; done < perPub && errs[w] == nil; {
+					chunk := make([]filter.Event, min(batchSize, perPub-done))
 					for i := range chunk {
 						chunk[i] = evs[(done+i)%len(evs)]
 					}
 					var notes []pubsub.Notification
-					notes, err = b.PublishBatch(producer, chunk)
+					notes, errs[w] = b.PublishBatch(producer, chunk)
 					for _, note := range notes {
-						msgs += int64(note.Messages)
+						msgs[w] += int64(note.Messages)
 					}
-					done += n
+					done += len(chunk)
 				}
-				mu.Lock()
-				totalMsgs += msgs
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}(w, perPub)
+			}()
 		}
 		wg.Wait()
 		wall := time.Since(start)
-		if firstErr != nil {
-			fmt.Fprintf(os.Stderr, "drtree-bench: loadgen publish failed: %v\n", firstErr)
+		if err := errors.Join(errs...); err != nil {
+			fmt.Fprintf(stderr, "drtree-bench: loadgen publish failed: %v\n", err)
 			return 1
 		}
-		fmt.Printf("%-12d %12.1f %14.0f %14.2f\n",
-			p, float64(wall.Microseconds())/1000,
-			float64(events)/wall.Seconds(),
-			float64(totalMsgs)/float64(events))
+		var totalMsgs int64
+		for _, m := range msgs {
+			totalMsgs += m
+		}
+		fmt.Fprintf(stdout, "%-12d %12.1f %14.0f %14.2f\n", p, float64(wall.Microseconds())/1000,
+			float64(events)/wall.Seconds(), float64(totalMsgs)/float64(events))
 	}
 	return 0
 }

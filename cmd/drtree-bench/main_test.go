@@ -2,337 +2,324 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
-// TestBenchCoreSmoke runs the -bench-core path into a temp file and
-// validates that the recorded JSON matches the schema of the committed
-// BENCH_core.json baseline: same benchmark names in the same order, same
-// fields, plausible values. This keeps the baseline artifact and the
-// recorder from drifting apart silently.
-func TestBenchCoreSmoke(t *testing.T) {
+// The suites are expensive (the broker suite alone builds three
+// 100k-subscriber brokers), so the test binary measures each at most
+// once: every test below goes through sharedSuites, whose measure
+// functions cache their first result, and TestMain fails the run if any
+// suite was nevertheless measured twice. The table is suites(false): the
+// one-million-subscriber row is left to `drtree-bench -gate` (CI's
+// perf-gate job); TestScaleContractOnBaseline holds its bounds here.
+var (
+	measuredMu sync.Mutex
+	measured   = map[string]int{} // suite name -> underlying measure calls
+)
+
+var sharedSuites = sync.OnceValue(func() []suite {
+	ss := suites(false)
+	for i := range ss {
+		name, measure := ss[i].name, ss[i].measure
+		ss[i].measure = sync.OnceValues(func() ([]row, error) {
+			measuredMu.Lock()
+			measured[name]++
+			measuredMu.Unlock()
+			return measure()
+		})
+	}
+	return ss
+})
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for name, n := range measured {
+		if n > 1 {
+			fmt.Fprintf(os.Stderr, "suite %s was measured %d times in one test binary\n", name, n)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+// recordSuite runs the -bench-<name> path of one shared suite into a temp
+// file and returns the rows read back, after requiring that they match
+// the committed baseline under the gate's own comparison.
+func recordSuite(t *testing.T, name string) []row {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs real benchmarks")
 	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if code := runBenchCore(path); code != 0 {
-		t.Fatalf("runBenchCore exited %d", code)
+	for _, s := range sharedSuites() {
+		if s.name != name {
+			continue
+		}
+		path := filepath.Join(t.TempDir(), "bench.json")
+		var stderr bytes.Buffer
+		if code := runBench(s, path, io.Discard, &stderr); code != 0 {
+			t.Fatalf("runBench exited %d: %s", code, &stderr)
+		}
+		got, err := readRows(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range compareRows(s.name, got, baselineRows(t, s.baseline), s.unmeasured) {
+			t.Error(v)
+		}
+		return got
 	}
-	got := decodeRecords(t, path)
-	committed := decodeRecords(t, filepath.Join("..", "..", "BENCH_core.json"))
-
-	if len(got) != len(committed) {
-		t.Fatalf("recorded %d benchmarks, baseline has %d", len(got), len(committed))
-	}
-	for i := range got {
-		if got[i].Name != committed[i].Name {
-			t.Errorf("benchmark %d: name %q, baseline %q", i, got[i].Name, committed[i].Name)
-		}
-		if got[i].NsPerOp <= 0 || got[i].BytesPerOp <= 0 || got[i].AllocsPerOp <= 0 {
-			t.Errorf("benchmark %s: non-positive measurement %+v", got[i].Name, got[i])
-		}
-		// Arena residency is a deterministic workload fingerprint: it
-		// must reproduce the committed values exactly, and the books
-		// must balance (live + free slots account for the whole arena).
-		if got[i].ArenaCap != committed[i].ArenaCap ||
-			got[i].ArenaLive != committed[i].ArenaLive ||
-			got[i].ArenaFree != committed[i].ArenaFree {
-			t.Errorf("benchmark %s: arena cap/live/free %d/%d/%d, baseline %d/%d/%d",
-				got[i].Name, got[i].ArenaCap, got[i].ArenaLive, got[i].ArenaFree,
-				committed[i].ArenaCap, committed[i].ArenaLive, committed[i].ArenaFree)
-		}
-		if got[i].ArenaCap <= 0 || got[i].ArenaLive <= 0 ||
-			got[i].ArenaLive+got[i].ArenaFree != got[i].ArenaCap {
-			t.Errorf("benchmark %s: arena books do not balance: %+v", got[i].Name, got[i])
-		}
-	}
+	t.Fatalf("no suite named %q", name)
+	return nil
 }
 
-// decodeRecords parses a baselines file strictly: unknown or missing
-// fields mean the schema drifted.
-func decodeRecords(t *testing.T, path string) []benchRecord {
+// baselineRows reads a committed baseline from the repository root.
+func baselineRows(t *testing.T, file string) []row {
 	t.Helper()
-	b, err := os.ReadFile(path)
+	rows, err := readRows(filepath.Join("..", "..", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var recs []benchRecord
-	if err := dec.Decode(&recs); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if len(recs) == 0 {
-		t.Fatalf("%s: no records", path)
-	}
-	return recs
+	return rows
 }
 
-// TestBenchProtoSmoke runs the -bench-proto path into a temp file and
-// validates that the recorded JSON matches the schema of the committed
-// BENCH_proto.json baseline, mirroring TestBenchCoreSmoke. The proto
-// benchmark is fully deterministic (round scheduler + pinned PCG seeds),
-// so the recorded values must equal the committed ones exactly.
+// TestBenchCoreSmoke records the core suite and, beyond the baseline
+// comparison, checks what must hold of any run: positive costs, and
+// arena books that balance (live + free slots account for the arena).
+func TestBenchCoreSmoke(t *testing.T) {
+	for _, r := range recordSuite(t, "core") {
+		if r.Info["ns_per_op"] <= 0 || r.Info["bytes_per_op"] <= 0 || r.Counters["allocs_per_op"] <= 0 {
+			t.Errorf("%s: non-positive measurement %+v", r.Name, r)
+		}
+		c := r.Counters
+		if c["arena_cap"] <= 0 || c["arena_live"] <= 0 || c["arena_live"]+c["arena_free"] != c["arena_cap"] {
+			t.Errorf("%s: arena books do not balance: %+v", r.Name, c)
+		}
+	}
+}
+
+// TestBenchProtoSmoke records the proto suite; the round scheduler and
+// the pinned seeds make every value exact.
 func TestBenchProtoSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real benchmarks")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if code := runBenchProto(path); code != 0 {
-		t.Fatalf("runBenchProto exited %d", code)
-	}
-	got := decodeProtoRecords(t, path)
-	committed := decodeProtoRecords(t, filepath.Join("..", "..", "BENCH_proto.json"))
-
-	if len(got) != len(committed) {
-		t.Fatalf("recorded %d benchmarks, baseline has %d", len(got), len(committed))
-	}
-	for i := range got {
-		if got[i] != committed[i] {
-			t.Errorf("benchmark %d: recorded %+v, baseline %+v", i, got[i], committed[i])
-		}
-		if got[i].RoundsPerPublish <= 0 || got[i].MsgsPerPublish <= 0 || got[i].MsgsPerRound <= 0 {
-			t.Errorf("benchmark %s: non-positive measurement %+v", got[i].Name, got[i])
+	for _, r := range recordSuite(t, "proto") {
+		for k, v := range r.Counters {
+			if v <= 0 {
+				t.Errorf("%s: non-positive %s", r.Name, k)
+			}
 		}
 	}
 }
 
-// TestBenchBrokerSmoke runs the -bench-broker path into a temp file and
-// validates the recorded JSON against the committed BENCH_broker.json
-// baseline: same schema, and exact equality on every deterministic
-// counter (allocs/event where measured, msgs/event, rounds/batch) —
-// the same comparison the CI perf gate enforces.
+// TestBenchBrokerSmoke records the broker suite (without the 1M row).
 func TestBenchBrokerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real benchmarks")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if code := runBenchBroker(path); code != 0 {
-		t.Fatalf("runBenchBroker exited %d", code)
-	}
-	got := decodeBrokerRecords(t, path)
-	committed := decodeBrokerRecords(t, filepath.Join("..", "..", "BENCH_broker.json"))
-
-	if len(got) != len(committed) {
-		t.Fatalf("recorded %d benchmarks, baseline has %d", len(got), len(committed))
-	}
-	for i := range got {
-		g, w := got[i], committed[i]
-		if g.Name != w.Name || g.Engine != w.Engine || g.Population != w.Population ||
-			g.Gateways != w.Gateways || g.Batch != w.Batch {
-			t.Errorf("benchmark %d: identity %+v, baseline %+v", i, g, w)
-			continue
-		}
-		if g.MsgsPerEvent != w.MsgsPerEvent || g.RoundsPerBatch != w.RoundsPerBatch ||
-			g.ScanVisitedPerEvent != w.ScanVisitedPerEvent ||
-			g.GatewayVisitedPerEvent != w.GatewayVisitedPerEvent ||
-			g.FullReunions != w.FullReunions {
-			t.Errorf("benchmark %s: deterministic counters %+v, baseline %+v", g.Name, g, w)
-		}
-		if g.AllocsPerEvent >= 0 && g.AllocsPerEvent != w.AllocsPerEvent {
-			t.Errorf("benchmark %s: %.4f allocs/event, baseline %.4f", g.Name, g.AllocsPerEvent, w.AllocsPerEvent)
-		}
-		if g.DeliveredEvents != w.DeliveredEvents || g.DroppedEvents != w.DroppedEvents {
-			t.Errorf("benchmark %s: delivered/dropped %d/%d, baseline %d/%d",
-				g.Name, g.DeliveredEvents, g.DroppedEvents, w.DeliveredEvents, w.DroppedEvents)
-		}
-		if g.NsPerEvent <= 0 && g.NetP50Ns <= 0 {
-			t.Errorf("benchmark %s: non-positive wall measurement %+v", g.Name, g)
-		}
-		if g.NetP50Ns > g.NetP99Ns {
-			t.Errorf("benchmark %s: p50 %dns above p99 %dns", g.Name, g.NetP50Ns, g.NetP99Ns)
+	got := recordSuite(t, "broker")
+	for _, r := range got {
+		if r.Info["ns_per_event"] <= 0 {
+			t.Errorf("%s: non-positive wall measurement %+v", r.Name, r.Info)
 		}
 	}
-	assertSublinearScale(t, got)
-	assertFrozenDelivery(t, got)
+	if i := slices.IndexFunc(got, func(r row) bool { return r.Name == scaleRowName(1_000_000) }); i >= 0 {
+		t.Errorf("the test binary measured %s; that row belongs to drtree-bench -gate", got[i].Name)
+	}
 }
 
-// assertFrozenDelivery pins the delivery scenario's totals to the values
-// that follow from its construction: three fast whole-domain consumers
-// receive all 256 events each, the frozen consumer finishes the one event
-// trapped in its handler plus the newest 32 survivors of its drop-oldest
-// queue, and everything else is shed. If either total moves, the bounded
-// queues changed what they keep or drop under a stalled consumer.
-func assertFrozenDelivery(t *testing.T, recs []brokerRecord) {
-	t.Helper()
-	for _, r := range recs {
+// TestFrozenDeliveryOnBaseline pins the delivery scenario's committed
+// totals to the values that follow from its construction: three fast
+// whole-domain consumers receive all 256 events each, the frozen
+// consumer finishes the one event trapped in its handler plus the newest
+// 32 survivors of its drop-oldest queue, and everything else is shed.
+// (The measured row equals the baseline: TestBenchBrokerSmoke.)
+func TestFrozenDeliveryOnBaseline(t *testing.T) {
+	rows := baselineRows(t, "BENCH_broker.json")
+	for _, r := range rows {
+		_, hasDelivered := r.Counters["delivered_events"]
 		if r.Name != "BrokerDeliveryFrozen" {
-			if r.DeliveredEvents != 0 || r.DroppedEvents != 0 {
-				t.Errorf("benchmark %s: unexpected delivery counters %d/%d on a pipeline row",
-					r.Name, r.DeliveredEvents, r.DroppedEvents)
+			if hasDelivered {
+				t.Errorf("%s: delivery counters on a pipeline row", r.Name)
 			}
 			continue
 		}
-		if want := int64(3*256 + 1 + 32); r.DeliveredEvents != want {
-			t.Errorf("frozen scenario delivered %d events, want %d", r.DeliveredEvents, want)
+		if got, want := r.Counters["delivered_events"], float64(3*256+1+32); got != want {
+			t.Errorf("frozen scenario delivered %v events, want %v", got, want)
 		}
-		if want := int64(255 - 32); r.DroppedEvents != want {
-			t.Errorf("frozen scenario dropped %d events, want %d", r.DroppedEvents, want)
+		if got, want := r.Counters["dropped_events"], float64(255-32); got != want {
+			t.Errorf("frozen scenario dropped %v events, want %v", got, want)
 		}
 		return
 	}
-	t.Error("BrokerDeliveryFrozen record missing from the broker sweep")
+	t.Error("BrokerDeliveryFrozen row missing from BENCH_broker.json")
 }
 
-// assertSublinearScale enforces the adaptive gateway tier's scaling
-// contract on the recorded subscriber-scale sweep: the per-event
-// classification cost (routing-tree plus match-index nodes visited)
-// must stay within ~2x of the 1k-subscriber floor all the way to one
-// million subscribers — nearly flat where the old global scan grew
-// 100x/1000x — while the policy actually grows the pool, and the
-// routing tree keeps the visited gateways per event far below it.
-func assertSublinearScale(t *testing.T, recs []brokerRecord) {
-	t.Helper()
-	byName := map[string]brokerRecord{}
-	for _, r := range recs {
-		byName[r.Name] = r
+// TestScaleContractOnBaseline enforces the adaptive gateway tier's
+// scaling contract on the committed subscriber-scale sweep, the
+// one-million-subscriber row included (which only `drtree-bench -gate`
+// re-measures): the per-event classification cost (routing-tree plus
+// match-index nodes visited) must stay within 2x of the 1k-subscriber
+// floor — nearly flat where the old global scan grew 100x/1000x — while
+// the policy actually grows the pool, and the routing tree keeps the
+// visited gateways per event far below it.
+func TestScaleContractOnBaseline(t *testing.T) {
+	byName := map[string]map[string]float64{}
+	for _, r := range baselineRows(t, "BENCH_broker.json") {
+		byName[r.Name] = r.Counters
 	}
-	lo, okLo := byName["BrokerScale/n1000"]
-	if !okLo || lo.ScanVisitedPerEvent <= 0 {
+	lo := byName[scaleRowName(1_000)]
+	if lo["scan_visited_per_event"] <= 0 {
 		t.Fatalf("no scan cost recorded at n=1000: %+v", lo)
 	}
-	for name, bound := range map[string]float64{
-		"BrokerScale/n100000":  2,
-		"BrokerScale/n1000000": 2,
-	} {
+	for _, n := range []int{100_000, 1_000_000} {
+		name := scaleRowName(n)
 		hi, ok := byName[name]
 		if !ok {
-			t.Fatalf("scale sweep record %s missing from BENCH_broker.json", name)
+			t.Fatalf("scale sweep row %s missing from BENCH_broker.json", name)
 		}
-		if hi.Gateways <= lo.Gateways {
-			t.Fatalf("adaptive sweep pool did not grow: %d gateways at %s vs %d at n=1000",
-				hi.Gateways, name, lo.Gateways)
+		if hi["gateways"] <= lo["gateways"] {
+			t.Fatalf("adaptive sweep pool did not grow: %v gateways at %s vs %v at n=1000", hi["gateways"], name, lo["gateways"])
 		}
-		if hi.GatewayVisitedPerEvent > float64(hi.Gateways)/4 {
-			t.Errorf("routing tree barely prunes at %s: %.2f of %d gateways visited per event",
-				name, hi.GatewayVisitedPerEvent, hi.Gateways)
+		if hi["gateway_visited_per_event"] > hi["gateways"]/4 {
+			t.Errorf("routing tree barely prunes at %s: %.2f of %v gateways visited per event",
+				name, hi["gateway_visited_per_event"], hi["gateways"])
 		}
-		if ratio := hi.ScanVisitedPerEvent / lo.ScanVisitedPerEvent; ratio > bound {
-			t.Errorf("match-scan cost grew %.2fx from 1k to %s (want <= %.0fx): %+v vs %+v",
-				ratio, name, bound, hi, lo)
+		if ratio := hi["scan_visited_per_event"] / lo["scan_visited_per_event"]; ratio > 2 {
+			t.Errorf("match-scan cost grew %.2fx from 1k to %s (want <= 2x): %+v vs %+v", ratio, name, hi, lo)
 		}
 	}
 }
 
-// decodeBrokerRecords parses a broker baselines file strictly.
-func decodeBrokerRecords(t *testing.T, path string) []brokerRecord {
-	t.Helper()
-	var recs []brokerRecord
-	if err := readJSONStrict(path, &recs); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if len(recs) == 0 {
-		t.Fatalf("%s: no records", path)
-	}
-	return recs
-}
-
-// TestGateViolations exercises the perf gate's comparison rules on
-// synthetic records: identical inputs pass; drift in any deterministic
-// counter (either direction) fails; wall-clock drift never fails;
-// unmeasured alloc counts (-1) are exempt.
+// TestGateViolations exercises the one baseline comparison on synthetic
+// rows: what must fail names the row and the counter, what must pass
+// yields nothing.
 func TestGateViolations(t *testing.T) {
-	coreRecs := []benchRecord{{Name: "J", NsPerOp: 100, BytesPerOp: 5, AllocsPerOp: 42, ArenaCap: 6, ArenaLive: 6}}
-	protoRecs := []protoRecord{{Name: "P", Population: 100, Events: 10, RoundsPerPublish: 3, MsgsPerPublish: 7, MsgsPerRound: 2.5}}
-	brokerRecs := []brokerRecord{
-		{Name: "B/core", Engine: "core", Population: 10, Gateways: 4, Batch: 16, NsPerEvent: 50, AllocsPerEvent: 2.5, MsgsPerEvent: 7, ScanVisitedPerEvent: 12, GatewayVisitedPerEvent: 2},
-		{Name: "B/proto", Engine: "proto", Population: 10, Gateways: 4, Batch: 16, NsPerEvent: 50, AllocsPerEvent: -1, MsgsPerEvent: 6, RoundsPerBatch: 4, ScanVisitedPerEvent: 12, GatewayVisitedPerEvent: 3},
+	base := func() []row {
+		return []row{
+			{Name: "A", Labels: map[string]string{"engine": "core"}, Counters: map[string]float64{"allocs": 42, "msgs": 7.5}, Info: map[string]float64{"ns": 100}},
+			{Name: "B", Labels: map[string]string{"engine": "proto"}, Counters: map[string]float64{"msgs": 6, "rounds": 4}},
+			{Name: "C", Counters: map[string]float64{"msgs": 1}},
+		}
 	}
-	clone := func() ([]benchRecord, []protoRecord, []brokerRecord) {
-		return append([]benchRecord(nil), coreRecs...),
-			append([]protoRecord(nil), protoRecs...),
-			append([]brokerRecord(nil), brokerRecs...)
-	}
-
-	if v := gateViolations(coreRecs, coreRecs, protoRecs, protoRecs, brokerRecs, brokerRecs); len(v) != 0 {
-		t.Fatalf("identical records must pass, got %v", v)
-	}
-
-	c, p, b := clone()
-	c[0].NsPerOp, p[0].Events, b[0].NsPerEvent = 9999, 10, 9999
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 0 {
-		t.Errorf("wall-clock drift must not fail the gate: %v", v)
-	}
-
-	c, p, b = clone()
-	c[0].AllocsPerOp = 41 // an improvement still requires re-recording
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 1 {
-		t.Errorf("core alloc drift must fail once, got %v", v)
-	}
-
-	c, p, b = clone()
-	p[0].MsgsPerPublish = 8
-	b[1].RoundsPerBatch = 5
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 2 {
-		t.Errorf("proto msgs + broker rounds drift must fail twice, got %v", v)
-	}
-
-	c, p, b = clone()
-	b[1].AllocsPerEvent = 3 // baseline recorded -1: exempt
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 0 {
-		t.Errorf("unmeasured alloc baseline must be exempt, got %v", v)
-	}
-
-	c, p, b = clone()
-	b[0].ScanVisitedPerEvent = 13 // the match-scan cost is gated too
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 1 {
-		t.Errorf("scan-visit drift must fail once, got %v", v)
-	}
-
-	c, p, b = clone()
-	b[0].GatewayVisitedPerEvent = 4 // weaker routing-tree pruning is a regression
-	b[1].Gateways = 8               // so is an adaptive pool sized differently
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 2 {
-		t.Errorf("gateway-visit + pool-size drift must fail twice, got %v", v)
-	}
-
-	c, p, b = clone()
-	b[0].FullReunions = 3 // an incremental re-union falling back to O(n) is gated
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 1 {
-		t.Errorf("full re-union drift must fail once, got %v", v)
-	}
-
-	c, p, b = clone()
-	b[0].DeliveredEvents = 800 // a lost delivery is a gated regression
-	b[1].DroppedEvents = 1     // so is a queue shedding events it used to keep
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 2 {
-		t.Errorf("delivery-counter drift must fail twice, got %v", v)
-	}
-
-	c, p, b = clone()
-	c[0].ArenaLive = 7 // a leaked handle shows up as residency drift
-	b[0].ArenaFree = 1 // so does a recycling regression in the broker sweep
-	if v := gateViolations(c, coreRecs, p, protoRecs, b, brokerRecs); len(v) != 2 {
-		t.Errorf("arena residency drift must fail twice, got %v", v)
-	}
-
-	if v := gateViolations(nil, coreRecs, protoRecs, protoRecs, brokerRecs, brokerRecs); len(v) != 1 {
-		t.Errorf("record-count drift must fail, got %v", v)
+	for _, tc := range []struct {
+		name       string
+		mutate     func(got []row) []row
+		unmeasured []string
+		want       []string // substrings of the single expected message; none = must pass
+	}{
+		{name: "identical", mutate: func(g []row) []row { return g }},
+		{name: "wall-clock only", mutate: func(g []row) []row {
+			g[0].Info["ns"] = 9999
+			g[1].Info = map[string]float64{"ns": 1}
+			return g
+		}},
+		{name: "changed counter, an improvement included", mutate: func(g []row) []row {
+			g[0].Counters["allocs"] = 41
+			return g
+		}, want: []string{"suite A", "allocs", "41", "42"}},
+		{name: "changed label", mutate: func(g []row) []row {
+			g[1].Labels["engine"] = "live"
+			return g
+		}, want: []string{"suite B", "engine", "live", "proto"}},
+		{name: "missing row", mutate: func(g []row) []row { return slices.Delete(g, 1, 2) },
+			want: []string{"suite B", "missing"}},
+		{name: "extra row", mutate: func(g []row) []row {
+			return append(g, row{Name: "D", Counters: map[string]float64{"msgs": 1}})
+		}, want: []string{"suite D", "not in the baseline"}},
+		{name: "reordered row", mutate: func(g []row) []row {
+			g[0], g[1] = g[1], g[0]
+			return g
+		}, want: []string{"suite B", "out of order"}},
+		{name: "renamed counter", mutate: func(g []row) []row {
+			delete(g[2].Counters, "msgs")
+			g[2].Counters["messages"] = 1
+			return g
+		}, want: []string{"suite C", "messages", "suite C", "msgs"}},
+		{name: "unmeasured row is skipped, the rest still compared", mutate: func(g []row) []row {
+			g = slices.Delete(g, 1, 2)
+			g[1].Counters["msgs"] = 2
+			return g
+		}, unmeasured: []string{"B"}, want: []string{"suite C", "msgs", "2", "1"}},
+		{name: "unmeasured row alone passes", mutate: func(g []row) []row { return slices.Delete(g, 1, 2) },
+			unmeasured: []string{"B"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := strings.Join(compareRows("suite", tc.mutate(base()), base(), tc.unmeasured), "\n")
+			if len(tc.want) == 0 {
+				if got != "" {
+					t.Fatalf("must pass, got:\n%s", got)
+				}
+				return
+			}
+			rest := got
+			for _, w := range tc.want {
+				i := strings.Index(rest, w)
+				if i < 0 {
+					t.Fatalf("want %q (in order %q) in:\n%s", w, tc.want, got)
+				}
+				rest = rest[i+len(w):]
+			}
+		})
 	}
 }
 
-// TestGateEndToEnd runs the real perf gate from the repository root: it
-// must re-measure all three suites and find them exactly equal to the
-// committed baselines. This is the same invocation the CI perf-gate job
-// uses, so a drifted baseline fails here first.
+// TestGateEndToEnd runs the real perf gate from the repository root over
+// the shared measurements: every suite must equal its committed baseline.
+// `drtree-bench -gate` is this call with suites(true).
 func TestGateEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all benchmark suites")
 	}
 	t.Chdir(filepath.Join("..", ".."))
-	if code := runGate(); code != 0 {
-		t.Fatalf("runGate exited %d against the committed baselines", code)
+	var stdout, stderr bytes.Buffer
+	if code := runGate(sharedSuites(), &stdout, &stderr); code != 0 {
+		t.Fatalf("runGate exited %d against the committed baselines:\n%s", code, &stderr)
+	}
+	if !strings.Contains(stdout.String(), "perf-gate: OK") {
+		t.Fatalf("gate output: %q", &stdout)
 	}
 }
 
-// TestGateMissingBaseline covers the gate's unreadable-baseline path.
+// TestGateMissingBaseline covers the gate's unreadable-baseline path; it
+// must fail before measuring anything.
 func TestGateMissingBaseline(t *testing.T) {
 	t.Chdir(t.TempDir())
-	if code := runGate(); code == 0 {
-		t.Fatal("runGate must fail without committed baselines")
+	ss := suites(true)
+	for i := range ss {
+		ss[i].measure = func() ([]row, error) { t.Error("measured without a baseline"); return nil, nil }
+	}
+	var stderr bytes.Buffer
+	if code := runGate(ss, io.Discard, &stderr); code == 0 || !strings.Contains(stderr.String(), ss[0].baseline) {
+		t.Fatalf("runGate without committed baselines: exit %d, %q", code, &stderr)
+	}
+}
+
+// TestCLI covers flag handling that needs no measurement.
+func TestCLI(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"-h"}, 0, "-bench-broker"},
+		{[]string{"-badflag"}, 2, ""},
+		{[]string{"-exp", "E99"}, 1, `unknown experiment "E99" (valid: E1, E2,`},
+		{[]string{"-exp", "E1,bogus"}, 1, `unknown experiment "BOGUS"`},
+		{[]string{"-loadgen", "-loadgen-publishers", "0"}, 1, "bad count"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("run(%q) = %d, stderr %q; want %d containing %q", tc.args, code, &stderr, tc.code, tc.stderr)
+		}
+		if tc.code == 1 && stdout.Len() != 0 {
+			t.Errorf("run(%q) printed results before refusing: %q", tc.args, &stdout)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "e1", "-seed", "4"}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "E1") {
+		t.Errorf("run(-exp e1) = %d, stdout %q, stderr %q", code, &stdout, &stderr)
 	}
 }
 
@@ -353,33 +340,13 @@ func TestLoadgenSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("publishes a real event load")
 	}
-	if code := runLoadgen([]int{1, 2}, 50, 4, 400, 16); code != 0 {
+	if code := runLoadgen([]int{1, 2}, 50, 4, 400, 16, io.Discard, io.Discard); code != 0 {
 		t.Fatalf("runLoadgen exited %d", code)
 	}
-	if code := runLoadgen([]int{1}, 0, 1, 1, 1); code == 0 {
+	if code := runLoadgen([]int{1}, 0, 1, 1, 1, io.Discard, io.Discard); code == 0 {
 		t.Fatal("invalid sizes must fail")
 	}
-	if code := runLoadgen([]int{1}, 10, 0, 1, 1); code == 0 {
+	if code := runLoadgen([]int{1}, 10, 0, 1, 1, io.Discard, io.Discard); code == 0 {
 		t.Fatal("invalid gateway count must fail")
 	}
-}
-
-// decodeProtoRecords parses a proto baselines file strictly: unknown or
-// missing fields mean the schema drifted.
-func decodeProtoRecords(t *testing.T, path string) []protoRecord {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var recs []protoRecord
-	if err := dec.Decode(&recs); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	if len(recs) == 0 {
-		t.Fatalf("%s: no records", path)
-	}
-	return recs
 }

@@ -74,12 +74,6 @@ type (
 	// engines (advance one message round at a time). Satisfied by
 	// EngineProto.
 	SteppedEngine = engine.SteppedEngine
-	// FilterUpdater is the capability of engines that can change a live
-	// subscriber's filter in place (UpdateFilter), without a
-	// leave/re-join cycle. Satisfied by all three built-in engines; the
-	// Broker's gateway layer uses it to move each gateway's aggregate
-	// filter as subscriptions come and go.
-	FilterUpdater = engine.FilterUpdater
 	// AsyncPublisher is the capability of engines that can start a
 	// dissemination without waiting for it to finish (InjectEvent).
 	// Satisfied by EngineLive; Broker.PublishAsync requires it, and

@@ -136,17 +136,6 @@ func New(opts ...Option) (*Daemon, error) {
 			return nil, err
 		}
 	}
-	return newDaemon(cfg)
-}
-
-// NewFromConfig builds a daemon from a bare Config.
-//
-// Deprecated: use New with functional options (or New(WithConfig(cfg))
-// for a pre-built Config) — options validate at the call site instead
-// of deep inside construction.
-func NewFromConfig(cfg Config) (*Daemon, error) { return newDaemon(cfg) }
-
-func newDaemon(cfg Config) (*Daemon, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Node < 0 || cfg.Node >= len(cfg.Peers) {
 		return nil, fmt.Errorf("drtreed: node %d outside peer list of %d", cfg.Node, len(cfg.Peers))

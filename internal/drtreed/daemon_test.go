@@ -550,13 +550,13 @@ func TestThreeDaemonIdleBudget(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewFromConfig(Config{Node: 2, Peers: []string{"a"}, Space: []string{"x"}}); err == nil {
+	if _, err := New(WithNode(2), WithPeers("a"), WithSpace("x")); err == nil {
 		t.Error("node outside peer list must be refused")
 	}
-	if _, err := NewFromConfig(Config{Node: 0, Peers: []string{"127.0.0.1:0"}}); err == nil {
+	if _, err := New(WithNode(0), WithPeers("127.0.0.1:0")); err == nil {
 		t.Error("empty space must be refused")
 	}
-	if _, err := NewFromConfig(Config{Node: 0, Peers: []string{"256.0.0.1:http"}, Space: []string{"x"}}); err == nil {
+	if _, err := New(WithNode(0), WithPeers("256.0.0.1:http"), WithSpace("x")); err == nil {
 		t.Error("unusable listen address must surface")
 	}
 	// Options validate at application time, before any construction.

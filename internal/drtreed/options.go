@@ -136,13 +136,3 @@ func WithSnapshotEvery(n int) Option {
 		return nil
 	}
 }
-
-// WithConfig imports a whole Config at once — the bridge for callers
-// holding a pre-built Config (flag parsing, config files). Later
-// options still apply on top.
-func WithConfig(cfg Config) Option {
-	return func(c *Config) error {
-		*c = cfg
-		return nil
-	}
-}

@@ -52,8 +52,9 @@ func TestConfigFieldAudit(t *testing.T) {
 }
 
 // TestOptionsCoverConfig proves every Config field is settable through
-// the functional-option surface — construction never needs the bare
-// struct.
+// the functional-option surface, the only way to construct a daemon: a
+// field the option list below leaves at its zero value fails here, so a
+// new field cannot land without its option.
 func TestOptionsCoverConfig(t *testing.T) {
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -67,8 +68,7 @@ func TestOptionsCoverConfig(t *testing.T) {
 	defer lnB.Close()
 
 	var c Config
-	logf := func(string, ...any) {}
-	opts := []Option{
+	for _, opt := range []Option{
 		WithNode(3),
 		WithPeers("a:1", "b:2", "c:3", "d:4"),
 		WithListener(lnA),
@@ -79,9 +79,8 @@ func TestOptionsCoverConfig(t *testing.T) {
 		WithFanout(3, 6),
 		WithDataDir("/nonexistent/never-opened"),
 		WithSnapshotEvery(11),
-		WithLogf(logf),
-	}
-	for _, opt := range opts {
+		WithLogf(func(string, ...any) {}),
+	} {
 		if err := opt(&c); err != nil {
 			t.Fatal(err)
 		}
@@ -93,16 +92,10 @@ func TestOptionsCoverConfig(t *testing.T) {
 		c.DataDir != "/nonexistent/never-opened" || c.SnapshotEvery != 11 || c.Logf == nil {
 		t.Fatalf("options did not reproduce the Config: %+v", c)
 	}
-
-	// WithConfig is the bulk bridge; later options still layer on top.
-	var c2 Config
-	if err := WithConfig(c)(&c2); err != nil {
-		t.Fatal(err)
-	}
-	if err := WithGateways(9)(&c2); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Node != 3 || c2.Gateways != 9 {
-		t.Fatalf("WithConfig + override: %+v", c2)
+	v := reflect.ValueOf(c)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("no option above sets Config.%s", v.Type().Field(i).Name)
+		}
 	}
 }

@@ -36,6 +36,16 @@ type Engine interface {
 	JoinFrom(contact, id core.ProcID, f geom.Rect) error
 	// Leave removes a subscriber via a controlled departure (Figure 9).
 	Leave(id core.ProcID) error
+	// UpdateFilter replaces the filter of live process id with f in
+	// place, without a leave/re-join cycle (the Broker's gateways move
+	// their MBR-union this way on every subscription change). The
+	// sequential engine adjusts the leaf MBR and repropagates it along
+	// the parent chain eagerly; the message-passing engines apply the
+	// filter at the owning node and let the periodic CHECK_MBR probes
+	// carry it upward — Stabilize restores legality, after which the
+	// root MBR equals the union of all live filters and dissemination has
+	// zero false negatives (certified by internal/enginetest).
+	UpdateFilter(id core.ProcID, f geom.Rect) error
 	// Crash removes a subscriber without notification; the stabilization
 	// checks repair the structure afterwards.
 	Crash(id core.ProcID) error
@@ -106,25 +116,6 @@ type SteppedEngine interface {
 	Step(fireChecks bool) bool
 }
 
-// FilterUpdater is the capability of engines that can change a live
-// subscriber's filter in place, without a leave/re-join cycle. The
-// gateway layer of the pub/sub Broker depends on it: a gateway process
-// represents the MBR-union of many local subscriptions, and that union
-// moves every time a subscription is added or dropped.
-//
-// UpdateFilter replaces the filter of process id with f. The sequential
-// engine adjusts the leaf MBR and repropagates it along the parent chain
-// eagerly (the CHECK_MBR/adjust path); the message-passing engines apply
-// the new filter at the owning node and let the periodic CHECK_MBR
-// probes carry the change upward — Stabilize drives the configuration
-// back to legality, after which the root MBR again equals the union of
-// all live filters and dissemination has zero false negatives
-// (certified by internal/enginetest on every engine).
-type FilterUpdater interface {
-	Engine
-	UpdateFilter(id core.ProcID, f geom.Rect) error
-}
-
 // AsyncPublisher is the capability of engines that can start a
 // dissemination without waiting for it to quiesce. Publish and
 // PublishBatch return a receipt census, which forces the caller to
@@ -142,17 +133,13 @@ type AsyncPublisher interface {
 
 // Compile-time conformance: the sequential specification, the
 // deterministic round cluster, and the goroutine-per-node live cluster
-// all satisfy the unified interface (and all three can update filters
-// in place).
+// all satisfy the unified interface.
 var (
 	_ Engine          = (*core.Tree)(nil)
 	_ Engine          = (*proto.Cluster)(nil)
 	_ Engine          = (*proto.LiveCluster)(nil)
 	_ NetworkedEngine = (*proto.Cluster)(nil)
 	_ SteppedEngine   = (*proto.Cluster)(nil)
-	_ FilterUpdater   = (*core.Tree)(nil)
-	_ FilterUpdater   = (*proto.Cluster)(nil)
-	_ FilterUpdater   = (*proto.LiveCluster)(nil)
 	_ AsyncPublisher  = (*proto.LiveCluster)(nil)
 )
 

@@ -152,8 +152,8 @@ func Run(t *testing.T, mk Factory) *Transcript {
 	probesD := []geom.Point{probe(), probe(), {80, 30}}
 	s.checkpoint("D/rejoined", probesD)
 
-	// Phase 5: engine-level filter updates (the FilterUpdater
-	// capability): one filter grows, one shrinks to its lower quarter,
+	// Phase 5: engine-level filter updates (Engine.UpdateFilter):
+	// one filter grows, one shrinks to its lower quarter,
 	// one moves to a disjoint region. The checkpoint then certifies
 	// post-update legality, root MBR = union of the *updated* filters,
 	// and zero false negatives — including probes aimed at the moved and
@@ -204,11 +204,7 @@ func (s *suite) crash(id core.ProcID) {
 
 func (s *suite) updateFilter(id core.ProcID, f geom.Rect) {
 	s.t.Helper()
-	fu, ok := s.eng.(engine.FilterUpdater)
-	if !ok {
-		s.t.Fatalf("enginetest: engine does not implement FilterUpdater")
-	}
-	if err := fu.UpdateFilter(id, f); err != nil {
+	if err := s.eng.UpdateFilter(id, f); err != nil {
 		s.t.Fatalf("enginetest: update filter of %d: %v", id, err)
 	}
 	s.live[id] = f

@@ -138,9 +138,11 @@ func (r *recoverRunner) reopen() error {
 	if err != nil {
 		return fmt.Errorf("harness: reopen store: %w", err)
 	}
-	b, err := pubsub.NewCore(r.space,
-		core.Params{MinFanout: r.s.MinFanout, MaxFanout: r.s.MaxFanout},
-		append([]pubsub.Option{pubsub.WithStore(s)}, r.opts...)...)
+	tree, err := core.New(core.Params{MinFanout: r.s.MinFanout, MaxFanout: r.s.MaxFanout})
+	if err != nil {
+		return fmt.Errorf("harness: rebuild engine: %w", err)
+	}
+	b, err := pubsub.New(r.space, tree, append([]pubsub.Option{pubsub.WithStore(s)}, r.opts...)...)
 	if err != nil {
 		return fmt.Errorf("harness: rebuild broker: %w", err)
 	}

@@ -18,19 +18,40 @@ import (
 	"drtree/internal/geom"
 )
 
-// flakyLeaveEngine hides FilterUpdater (embedding the interface narrows
-// the method set) and fails the next failLeaves Leave calls.
-type flakyLeaveEngine struct {
+// flakyEngine refuses the next failJoins / failLeaves / failUpdates calls
+// of the respective kind, then behaves like the engine it wraps.
+type flakyEngine struct {
 	engine.Engine
-	failLeaves int
+	failJoins, failLeaves, failUpdates int
 }
 
-func (f *flakyLeaveEngine) Leave(id core.ProcID) error {
-	if f.failLeaves > 0 {
-		f.failLeaves--
-		return fmt.Errorf("injected leave failure")
+func refuse(budget *int, what string) error {
+	if *budget > 0 {
+		*budget--
+		return fmt.Errorf("injected %s failure", what)
+	}
+	return nil
+}
+
+func (f *flakyEngine) Join(id core.ProcID, r geom.Rect) error {
+	if err := refuse(&f.failJoins, "join"); err != nil {
+		return err
+	}
+	return f.Engine.Join(id, r)
+}
+
+func (f *flakyEngine) Leave(id core.ProcID) error {
+	if err := refuse(&f.failLeaves, "leave"); err != nil {
+		return err
 	}
 	return f.Engine.Leave(id)
+}
+
+func (f *flakyEngine) UpdateFilter(id core.ProcID, r geom.Rect) error {
+	if err := refuse(&f.failUpdates, "filter update"); err != nil {
+		return err
+	}
+	return f.Engine.UpdateFilter(id, r)
 }
 
 // faultIndex wraps a gateway's match index, counting Insert calls and
@@ -59,12 +80,12 @@ func (fi *faultIndex) Insert(r geom.Rect, data any) error {
 // path no longer exists (the armed faultIndex proves it is never
 // called), and the refused subscriber keeps receiving events.
 func TestRemoveEngineRefusalLeavesNoFalseNegative(t *testing.T) {
-	mk := func() (*Broker, *flakyLeaveEngine, *faultIndex) {
+	mk := func() (*Broker, *flakyEngine, *faultIndex) {
 		tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe := &flakyLeaveEngine{Engine: tree}
+		fe := &flakyEngine{Engine: tree}
 		b, err := New(filter.MustSpace("x"), fe, WithGateways(1))
 		if err != nil {
 			t.Fatal(err)
@@ -106,15 +127,15 @@ func TestRemoveEngineRefusalLeavesNoFalseNegative(t *testing.T) {
 		t.Fatalf("Len = %d after healed Unsubscribe, want 0", b.Len())
 	}
 
-	// Filter-shrink path: the union move (leave/re-join fallback) is
-	// refused while another subscription keeps the gateway alive.
+	// Filter-shrink path: the union move is refused while another
+	// subscription keeps the gateway alive.
 	b, fe, fi = mk()
 	fi.failInserts = 0 // disarm while the second subscription's entry is indexed
 	if err := b.SubscribeExpr(2, "x in [50, 60]"); err != nil {
 		t.Fatal(err)
 	}
 	fi.insertCalls, fi.failInserts = 0, 1
-	fe.failLeaves = 1
+	fe.failUpdates = 1
 	if err := b.Unsubscribe(2); err == nil {
 		t.Fatal("refused filter move must surface as an error")
 	}
@@ -133,41 +154,6 @@ func TestRemoveEngineRefusalLeavesNoFalseNegative(t *testing.T) {
 	}
 	if got, _ := b.Engine().Filter(1); !got.Equal(geom.MustRect([]float64{0}, []float64{10})) {
 		t.Fatalf("gateway filter %v after healed Unsubscribe, want [0,10]", got)
-	}
-}
-
-// TestRepairRejoinsStrandedGateway: a gateway stranded by a double
-// filter-move failure (marked unjoined with live subscriptions) is
-// re-joined by Repair, not only by the next publish.
-func TestRepairRejoinsStrandedGateway(t *testing.T) {
-	tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe := &flakyJoinEngine{Engine: tree}
-	b, err := New(filter.MustSpace("x"), fe, WithGateways(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SubscribeExpr(1, "x in [0, 10]"); err != nil {
-		t.Fatal(err)
-	}
-	fe.failJoins = 2
-	if err := b.SubscribeExpr(2, "x in [50, 60]"); err == nil {
-		t.Fatal("double join failure must surface as an error")
-	}
-	if b.Engine().Len() != 0 {
-		t.Fatalf("engine population %d after double join failure, want 0", b.Engine().Len())
-	}
-	if st := b.Repair(); b.Engine().Len() != 1 || !st.Converged {
-		t.Fatalf("Repair did not re-join the stranded gateway (population %d, converged %v)", b.Engine().Len(), st.Converged)
-	}
-	if st := b.GatewayStats()[0]; !st.Joined || !st.Filter.Equal(geom.MustRect([]float64{0}, []float64{10})) {
-		t.Fatalf("gateway state after Repair: %+v", st)
-	}
-	n, err := b.Publish(1, filter.Event{"x": 5})
-	if err != nil || len(n.Interested) != 1 || len(n.FalseNegatives) != 0 {
-		t.Fatalf("subscriber 1 not served after Repair re-join: %+v, %v", n, err)
 	}
 }
 
@@ -206,7 +192,7 @@ func TestRectKeyAgreesWithEqual(t *testing.T) {
 // end: filters whose rectangles differ only in the sign of zero must
 // collapse into one match-index entry.
 func TestNegativeZeroFiltersShareEntry(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(1))
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(1))
 	if err != nil {
 		t.Fatal(err)
 	}

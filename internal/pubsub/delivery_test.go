@@ -27,7 +27,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 func newDeliveryBroker(t *testing.T, gws int) *Broker {
 	t.Helper()
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(gws))
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(gws))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestCoalesceThroughBroker(t *testing.T) {
 // TestBrokerCloseClosesQueues: Close sheds backlogs and closes
 // subscription channels without waiting on any consumer.
 func TestBrokerCloseClosesQueues(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(2))
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"drtree/internal/core"
-	"drtree/internal/engine"
 	"drtree/internal/filter"
-	"drtree/internal/geom"
 	"drtree/internal/proto"
 )
 
@@ -17,7 +15,7 @@ import (
 // pool must produce an overlay of at most 8 processes while classifying
 // with zero false negatives.
 func TestGatewayPoolBoundsOverlay(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(8))
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +69,7 @@ func TestGatewayPoolBoundsOverlay(t *testing.T) {
 // second Subscribe of a live ID fails and leaves the first registration
 // (and the gateway's overlay filter) untouched.
 func TestDoubleSubscribeSameID(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestDoubleSubscribeSameID(t *testing.T) {
 
 // TestUnsubscribeUnknownID certifies the unknown-ID edge paths.
 func TestUnsubscribeUnknownID(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestUnsubscribeUnknownID(t *testing.T) {
 // last subscription leaves the overlay instead of lingering with a stale
 // filter — and that the spot is reusable by a later subscriber.
 func TestLastSubscriptionGatewayLeaves(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(4))
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +203,7 @@ func TestLastSubscriptionGatewayLeaves(t *testing.T) {
 // TestFailLastSubscriptionCrashesGateway covers the abrupt variant: the
 // gateway crashes out and the next Repair restores legality.
 func TestFailLastSubscriptionCrashesGateway(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(4))
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +230,7 @@ func TestFailLastSubscriptionCrashesGateway(t *testing.T) {
 // one match-index entry, and the index shrinks only when the last of
 // them leaves.
 func TestEquivalentFilterDedup(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(1))
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +283,7 @@ func TestEquivalentFilterDedup(t *testing.T) {
 // rectangles (the union of the containment order's remaining maximal
 // elements).
 func TestGatewayFilterShrinksOnUnsubscribe(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(1))
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,142 +317,67 @@ func TestGatewayFilterShrinksOnUnsubscribe(t *testing.T) {
 	}
 }
 
-// hiddenCapEngine narrows an Engine to the bare interface, hiding the
-// FilterUpdater capability, to exercise the broker's leave/re-join
-// fallback.
-type hiddenCapEngine struct{ engine.Engine }
-
-// TestGatewayFallbackWithoutFilterUpdater runs the gateway layer over an
-// engine without UpdateFilter: filter moves degrade to leave/re-join but
-// classification stays exact.
-func TestGatewayFallbackWithoutFilterUpdater(t *testing.T) {
+// TestFallbackFailedMoveKeepsMembershipAccurate: when the engine refuses
+// a gateway's filter move or its join, the Subscribe that needed it
+// fails and nothing else changes — the broker's view of the gateway's
+// membership and filter stays the engine's, existing subscribers keep
+// being served, and the retry against a healed engine goes through with
+// a union covering every local subscription.
+func TestFallbackFailedMoveKeepsMembershipAccurate(t *testing.T) {
 	tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(filter.MustSpace("x", "y"), hiddenCapEngine{tree}, WithGateways(2))
+	fe := &flakyEngine{Engine: tree}
+	b, err := New(filter.MustSpace("x"), fe, WithGateways(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewPCG(11, 1))
-	for i := 1; i <= 40; i++ {
-		x, y := rng.Float64()*80, rng.Float64()*80
-		f := filter.Range("x", x, x+15).And(filter.Range("y", y, y+15))
-		if err := b.Subscribe(core.ProcID(i), f); err != nil {
-			t.Fatal(err)
-		}
+
+	// Join refused on the empty gateway: no membership, no subscriber.
+	fe.failJoins = 1
+	if err := b.SubscribeExpr(1, "x in [0, 10]"); err == nil {
+		t.Fatal("refused join must surface as an error")
 	}
-	if err := b.Unsubscribe(5); err != nil {
+	if st := b.GatewayStats()[0]; st.Joined || st.Subscribers != 0 || b.Engine().Len() != 0 {
+		t.Fatalf("refused join left state behind: %+v, engine population %d", st, b.Engine().Len())
+	}
+	if err := b.SubscribeExpr(1, "x in [0, 10]"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Engine().CheckLegal(); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 20; k++ {
-		ev := filter.Event{"x": rng.Float64() * 100, "y": rng.Float64() * 100}
-		n, err := b.Publish(1, ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(n.FalseNegatives) != 0 {
-			t.Fatalf("false negatives without FilterUpdater: %v", n.FalseNegatives)
-		}
-	}
-}
 
-// flakyJoinEngine hides FilterUpdater (embedding the interface narrows
-// the method set) and fails the next failJoins Join calls, to drive the
-// leave/re-join fallback into its failure branches.
-type flakyJoinEngine struct {
-	engine.Engine
-	failJoins int
-}
-
-func (f *flakyJoinEngine) Join(id core.ProcID, r geom.Rect) error {
-	if f.failJoins > 0 {
-		f.failJoins--
-		return fmt.Errorf("injected join failure")
-	}
-	return f.Engine.Join(id, r)
-}
-
-// TestFallbackFailedMoveKeepsMembershipAccurate: when the leave/re-join
-// fallback loses the Join, the broker must not keep believing in an
-// overlay membership the engine no longer has. With the old filter
-// restorable, existing subscribers keep receiving; with the restore
-// failing too, the gateway is marked unjoined and the next Subscribe
-// re-joins with a union covering every local subscription.
-func TestFallbackFailedMoveKeepsMembershipAccurate(t *testing.T) {
-	mk := func(failJoins int) (*Broker, *flakyJoinEngine) {
-		tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fe := &flakyJoinEngine{Engine: tree}
-		b, err := New(filter.MustSpace("x"), fe, WithGateways(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.SubscribeExpr(1, "x in [0, 10]"); err != nil {
-			t.Fatal(err)
-		}
-		fe.failJoins = failJoins
-		return b, fe
-	}
-
-	// Restore succeeds: the move fails but subscriber 1 stays served.
-	b, _ := mk(1)
+	// Filter move refused: the new subscriber is turned away, the gateway
+	// keeps its membership and filter, subscriber 1 stays served.
+	fe.failUpdates = 1
 	if err := b.SubscribeExpr(2, "x in [50, 60]"); err == nil {
 		t.Fatal("failed filter move must surface as an error")
+	}
+	old, _ := b.Space().Rect(filter.Range("x", 0, 10))
+	if st := b.GatewayStats()[0]; !st.Joined || st.Subscribers != 1 || !st.Filter.Equal(old) {
+		t.Fatalf("refused move changed the gateway: %+v", st)
+	}
+	if f, ok := b.Engine().Filter(1); !ok || !f.Equal(old) {
+		t.Fatalf("engine filter %v (ok=%v) after a refused move, want %v", f, ok, old)
 	}
 	n, err := b.Publish(1, filter.Event{"x": 5})
 	if err != nil {
 		t.Fatalf("existing subscriber lost service after a failed move: %v", err)
 	}
-	if len(n.Interested) != 1 || len(n.FalseNegatives) != 0 {
-		t.Fatalf("classification broken after restored move: %+v", n)
+	if len(n.Interested) != 1 || n.Interested[0] != 1 || len(n.FalseNegatives) != 0 {
+		t.Fatalf("classification broken after a refused move: %+v", n)
 	}
-	// The next attempt (engine healthy again) succeeds end to end.
+
+	// The next attempt (engine healthy again) succeeds end to end, and the
+	// gateway's filter covers all local rectangles.
 	if err := b.SubscribeExpr(2, "x in [50, 60]"); err != nil {
 		t.Fatal(err)
 	}
-	if n, err = b.Publish(2, filter.Event{"x": 55}); err != nil || len(n.Interested) != 1 {
+	if n, err = b.Publish(2, filter.Event{"x": 55}); err != nil || len(n.Interested) != 1 || len(n.FalseNegatives) != 0 {
 		t.Fatalf("post-recovery publish: %+v, %v", n, err)
 	}
-
-	// Restore fails too: the gateway is out of the overlay and the broker
-	// must know it — the next publish lazily re-joins it (the engine has
-	// healed by then) so subscriber 1 keeps being served instead of
-	// silently missing every event, and a later Subscribe keeps the
-	// union covering ALL local rects.
-	b, _ = mk(2)
-	if err := b.SubscribeExpr(2, "x in [50, 60]"); err == nil {
-		t.Fatal("failed filter move must surface as an error")
-	}
-	if b.Engine().Len() != 0 {
-		t.Fatalf("engine population %d after double join failure, want 0", b.Engine().Len())
-	}
-	n, err = b.Publish(1, filter.Event{"x": 5})
-	if err != nil {
-		t.Fatalf("publish must lazily re-join the stranded gateway, got %v", err)
-	}
-	if len(n.Interested) != 1 || n.Interested[0] != 1 || len(n.FalseNegatives) != 0 {
-		t.Fatalf("subscriber 1 not served after lazy re-join: %+v", n)
-	}
-	if b.Engine().Len() != 1 {
-		t.Fatalf("engine population %d after lazy re-join, want 1", b.Engine().Len())
-	}
-	if err := b.SubscribeExpr(3, "x in [90, 95]"); err != nil {
-		t.Fatal(err)
-	}
-	f, ok := b.Engine().Filter(1)
-	want, _ := b.Space().Rect(filter.Range("x", 0, 95))
-	if !ok || !f.Equal(want) {
-		t.Fatalf("re-join filter %v (ok=%v), want the full local union %v", f, ok, want)
-	}
-	n, err = b.Publish(1, filter.Event{"x": 5})
-	if err != nil || len(n.Interested) != 1 || n.Interested[0] != 1 || len(n.FalseNegatives) != 0 {
-		t.Fatalf("subscriber 1 not served after gateway re-join: %+v, %v", n, err)
+	want, _ := b.Space().Rect(filter.Range("x", 0, 60))
+	if f, ok := b.Engine().Filter(1); !ok || !f.Equal(want) {
+		t.Fatalf("gateway filter %v (ok=%v), want the full local union %v", f, ok, want)
 	}
 }
 
@@ -518,7 +441,7 @@ func TestGatewaysOverWireEngine(t *testing.T) {
 
 // TestWithGatewaysValidation covers the option's error path.
 func TestWithGatewaysValidation(t *testing.T) {
-	if _, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(0)); err == nil {
+	if _, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(0)); err == nil {
 		t.Error("gateway count 0 must be rejected")
 	}
 }
@@ -529,7 +452,7 @@ func TestWithGatewaysValidation(t *testing.T) {
 // linear scan it replaced.
 func TestClassificationMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 7))
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(5))
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(5))
 	if err != nil {
 		t.Fatal(err)
 	}

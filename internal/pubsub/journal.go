@@ -19,7 +19,7 @@ package pubsub
 // the previous incarnation carried.
 //
 // Record layout (inside a state.Store record, which adds its own
-// framing, CRC and seq). Version 2, written by this build:
+// framing, CRC and seq), version 2:
 //
 //	subscribe/update: version(2) op(1) id(varint) gwOff(uvarint) npreds(uvarint) {attr(string) op(1) value(f64)}...
 //	unsubscribe:      version(2) op(1) id(varint)
@@ -29,13 +29,11 @@ package pubsub
 // gwOff is the owning gateway's stable pool offset; assign records pin
 // a subscription that *moved* gateways after registration (a pool split
 // or drain), and pool records track adaptive-pool membership (grow /
-// retire). Version 1 records (no gateway offsets, no assign/pool ops)
-// are still read: their subscriptions recover through fresh placement.
-// A version-2 snapshot blob is version(2) poolCount(uvarint) {gwOff}...
+// retire). A snapshot blob is version(2) poolCount(uvarint) {gwOff}...
 // count(uvarint) {id gwOff predicate-list}... — poolCount is 0 for a
 // fixed pool, whose shape is configuration, not state. The leading
 // version byte is the migration hook, independent of the store's
-// on-disk format version.
+// on-disk format version; any other version is refused.
 
 import (
 	"cmp"
@@ -54,8 +52,7 @@ import (
 const DefaultSnapshotEvery = 4096
 
 const (
-	journalVersion  = byte(2)
-	journalVersion1 = byte(1) // still readable
+	journalVersion = byte(2)
 
 	journalSubscribe   = byte(1)
 	journalUnsubscribe = byte(2)
@@ -205,8 +202,7 @@ type RecoverStats struct {
 }
 
 // replaySub is one subscription folded out of the log: its filter and
-// the pool offset of its last known gateway (-1 when unknown — a
-// version-1 record).
+// the pool offset of its last known gateway.
 type replaySub struct {
 	f   filter.Filter
 	off int
@@ -217,7 +213,7 @@ type replayState struct {
 	subs map[core.ProcID]replaySub
 	// pool is the set of live adaptive-pool offsets (grow minus
 	// retire); nil until the log proves the store was written by an
-	// adaptive pool (a pool record or a v2 snapshot with offsets).
+	// adaptive pool (a pool record or a snapshot with offsets).
 	pool   map[int]bool
 	maxOff int
 }
@@ -363,7 +359,7 @@ func decodeFilter(r *wire.Reader) filter.Filter {
 func applyJournalRecord(rec []byte, rs *replayState) error {
 	r := wire.NewReader(rec)
 	v := r.Byte()
-	if r.Err() == nil && v != journalVersion && v != journalVersion1 {
+	if r.Err() == nil && v != journalVersion {
 		return fmt.Errorf("pubsub: journal record version %d, this build reads %d", v, journalVersion)
 	}
 	op := r.Byte()
@@ -391,17 +387,12 @@ func applyJournalRecord(rec []byte, rs *replayState) error {
 	id := core.ProcID(r.Varint())
 	switch op {
 	case journalSubscribe, journalUpdate:
-		off := -1
-		if v >= journalVersion {
-			off = int(r.Uvarint())
-		}
+		off := int(r.Uvarint())
 		f := decodeFilter(r)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("pubsub: journal record: %w", err)
 		}
-		if off >= 0 {
-			rs.noteOff(off)
-		}
+		rs.noteOff(off)
 		rs.subs[id] = replaySub{f: f, off: off}
 	case journalUnsubscribe:
 		if err := r.Err(); err != nil {
@@ -438,26 +429,24 @@ func applyJournalRecord(rec []byte, rs *replayState) error {
 func decodeSnapshot(blob []byte, rs *replayState) error {
 	r := wire.NewReader(blob)
 	v := r.Byte()
-	if r.Err() == nil && v != journalVersion && v != journalVersion1 {
+	if r.Err() == nil && v != journalVersion {
 		return fmt.Errorf("pubsub: snapshot version %d, this build reads %d", v, journalVersion)
 	}
 	clear(rs.subs)
-	if v >= journalVersion {
-		np := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("pubsub: snapshot: %w", err)
-		}
-		if np > uint64(r.Remaining()) {
-			return fmt.Errorf("pubsub: snapshot: %d pool offsets exceed blob", np)
-		}
-		if np > 0 {
-			pool := rs.poolSet()
-			clear(pool)
-			for i := uint64(0); i < np; i++ {
-				off := int(r.Uvarint())
-				pool[off] = true
-				rs.noteOff(off)
-			}
+	np := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("pubsub: snapshot: %w", err)
+	}
+	if np > uint64(r.Remaining()) {
+		return fmt.Errorf("pubsub: snapshot: %d pool offsets exceed blob", np)
+	}
+	if np > 0 {
+		pool := rs.poolSet()
+		clear(pool)
+		for i := uint64(0); i < np; i++ {
+			off := int(r.Uvarint())
+			pool[off] = true
+			rs.noteOff(off)
 		}
 	}
 	n := r.Uvarint()
@@ -470,11 +459,8 @@ func decodeSnapshot(blob []byte, rs *replayState) error {
 	}
 	for i := uint64(0); i < n; i++ {
 		id := core.ProcID(r.Varint())
-		off := -1
-		if v >= journalVersion {
-			off = int(r.Uvarint())
-			rs.noteOff(off)
-		}
+		off := int(r.Uvarint())
+		rs.noteOff(off)
 		f := decodeFilter(r)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("pubsub: snapshot entry %d: %w", i, err)

@@ -291,9 +291,7 @@ func (b *Broker) splitGatewayLocked(src *gateway) (*gateway, error) {
 	b.routeReplace(dst, dst.union)
 	b.unmarkIdleLocked(dst)
 	// Shrink src's overlay filter to its surviving union. Best-effort:
-	// a refused move leaves a loose filter (false positives only), and
-	// the double-failure path inside engUpdateFilter keeps membership
-	// accounting honest.
+	// a refused move leaves a loose filter (false positives only).
 	if src.joined && !src.union.Equal(oldU) {
 		_ = b.engUpdateFilter(src, src.union)
 	}

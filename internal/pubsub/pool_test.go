@@ -96,7 +96,7 @@ func TestUnionBitIdenticalToOracle(t *testing.T) {
 		{"policy", WithGatewayPolicy(6, 1, 8)},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, mode.opt)
+			b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, mode.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,14 +149,14 @@ func TestPolicyOptionValidation(t *testing.T) {
 	sp := filter.MustSpace("x", "y")
 	params := core.Params{MinFanout: 2, MaxFanout: 4}
 	for _, bad := range [][3]int{{0, 1, 1}, {4, 0, 1}, {4, 3, 2}} {
-		if _, err := NewCore(sp, params, WithGatewayPolicy(bad[0], bad[1], bad[2])); err == nil {
+		if _, err := newCore(sp, params, WithGatewayPolicy(bad[0], bad[1], bad[2])); err == nil {
 			t.Errorf("WithGatewayPolicy%v must be rejected", bad)
 		}
 	}
-	if _, err := NewCore(sp, params, WithGateways(4), WithGatewayPolicy(8, 2, 16)); err == nil {
+	if _, err := newCore(sp, params, WithGateways(4), WithGatewayPolicy(8, 2, 16)); err == nil {
 		t.Error("WithGateways + WithGatewayPolicy must be rejected")
 	}
-	if _, err := NewCore(sp, params, WithGatewayPolicy(8, 2, 16), WithGateways(4)); err == nil {
+	if _, err := newCore(sp, params, WithGatewayPolicy(8, 2, 16), WithGateways(4)); err == nil {
 		t.Error("WithGatewayPolicy + WithGateways must be rejected (either order)")
 	}
 }
@@ -167,7 +167,7 @@ func TestPolicyOptionValidation(t *testing.T) {
 // classification stays exact, and a mass unsubscribe drains the pool
 // back toward its floor without stranding the survivors.
 func TestAdaptivePoolGrowsAndShrinks(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
 		WithGatewayPolicy(10, 2, 64))
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestAdaptivePoolGrowsAndShrinks(t *testing.T) {
 // the routing tree must exclude most gateways, and the excluded ones
 // are never probed (GatewayVisited stays well under the pool size).
 func TestRoutePrunesGateways(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
 		WithGatewayPolicy(8, 2, 128))
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestPolicyRecoverMidGrowth(t *testing.T) {
 	for name, mk := range storesForRecovery(t) {
 		t.Run(name, func(t *testing.T) {
 			s, reopen := mk()
-			b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
+			b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
 				WithStore(s), WithGatewayPolicy(8, 2, 64))
 			if err != nil {
 				t.Fatal(err)
@@ -364,7 +364,7 @@ func TestPolicyRecoverMidGrowth(t *testing.T) {
 				}
 			}
 			s2 := reopen()
-			b2, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
+			b2, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
 				WithStore(s2), WithGatewayPolicy(8, 2, 64))
 			if err != nil {
 				t.Fatal(err)
@@ -376,7 +376,7 @@ func TestPolicyRecoverMidGrowth(t *testing.T) {
 			b2.Close()
 
 			s3 := reopen()
-			b3, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
+			b3, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
 				WithStore(s3), WithGatewayPolicy(8, 2, 64))
 			if err != nil {
 				t.Fatal(err)
@@ -403,7 +403,7 @@ func TestDriftNoFullReunions(t *testing.T) {
 		gateways = 32
 		subs     = 100_000
 	)
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
 		WithGateways(gateways))
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func TestDriftNoFullReunions(t *testing.T) {
 // -race in CI; the assertions here are liveness and sanity, the
 // detector certifies the pool/route/gateway lock discipline.
 func TestFlashCrowdChurnHammer(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4},
 		WithGatewayPolicy(12, 2, 64))
 	if err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@
 // engine.Engine interface, so the same pub/sub front end runs over the
 // sequential tree, the deterministic message-passing cluster (including
 // lossy simulated networks), or the goroutine-per-node live cluster.
-// Gateways move their overlay filter through the engine.FilterUpdater
-// capability; engines without it fall back to a leave/re-join cycle.
+// Gateways move their overlay filter in place through
+// Engine.UpdateFilter.
 package pubsub
 
 import (
@@ -127,10 +127,9 @@ func (gw *gateway) load() int { return len(gw.subs) }
 // order is fixed: a gateway lock may be held while taking the engine
 // mutex, never the reverse.
 type Broker struct {
-	space   *filter.Space
-	engMu   sync.Mutex // serializes all calls into eng
-	eng     engine.Engine
-	updater engine.FilterUpdater // nil when the engine lacks the capability
+	space *filter.Space
+	engMu sync.Mutex // serializes all calls into eng
+	eng   engine.Engine
 
 	// poolMu guards the pool itself: gws, byProc, assign, idle, nextOff.
 	// Fixed-mode pools never change shape, so the hot paths there take
@@ -153,10 +152,6 @@ type Broker struct {
 	route   *rtree.Tree
 
 	gwBase core.ProcID // procID of pool offset 0
-	// needRejoin flags that some gateway was marked unjoined while still
-	// holding live subscriptions (a failed fallback filter move): the
-	// next publish or Repair re-establishes its membership lazily.
-	needRejoin atomic.Bool
 
 	// Durability (nil store = memory-only broker, the previous behaviour).
 	store     state.Store
@@ -205,7 +200,6 @@ func New(space *filter.Space, eng engine.Engine, opts ...Option) (*Broker, error
 		snapEvery:       cfg.snapshotEvery,
 		defaultDelivery: cfg.delivery,
 	}
-	b.updater, _ = eng.(engine.FilterUpdater)
 	// Same wide fan-out as the per-gateway match indexes: an adaptive
 	// pool can reach thousands of gateways, and fan-out 32 keeps the
 	// routing tree two levels deep (so route-node visits stay a small
@@ -228,19 +222,6 @@ func New(space *filter.Space, eng engine.Engine, opts ...Option) (*Broker, error
 	}
 	b.nextOff = n
 	return b, nil
-}
-
-// NewCore is New over a fresh sequential engine.
-//
-// Deprecated: construct the engine explicitly and call New — the split
-// constructor predates the unified option set and adds nothing over
-// core.New + New.
-func NewCore(space *filter.Space, params core.Params, opts ...Option) (*Broker, error) {
-	tree, err := core.New(params)
-	if err != nil {
-		return nil, err
-	}
-	return New(space, tree, opts...)
 }
 
 // rectKey is an exact, collision-free encoding of a rectangle's bounds
@@ -394,63 +375,13 @@ func (b *Broker) engJoin(id core.ProcID, f geom.Rect) error {
 	return b.eng.Join(id, f)
 }
 
-// engUpdateFilter moves gw's overlay filter under the engine mutex, via
-// the FilterUpdater capability when the engine has it, else through a
-// leave/re-join cycle. The caller holds gw.mu. On a failed move the
-// gateway's membership state is kept accurate: the fallback re-joins
-// with the old filter, and if even that fails the gateway is marked
-// unjoined so the next Subscribe re-establishes membership (with a
-// union covering every local subscription) instead of the broker
-// believing in a membership the engine no longer has.
+// engUpdateFilter moves gw's overlay filter under the engine mutex. A
+// refusal changes nothing: the gateway keeps its membership and its
+// previous filter.
 func (b *Broker) engUpdateFilter(gw *gateway, f geom.Rect) error {
 	b.engMu.Lock()
 	defer b.engMu.Unlock()
-	if b.updater != nil {
-		return b.updater.UpdateFilter(gw.procID, f)
-	}
-	if err := b.eng.Leave(gw.procID); err != nil {
-		return err
-	}
-	if err := b.eng.Join(gw.procID, f); err != nil {
-		if rerr := b.eng.Join(gw.procID, gw.union); rerr != nil {
-			gw.joined = false
-			// The union stays what it is — the exact fold of the local
-			// entries (union.go) — so the lazy re-join below and in
-			// rejoinStale re-covers every local subscription. Flag the
-			// stranding so the next publish or Repair re-joins, instead
-			// of subscribers silently missing every event until a future
-			// Subscribe lands on the same gateway.
-			b.needRejoin.Store(true)
-		}
-		return err
-	}
-	return nil
-}
-
-// rejoinStale re-establishes overlay membership for every gateway that
-// was marked unjoined while still holding live subscriptions (the
-// double-failure path of engUpdateFilter). Best-effort: a gateway whose
-// re-join the engine still refuses stays flagged for the next attempt.
-// Called from the publish path and from Repair, so a transient engine
-// refusal heals as soon as the engine does, without waiting for an
-// unrelated Subscribe.
-func (b *Broker) rejoinStale() {
-	if !b.needRejoin.Swap(false) {
-		return
-	}
-	for _, gw := range b.poolSnapshot() {
-		gw.mu.Lock()
-		if !gw.joined && len(gw.subs) > 0 {
-			// The maintained union is the exact fold of the local
-			// entries even while unjoined, so it is the re-join filter.
-			if err := b.engJoin(gw.procID, gw.union); err != nil {
-				b.needRejoin.Store(true)
-			} else {
-				gw.joined = true
-			}
-		}
-		gw.mu.Unlock()
-	}
+	return b.eng.UpdateFilter(gw.procID, f)
 }
 
 // Subscribe registers subscriber id with the given filter: the filter is
@@ -523,10 +454,10 @@ func (b *Broker) subscribePolicy(id core.ProcID, rect geom.Rect, f filter.Filter
 	b.assign[id] = gw
 	b.unmarkIdleLocked(gw)
 	if placed && !journal {
-		// Recovery placed a subscription whose record carried no usable
-		// offset (a v1 log, or a torn pool record): journal the
-		// assignment so the *next* recovery replays this placement
-		// instead of re-deriving it against a different pool shape.
+		// Recovery placed a subscription whose journaled gateway is gone
+		// (a torn pool record): journal the assignment so the *next*
+		// recovery replays this placement instead of re-deriving it
+		// against a different pool shape.
 		_ = b.journalAssign(id, gw.off)
 	}
 	return nil
@@ -546,9 +477,6 @@ func (b *Broker) subscribeLocked(gw *gateway, id core.ProcID, rect geom.Rect, f 
 	// traffic at all (the containment relation rides for free).
 	switch {
 	case !gw.joined:
-		// Normally the gateway is empty here; after a failed filter move
-		// (see engUpdateFilter) it may hold subscriptions, so the join
-		// filter must cover every local rectangle, not just the new one.
 		if err := b.engJoin(gw.procID, gw.unionPeekAdd(rect)); err != nil {
 			return err
 		}
@@ -786,7 +714,7 @@ func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 		base, full = gw.unionPeekRemove(oldE)
 	}
 	target := base.Union(rect)
-	if gw.joined && !target.Equal(gw.union) {
+	if !target.Equal(gw.union) {
 		if err := b.engUpdateFilter(gw, target); err != nil {
 			return err
 		}
@@ -820,11 +748,6 @@ func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 	newE.subs[id] = entrySub{f: f, cons: sub.cons}
 	gw.subs[id] = subscription{f: f, key: newKey, cons: sub.cons}
 	b.routeReplace(gw, gw.union)
-	if !gw.joined {
-		// The gateway lost membership earlier (failed filter move with
-		// live subscriptions): make sure the lazy re-join sees the flag.
-		b.needRejoin.Store(true)
-	}
 	return nil
 }
 
@@ -845,11 +768,8 @@ func (b *Broker) Fail(id core.ProcID) error {
 	return b.remove(id, b.eng.Crash)
 }
 
-// Repair runs the overlay stabilization to quiescence, first
-// re-establishing membership for any gateway stranded by a failed
-// filter move.
+// Repair runs the overlay stabilization to quiescence.
 func (b *Broker) Repair() core.StabReport {
-	b.rejoinStale()
 	b.engMu.Lock()
 	defer b.engMu.Unlock()
 	return b.eng.Stabilize()
@@ -936,7 +856,6 @@ func (b *Broker) PublishBatch(producer core.ProcID, evs []filter.Event) ([]Notif
 	if len(evs) == 0 {
 		return nil, nil
 	}
-	b.rejoinStale()
 	pgw := b.owner(producer)
 	if pgw == nil || !b.registered(producer) {
 		return nil, fmt.Errorf("%w: %d", ErrProducerNotRegistered, producer)
@@ -997,7 +916,6 @@ func (b *Broker) PublishAsync(producer core.ProcID, ev filter.Event) error {
 	if !ok {
 		return fmt.Errorf("pubsub: engine %T cannot publish asynchronously", b.eng)
 	}
-	b.rejoinStale()
 	pgw := b.owner(producer)
 	if pgw == nil || !b.registered(producer) {
 		return fmt.Errorf("%w: %d", ErrProducerNotRegistered, producer)

@@ -12,9 +12,18 @@ import (
 	"drtree/internal/proto"
 )
 
+// newCore is New over a fresh sequential engine.
+func newCore(space *filter.Space, params core.Params, opts ...Option) (*Broker, error) {
+	tree, err := core.New(params)
+	if err != nil {
+		return nil, err
+	}
+	return New(space, tree, opts...)
+}
+
 func newBroker(t *testing.T) *Broker {
 	t.Helper()
-	b, err := NewCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b, err := newCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +31,10 @@ func newBroker(t *testing.T) *Broker {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := NewCore(nil, core.Params{MinFanout: 2, MaxFanout: 4}); err == nil {
+	if _, err := newCore(nil, core.Params{MinFanout: 2, MaxFanout: 4}); err == nil {
 		t.Error("nil space must be rejected")
 	}
-	if _, err := NewCore(filter.MustSpace("a"), core.Params{MinFanout: 0, MaxFanout: 4}); err == nil {
+	if _, err := newCore(filter.MustSpace("a"), core.Params{MinFanout: 0, MaxFanout: 4}); err == nil {
 		t.Error("bad params must be rejected")
 	}
 }
@@ -125,7 +134,7 @@ func TestStrictPredicateBoundary(t *testing.T) {
 	// at exactly 20 is delivered (rectangle semantics) but not matched
 	// (strict predicate): it must appear as a false positive, never as a
 	// false negative.
-	b, err := NewCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b, err := newCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +159,7 @@ func TestStrictPredicateBoundary(t *testing.T) {
 func TestPropertyNoFalseNegativesThroughBroker(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 91))
-		b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4})
+		b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4})
 		if err != nil {
 			return false
 		}

@@ -20,7 +20,7 @@ import (
 // population of pinned subscribers guarantees every publisher keeps a
 // registered producer for the whole run.
 func TestConcurrentBrokerHammer(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestConcurrentBrokerHammer(t *testing.T) {
 // equals the sequential one, event for event.
 func TestPublishBatchMatchesSequential(t *testing.T) {
 	mk := func() *Broker {
-		b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4})
+		b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestPublishBatchMatchesSequential(t *testing.T) {
 
 // TestPublishBatchErrors covers the batch entry points' validation.
 func TestPublishBatchErrors(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b, err := newCore(filter.MustSpace("x"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPublishBatchErrors(t *testing.T) {
 // completes, fast consumers keep receiving, and the frozen consumer's
 // losses are visible in its delivery stats.
 func TestAdversarialConsumerHammer(t *testing.T) {
-	b, err := NewCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

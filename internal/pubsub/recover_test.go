@@ -10,16 +10,17 @@ import (
 	"drtree/internal/core"
 	"drtree/internal/filter"
 	"drtree/internal/state"
+	"drtree/internal/wire"
 )
 
 // newDurableBroker builds a broker over a fresh sequential engine and
 // the given store.
 func newDurableBroker(t *testing.T, s state.Store, opts ...Option) *Broker {
 	t.Helper()
-	b, err := NewCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 2, MaxFanout: 4},
+	b, err := newCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 2, MaxFanout: 4},
 		append([]Option{WithStore(s)}, opts...)...)
 	if err != nil {
-		t.Fatalf("NewCore: %v", err)
+		t.Fatalf("newCore: %v", err)
 	}
 	return b
 }
@@ -234,13 +235,45 @@ func TestBrokerRecoverOnNonEmptyBrokerFails(t *testing.T) {
 	if _, err := b.Recover(); err == nil || !strings.Contains(err.Error(), "live subscribers") {
 		t.Fatalf("Recover on live broker: %v, want live-subscribers error", err)
 	}
-	b2, err := NewCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b2, err := newCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
-		t.Fatalf("NewCore: %v", err)
+		t.Fatalf("newCore: %v", err)
 	}
 	defer b2.Close()
 	if _, err := b2.Recover(); err == nil || !strings.Contains(err.Error(), "WithStore") {
 		t.Fatalf("Recover without store: %v, want WithStore error", err)
+	}
+}
+
+// TestBrokerRecoverRefusesJournalV1 is the golden for the one journal
+// format: a version-1 subscribe record (no gateway offset) and a
+// version-1 snapshot blob (no pool section) are each refused with the
+// version error, and the broker is left empty.
+func TestBrokerRecoverRefusesJournalV1(t *testing.T) {
+	// The predicate list is encoded the same way in both versions.
+	pred := wire.NewWriter(nil)
+	encodeFilter(pred, filter.Range("price", 10, 20))
+	record := append([]byte{1, journalSubscribe, 2 /* id 1, zigzag */}, pred.Bytes()...)
+	snapshot := append([]byte{1, 1 /* count */, 2 /* id 1 */}, pred.Bytes()...)
+	for name, seed := range map[string]func(state.Store) error{
+		"record":   func(s state.Store) error { return s.Append(record) },
+		"snapshot": func(s state.Store) error { return s.Snapshot(snapshot) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := state.NewMem()
+			if err := seed(s); err != nil {
+				t.Fatal(err)
+			}
+			b := newDurableBroker(t, s)
+			defer b.Close()
+			_, err := b.Recover()
+			if err == nil || !strings.Contains(err.Error(), "version 1, this build reads 2") {
+				t.Fatalf("Recover over a v1 %s: %v, want the version error", name, err)
+			}
+			if b.Len() != 0 || b.Engine().Len() != 0 {
+				t.Fatalf("refused recovery left %d subscribers, %d overlay members", b.Len(), b.Engine().Len())
+			}
+		})
 	}
 }
 
@@ -308,10 +341,10 @@ func TestBrokerAutoCheckpoint(t *testing.T) {
 func TestBrokerDeliveryDefaultsFromConstructor(t *testing.T) {
 	// A DeliveryOption passed to New becomes the broker-wide default,
 	// overridable per subscription.
-	b, err := NewCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4},
+	b, err := newCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4},
 		WithQueueDepth(3), WithOverflowPolicy(CoalesceByFilter))
 	if err != nil {
-		t.Fatalf("NewCore with delivery defaults: %v", err)
+		t.Fatalf("newCore with delivery defaults: %v", err)
 	}
 	defer b.Close()
 	if _, err := b.SubscribeChan(1, filter.Range("price", 0, 100)); err != nil {
@@ -329,17 +362,17 @@ func TestBrokerDeliveryDefaultsFromConstructor(t *testing.T) {
 		t.Fatalf("subscriber 2 stats %+v, want override depth=9, default coalesce", st2)
 	}
 	// Invalid combination is rejected at construction.
-	if _, err := NewCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4},
+	if _, err := newCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4},
 		WithQueueDepth(0)); err == nil {
-		t.Fatalf("NewCore accepted queue depth 0")
+		t.Fatalf("newCore accepted queue depth 0")
 	}
 }
 
 func TestUpdateFilterMemoryOnly(t *testing.T) {
 	// UpdateFilter works without a store too (memory-only broker).
-	b, err := NewCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 2, MaxFanout: 4})
+	b, err := newCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
-		t.Fatalf("NewCore: %v", err)
+		t.Fatalf("newCore: %v", err)
 	}
 	defer b.Close()
 	ch, err := b.SubscribeChan(1, filter.Range("price", 0, 10))
@@ -391,10 +424,10 @@ func BenchmarkRecover100k(b *testing.B) {
 			if err != nil {
 				b.Fatalf("OpenWAL: %v", err)
 			}
-			seedBroker, err := NewCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 4, MaxFanout: 16},
+			seedBroker, err := newCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 4, MaxFanout: 16},
 				WithStore(w), WithGateways(64), WithSnapshotEvery(0))
 			if err != nil {
-				b.Fatalf("NewCore: %v", err)
+				b.Fatalf("newCore: %v", err)
 			}
 			for i := 1; i <= 100_000; i++ {
 				lo := float64(i % 1000)
@@ -415,10 +448,10 @@ func BenchmarkRecover100k(b *testing.B) {
 				if err != nil {
 					b.Fatalf("reopen: %v", err)
 				}
-				nb, err := NewCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 4, MaxFanout: 16},
+				nb, err := newCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 4, MaxFanout: 16},
 					WithStore(rw), WithGateways(64), WithSnapshotEvery(0))
 				if err != nil {
-					b.Fatalf("NewCore: %v", err)
+					b.Fatalf("newCore: %v", err)
 				}
 				st, err := nb.Recover()
 				if err != nil {
