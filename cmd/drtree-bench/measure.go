@@ -20,10 +20,8 @@ import (
 )
 
 // newTree builds the sequential engine the suites measure on.
-// PublishWorkers is pinned to 1: the parallel path's per-worker scratch
-// would make allocs/event depend on the machine's core count.
 func newTree() (*core.Tree, error) {
-	return core.New(core.Params{MinFanout: 2, MaxFanout: 4, PublishWorkers: 1})
+	return core.New(core.Params{MinFanout: 2, MaxFanout: 4})
 }
 
 // arenaCounters records the sequential engine's instance-arena residency

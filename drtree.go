@@ -147,7 +147,6 @@ type openConfig struct {
 	seed       uint64
 	seedSet    bool
 	checkEvery int
-	pubWorkers int
 }
 
 // Option configures Open.
@@ -215,22 +214,6 @@ func WithCheckEvery(rounds int) Option {
 	}
 }
 
-// WithPublishWorkers sets the worker-pool size for EngineCore's batched
-// dissemination (PublishBatch): 0 picks min(GOMAXPROCS, 8) automatically,
-// 1 forces the sequential path, larger values are clamped to 8. Batches
-// disseminate in parallel over the arena's read-only routing state and
-// merge deterministically, so deliveries are byte-identical at every
-// setting. Other engines ignore it.
-func WithPublishWorkers(n int) Option {
-	return func(c *openConfig) error {
-		if n < 0 {
-			return fmt.Errorf("drtree: PublishWorkers must be >= 0, got %d", n)
-		}
-		c.pubWorkers = n
-		return nil
-	}
-}
-
 // Open builds a DR-tree overlay engine from functional options:
 //
 //	eng, err := drtree.Open(drtree.WithEngine(drtree.EngineProto),
@@ -249,11 +232,10 @@ func Open(opts ...Option) (Engine, error) {
 	switch cfg.kind {
 	case EngineCore:
 		return core.New(core.Params{
-			MinFanout:      cfg.minFanout,
-			MaxFanout:      cfg.maxFanout,
-			Split:          cfg.split,
-			Election:       cfg.election,
-			PublishWorkers: cfg.pubWorkers,
+			MinFanout: cfg.minFanout,
+			MaxFanout: cfg.maxFanout,
+			Split:     cfg.split,
+			Election:  cfg.election,
 		})
 	case EngineProto:
 		cl, err := proto.NewCluster(proto.Config{

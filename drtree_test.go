@@ -2,7 +2,6 @@ package drtree_test
 
 import (
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,53 +148,6 @@ func TestOpenOptionValidation(t *testing.T) {
 	}
 	if _, ok := neng.(drtree.SteppedEngine); !ok {
 		t.Error("proto engine must expose the stepped capability")
-	}
-
-	if _, err := drtree.Open(drtree.WithPublishWorkers(-1)); err == nil {
-		t.Error("negative publish worker count must be rejected")
-	}
-}
-
-// TestFacadePublishWorkers drives the parallel disseminator through the
-// public facade and checks it delivers identically to the sequential
-// path.
-func TestFacadePublishWorkers(t *testing.T) {
-	build := func(workers int) (drtree.Engine, []drtree.Delivery) {
-		var deliveries []drtree.Delivery
-		t.Helper()
-		eng, err := drtree.Open(drtree.WithFanout(2, 4), drtree.WithPublishWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= 60; i++ {
-			f := i % 10
-			r, err := drtree.NewRect([]float64{float64(f * 10), 0}, []float64{float64(f*10 + 15), 100})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Join(drtree.ProcID(i), r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		batch := make([]drtree.Publication, 32)
-		for k := range batch {
-			batch[k] = drtree.Publication{Producer: drtree.ProcID(1 + k%60), Event: []float64{float64(k * 3 % 100), 50}}
-		}
-		deliveries, err = eng.PublishBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng, deliveries
-	}
-	seqEng, seq := build(1)
-	defer seqEng.Close()
-	parEng, par := build(4)
-	defer parEng.Close()
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel deliveries diverge from sequential:\n%+v\nvs\n%+v", par, seq)
-	}
-	if err := parEng.CheckLegal(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -8,13 +8,12 @@ import (
 )
 
 // TestArenaChurnHandleRecycling is the free-list aliasing property test:
-// under sustained Join / Leave / Crash / UpdateFilter churn with the
-// parallel disseminator active, a recycled handle must never be reachable
-// from two process tables at once, and the arena's live/free accounting
-// must match the process tables exactly. The invariants are asserted both
-// by direct sweeps here and by the arena-coherence section of CheckLegal.
-// Run under -race this also certifies that publishing between churn
-// operations never races the recycling.
+// under sustained Join / Leave / Crash / UpdateFilter churn with batches
+// published in between (which fill and re-verify the handle caches), a
+// recycled handle must never be reachable from two process tables at
+// once, and the arena's live/free accounting must match the process
+// tables exactly. The invariants are asserted both by direct sweeps here
+// and by the arena-coherence section of CheckLegal.
 func TestArenaChurnHandleRecycling(t *testing.T) {
 	seeds := []uint64{1, 7, 42}
 	if testing.Short() {
@@ -22,7 +21,7 @@ func TestArenaChurnHandleRecycling(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewPCG(seed, seed*31))
-		tr := MustNew(Params{MinFanout: 2, MaxFanout: 4, PublishWorkers: 4})
+		tr := MustNew(Params{MinFanout: 2, MaxFanout: 4})
 		live := map[ProcID]bool{}
 		next := ProcID(1)
 		join := func() {

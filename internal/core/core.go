@@ -55,20 +55,13 @@ type Params struct {
 	// LargestMBR, the paper's rule (Figure 6).
 	Election Election
 	// TrackReorgStats enables the per-instance false-positive counters
-	// that drive the dynamic reorganization of §3.2. Tracking forces
-	// PublishBatch onto the sequential path (the counters are not
-	// mergeable across workers).
+	// that drive the dynamic reorganization of §3.2.
 	TrackReorgStats bool
 	// DisableCoverRule turns off the Is_Better_MBR_Cover exchanges (the
 	// CHECK_COVER module and its eager equivalents in the join path).
 	// Only for the root-election ablation (experiment E9); the paper's
 	// protocol always runs the cover rule.
 	DisableCoverRule bool
-	// PublishWorkers bounds the worker pool PublishBatch disseminates
-	// with: 0 picks min(GOMAXPROCS, 8), 1 forces the sequential path,
-	// and any other value is clamped to [1, 8]. Deliveries are identical
-	// either way; only wall-clock changes.
-	PublishWorkers int
 }
 
 func (p Params) withDefaults() Params {
@@ -88,9 +81,6 @@ func (p Params) validate() error {
 	if p.MaxFanout < 2*p.MinFanout {
 		return fmt.Errorf("core: MaxFanout must be >= 2*MinFanout (got m=%d, M=%d)",
 			p.MinFanout, p.MaxFanout)
-	}
-	if p.PublishWorkers < 0 {
-		return fmt.Errorf("core: PublishWorkers must be >= 0, got %d", p.PublishWorkers)
 	}
 	return nil
 }
@@ -222,8 +212,8 @@ type Tree struct {
 	// (drained by repair and stabilization passes).
 	pendingFragments []fragment
 
-	// pub is the sequential publish scratch state, reused across events
-	// so dissemination stays allocation-free (see pubCtx).
+	// pub is the publish scratch state, reused across events so
+	// dissemination stays allocation-free (see pubCtx).
 	pub pubCtx
 }
 
@@ -345,16 +335,6 @@ func (t *Tree) kidHandle(x Handle, i int, c ProcID, h int) Handle {
 	ch = t.at(c, h)
 	t.ar.kidH[x][i] = ch
 	return ch
-}
-
-// kidHandleRO is kidHandle without the write-back, for the read-only
-// traversals of the parallel disseminator.
-func (t *Tree) kidHandleRO(x Handle, i int, c ProcID, h int) Handle {
-	ch := t.ar.kidH[x][i]
-	if t.liveH(ch, c, h) {
-		return ch
-	}
-	return t.at(c, h)
 }
 
 // instance returns a read-only snapshot of process id's instance at

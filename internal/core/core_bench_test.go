@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -82,5 +83,34 @@ func BenchmarkCheckLegalN1000(b *testing.B) {
 		if err := tr.CheckLegal(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPublishBatch is the before-row for any proposal to change how
+// PublishBatch disseminates: population n × batch size b over uniform
+// 15×15 filters, one PublishBatch per iteration, reported per event.
+func BenchmarkPublishBatch(b *testing.B) {
+	for _, n := range []int{16, 1000, 10000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			tr, rng := benchTree(b, n, split.Quadratic{})
+			ids := tr.ProcIDs()
+			for _, size := range []int{16, 64, 256, 1024} {
+				batch := make([]Publication, size)
+				for k := range batch {
+					batch[k] = Publication{
+						Producer: ids[rng.IntN(len(ids))],
+						Event:    geom.Point{rng.Float64() * 1000, rng.Float64() * 1000},
+					}
+				}
+				b.Run(fmt.Sprintf("b%d", size), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := tr.PublishBatch(batch); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/event")
+				})
+			}
+		})
 	}
 }

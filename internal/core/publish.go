@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"drtree/internal/geom"
 )
@@ -33,11 +31,9 @@ type Delivery struct {
 	Rounds int
 }
 
-// pubCtx is the per-disseminator scratch state: a slot-indexed
-// generation-stamp table for O(1) per-event dedup and the receiver
-// accumulator. The sequential engine owns one (Tree.pub); the parallel
-// batch disseminator gives each worker its own, so traversals never
-// share mutable state.
+// pubCtx is the tree's dissemination scratch state (Tree.pub): a
+// slot-indexed generation-stamp table for O(1) per-event dedup and the
+// receiver accumulator.
 //
 // Stamps are monotonic int64 generations and are never cleared: a slot
 // recycled to a new process still holds a stamp strictly below every
@@ -49,7 +45,7 @@ type pubCtx struct {
 }
 
 // receive records the physical delivery of the current event to process
-// id (idempotent within the context's generation).
+// id (idempotent within the current generation).
 func (st *pubCtx) receive(id ProcID, sl int32) {
 	if st.stamp[sl] == st.gen {
 		return
@@ -80,7 +76,7 @@ func (t *Tree) Publish(producer ProcID, ev geom.Point) (Delivery, error) {
 	t.pub.grow(t.nslots)
 	t.pub.gen++
 	t.pub.ids = t.pub.ids[:0]
-	t.disseminate(producer, ev, &d, &t.pub, true)
+	t.disseminate(producer, ev, &d)
 
 	// Exactly three result allocations: receivers, then true and false
 	// positives at their exact sizes (counted up front).
@@ -114,23 +110,18 @@ func (t *Tree) Publish(producer ProcID, ev geom.Point) (Delivery, error) {
 }
 
 // disseminate runs one event through the overlay, recording receivers in
-// st.ids (unsorted) and the message/visit counters in d. Callers
-// materialize the Delivery slices from st.ids afterwards and account the
-// per-process delivery counters while classifying.
-//
-// rw selects the cache discipline: true lets the traversal write back
-// resolved parentH/kidH handles (the sequential path); false keeps the
-// tree strictly read-only so concurrent workers can traverse it
-// simultaneously (caches are pre-warmed by prepareRoutingCaches, misses
-// fall back to the process map without writing).
-func (t *Tree) disseminate(producer ProcID, ev geom.Point, d *Delivery, st *pubCtx, rw bool) {
+// t.pub.ids (unsorted) and the message/visit counters in d. Callers
+// materialize the Delivery slices from t.pub.ids afterwards and account
+// the per-process delivery counters while classifying. The traversal
+// writes resolved parentH/kidH handles back into the arena's caches.
+func (t *Tree) disseminate(producer ProcID, ev geom.Point, d *Delivery) {
 	p := t.procs[producer]
 
 	// The producer trivially receives its own event.
-	st.receive(producer, p.slot)
+	t.pub.receive(producer, p.slot)
 
 	// Descend into the producer's own subtree from its topmost instance.
-	t.descendEv(p.at(p.Top), producer, p.Top, ev, d, st, rw)
+	t.descendEv(p.at(p.Top), producer, p.Top, ev, d)
 
 	// Climb to the root; at each parent, fan out into sibling subtrees
 	// whose MBR contains the event.
@@ -149,13 +140,11 @@ func (t *Tree) disseminate(producer ProcID, ev geom.Point, d *Delivery, st *pubC
 			d.Messages++
 		}
 		d.InstanceVisits++
-		st.receive(parent, pp.slot)
+		t.pub.receive(parent, pp.slot)
 		px := t.ar.parentH[x]
 		if !t.liveH(px, parent, h+1) {
 			px = pp.at(h + 1)
-			if rw {
-				t.ar.parentH[x] = px
-			}
+			t.ar.parentH[x] = px
 		}
 		if t.params.TrackReorgStats {
 			t.noteSeen(px, parent, ev)
@@ -168,12 +157,7 @@ func (t *Tree) disseminate(producer ProcID, ev geom.Point, d *Delivery, st *pubC
 			if c == cur {
 				continue
 			}
-			var ch Handle
-			if rw {
-				ch = t.kidHandle(px, i, c, h)
-			} else {
-				ch = t.kidHandleRO(px, i, c, h)
-			}
+			ch := t.kidHandle(px, i, c, h)
 			if ch == nilH || !t.ar.mbr[ch].ContainsPoint(ev) {
 				continue
 			}
@@ -181,8 +165,8 @@ func (t *Tree) disseminate(producer ProcID, ev geom.Point, d *Delivery, st *pubC
 				d.Messages++
 			}
 			d.InstanceVisits++
-			st.receive(c, t.ar.slot[ch])
-			t.descendEv(ch, c, h, ev, d, st, rw)
+			t.pub.receive(c, t.ar.slot[ch])
+			t.descendEv(ch, c, h, ev, d)
 		}
 		cur, h, x = parent, h+1, px
 	}
@@ -203,13 +187,6 @@ type Publication struct {
 // once, the per-tree dissemination scratch stays hot, and the result
 // slices of the whole batch share three backing arrays instead of
 // allocating three per event.
-//
-// With Params.PublishWorkers > 1 and a batch large enough to feed the
-// pool, dissemination runs on a bounded worker pool: the tree is
-// traversed strictly read-only, each worker owns its stamp table and
-// receiver arena, events are assigned round-robin (deterministically),
-// and the per-worker arenas are merged and classified sequentially —
-// so the results are byte-identical to the sequential path.
 func (t *Tree) PublishBatch(batch []Publication) ([]Delivery, error) {
 	out := make([]Delivery, len(batch))
 	if len(batch) == 0 {
@@ -225,11 +202,6 @@ func (t *Tree) PublishBatch(batch []Publication) ([]Delivery, error) {
 		}
 	}
 
-	if w := t.publishWorkers(); w > 1 && len(batch) >= 2*w && !t.params.TrackReorgStats {
-		t.publishBatchParallel(batch, out, w)
-		return out, nil
-	}
-
 	// One receiver arena for the whole batch: segments are cut after the
 	// dissemination loop because append may move the backing array.
 	t.pub.grow(t.nslots)
@@ -238,78 +210,12 @@ func (t *Tree) PublishBatch(batch []Publication) ([]Delivery, error) {
 	for i := range batch {
 		t.pub.gen++
 		t.pub.ids = t.pub.ids[:0]
-		t.disseminate(batch[i].Producer, batch[i].Event, &out[i], &t.pub, true)
+		t.disseminate(batch[i].Producer, batch[i].Event, &out[i])
 		arena = append(arena, t.pub.ids...)
 		offs[i+1] = len(arena)
 	}
 	t.classifySegments(batch, out, arena, offs)
 	return out, nil
-}
-
-// publishWorkers resolves Params.PublishWorkers: 0 is min(GOMAXPROCS, 8)
-// and every value is clamped to [1, 8].
-func (t *Tree) publishWorkers() int {
-	w := t.params.PublishWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return min(max(w, 1), 8)
-}
-
-// publishBatchParallel fans the batch out over w workers. Worker k
-// disseminates events k, k+w, k+2w, ... with its own pubCtx against the
-// read-only tree, accumulating receivers in a per-worker arena with one
-// offset per event; generations are allocated disjointly per event
-// (base+index+1), so a worker's stamp table distinguishes its events
-// without clearing. The merge phase stitches the per-worker arenas back
-// into batch order and runs the same classification as the sequential
-// path, which also applies the per-process delivery counters — workers
-// never mutate shared state.
-func (t *Tree) publishBatchParallel(batch []Publication, out []Delivery, w int) {
-	t.prepareRoutingCaches()
-	base := t.pub.gen
-	n := len(batch)
-	type wres struct {
-		ids  []ProcID
-		offs []int32
-	}
-	res := make([]wres, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			st := pubCtx{stamp: make([]int64, t.nslots)}
-			r := &res[k]
-			r.offs = make([]int32, 0, (n-k+w-1)/w)
-			for i := k; i < n; i += w {
-				st.gen = base + int64(i) + 1
-				t.disseminate(batch[i].Producer, batch[i].Event, &out[i], &st, false)
-				r.offs = append(r.offs, int32(len(st.ids)))
-			}
-			r.ids = st.ids
-		}(k)
-	}
-	wg.Wait()
-	t.pub.gen = base + int64(n)
-
-	offs := make([]int, n+1)
-	total := 0
-	for k := range res {
-		total += len(res[k].ids)
-	}
-	arena := make([]ProcID, 0, total)
-	for i := 0; i < n; i++ {
-		r := &res[i%w]
-		ord := i / w
-		lo := int32(0)
-		if ord > 0 {
-			lo = r.offs[ord-1]
-		}
-		arena = append(arena, r.ids[lo:r.offs[ord]]...)
-		offs[i+1] = len(arena)
-	}
-	t.classifySegments(batch, out, arena, offs)
 }
 
 // classifySegments sorts each event's receiver segment, classifies the
@@ -345,32 +251,9 @@ func (t *Tree) classifySegments(batch []Publication, out []Delivery, arena []Pro
 	}
 }
 
-// prepareRoutingCaches resolves every parentH and kidH cache entry so the
-// read-only traversals of the parallel disseminator run without cache
-// writes (and almost never fall back to the process map).
-func (t *Tree) prepareRoutingCaches() {
-	for _, p := range t.procs {
-		for h, x := range p.inst {
-			if x == nilH {
-				continue
-			}
-			if par := t.ar.parent[x]; !t.liveH(t.ar.parentH[x], par, h+1) {
-				t.ar.parentH[x] = t.at(par, h+1)
-			}
-			kids := t.ar.kids[x]
-			kidH := t.ar.kidH[x]
-			for i, c := range kids {
-				if !t.liveH(kidH[i], c, h-1) {
-					kidH[i] = t.at(c, h-1)
-				}
-			}
-		}
-	}
-}
-
 // descendEv forwards the event down from instance x = (id, h) into every
 // child whose MBR contains it.
-func (t *Tree) descendEv(x Handle, id ProcID, h int, ev geom.Point, d *Delivery, st *pubCtx, rw bool) {
+func (t *Tree) descendEv(x Handle, id ProcID, h int, ev geom.Point, d *Delivery) {
 	if h == 0 || x == nilH {
 		return
 	}
@@ -379,12 +262,7 @@ func (t *Tree) descendEv(x Handle, id ProcID, h int, ev geom.Point, d *Delivery,
 	}
 	kids := t.ar.kids[x]
 	for i, c := range kids {
-		var ch Handle
-		if rw {
-			ch = t.kidHandle(x, i, c, h-1)
-		} else {
-			ch = t.kidHandleRO(x, i, c, h-1)
-		}
+		ch := t.kidHandle(x, i, c, h-1)
 		if ch == nilH || !t.ar.mbr[ch].ContainsPoint(ev) {
 			continue
 		}
@@ -392,8 +270,8 @@ func (t *Tree) descendEv(x Handle, id ProcID, h int, ev geom.Point, d *Delivery,
 			d.Messages++
 		}
 		d.InstanceVisits++
-		st.receive(c, t.ar.slot[ch])
-		t.descendEv(ch, c, h-1, ev, d, st, rw)
+		t.pub.receive(c, t.ar.slot[ch])
+		t.descendEv(ch, c, h-1, ev, d)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -322,6 +323,114 @@ func TestSingleDaemonRPCLifecycle(t *testing.T) {
 	}
 	if err := cl.Unsubscribe(1); err == nil {
 		t.Fatal("double unsubscribe must be refused")
+	}
+}
+
+// frontPeer is one client connection as TestCrossSessionUnsubscribe
+// drives it, over either front end. event returns the next delivery's
+// subscriber and price.
+type frontPeer struct {
+	subscribe   func(id int64, expr string) error
+	unsubscribe func(id int64) error
+	publish     func(producer int64, ev filter.Event) error
+	event       func() (int64, float64)
+}
+
+func rpcPeer(t *testing.T, d *Daemon) frontPeer {
+	cl := dialDaemon(t, d)
+	return frontPeer{cl.Subscribe, cl.Unsubscribe, cl.Publish, func() (int64, float64) {
+		select {
+		case e := <-cl.Events():
+			return e.Subscriber, e.Event["price"]
+		case <-time.After(10 * time.Second):
+			t.Fatal("no delivery")
+			return 0, 0
+		}
+	}}
+}
+
+// wsPeer reads on the caller's goroutine: call waits for the ack of its
+// request and keeps the event frames that arrive before it.
+func wsPeer(t *testing.T, d *Daemon) frontPeer {
+	c, err := ws.Dial("ws://"+d.HTTPAddr()+"/ws", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	var events []wsReply
+	read := func() wsReply {
+		t.Helper()
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, payload, err := c.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep wsReply
+		if err := json.Unmarshal(payload, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	call := func(req wsRequest) error {
+		t.Helper()
+		buf, _ := json.Marshal(req)
+		if err := c.WriteText(buf); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			switch rep := read(); rep.Op {
+			case "event":
+				events = append(events, rep)
+			case "error":
+				return fmt.Errorf("%s", rep.Error)
+			default:
+				return nil
+			}
+		}
+	}
+	return frontPeer{
+		func(id int64, expr string) error { return call(wsRequest{Op: "subscribe", ID: id, Filter: expr}) },
+		func(id int64) error { return call(wsRequest{Op: "unsubscribe", ID: id}) },
+		func(producer int64, ev filter.Event) error {
+			return call(wsRequest{Op: "publish", Producer: producer, Event: ev})
+		},
+		func() (int64, float64) {
+			if len(events) == 0 {
+				events = append(events, read())
+			}
+			e := events[0]
+			events = events[1:]
+			return e.ID, e.Event["price"]
+		},
+	}
+}
+
+// TestCrossSessionUnsubscribe pins the session trust boundary on both
+// front ends: a subscription is ended only by the session that owns it.
+func TestCrossSessionUnsubscribe(t *testing.T) {
+	for name, dial := range map[string]func(*testing.T, *Daemon) frontPeer{"rpc": rpcPeer, "ws": wsPeer} {
+		t.Run(name, func(t *testing.T) {
+			d := startCluster(t, 1)[0]
+			a, b := dial(t, d), dial(t, d)
+			if err := a.subscribe(7, "price in [10, 20] && volume in [0, 100]"); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.unsubscribe(7); err == nil || !strings.Contains(err.Error(), "7") {
+				t.Fatalf("unsubscribe of another session's subscription: got %v, want an error naming 7", err)
+			}
+			if err := a.publish(7, filter.Event{"price": 15, "volume": 5}); err != nil {
+				t.Fatal(err)
+			}
+			if sub, price := a.event(); sub != 7 || price != 15 {
+				t.Fatalf("owner received (%d, %v) after the refused unsubscribe, want (7, 15)", sub, price)
+			}
+			if err := a.unsubscribe(7); err != nil {
+				t.Fatalf("owner's unsubscribe: %v", err)
+			}
+			if n := d.Broker().Len(); n != 0 {
+				t.Fatalf("%d subscriptions left after the owner unsubscribed", n)
+			}
+		})
 	}
 }
 

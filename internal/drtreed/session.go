@@ -8,6 +8,7 @@ package drtreed
 // and the function that flushes it.
 
 import (
+	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
@@ -138,7 +139,12 @@ func (s *session) attach(id core.ProcID) error {
 	return err
 }
 
+// unsubscribe drops id, which this session must have subscribed or
+// attached: another session's subscription is not this client's to end.
 func (s *session) unsubscribe(id core.ProcID) error {
+	if !s.owned[id] {
+		return fmt.Errorf("drtreed: subscription %d is not owned by this session", id)
+	}
 	err := s.d.broker.Unsubscribe(id)
 	if err == nil {
 		delete(s.owned, id)

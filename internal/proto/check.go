@@ -1,28 +1,43 @@
 package proto
 
+// The omniscient observer both runtimes share: legality, the receipt
+// census that ends a publish and the transient-fault injectors all read
+// or write the nodes' local states directly.
+
 import (
 	"fmt"
+	"slices"
 
 	"drtree/internal/core"
 	"drtree/internal/geom"
 )
 
-// CheckLegal verifies Definition 3.1 on the distributed configuration,
+// sortedIDs returns the keys of a process-indexed map, ascending.
+func sortedIDs[V any](m map[core.ProcID]V) []core.ProcID {
+	out := make([]core.ProcID, 0, len(m))
+	for id := range m {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// checkLegal verifies Definition 3.1 on the distributed configuration,
 // reading only the nodes' local states (as an omniscient observer):
 // unique root, mutual parent/children coherence, degree bounds, own-child
 // chains, contiguous instance chains, MBR coherence against the actual
 // child MBRs, and reachability of every live process. The cover condition
 // is repaired by the sequential engine's CHECK_COVER and is not part of
 // the wire protocol's legality (see DESIGN.md).
-func (c *Cluster) CheckLegal() error {
-	if len(c.nodes) == 0 {
+func checkLegal(cfg Config, nodes map[core.ProcID]*Node) error {
+	if len(nodes) == 0 {
 		return nil
 	}
 	// Exactly one root: a topmost, self-parented instance.
 	rootID := core.NoProc
 	rootH := -1
-	for _, id := range c.IDs() {
-		n := c.nodes[id]
+	for _, id := range sortedIDs(nodes) {
+		n := nodes[id]
 		in := n.at(n.top)
 		if in == nil {
 			return fmt.Errorf("proto: node %d missing its topmost instance", id)
@@ -38,11 +53,11 @@ func (c *Cluster) CheckLegal() error {
 		return fmt.Errorf("proto: no root instance")
 	}
 
-	m, M := c.cfg.MinFanout, c.cfg.MaxFanout
+	m, M := cfg.MinFanout, cfg.MaxFanout
 	reached := make(map[core.ProcID]bool)
 	var walk func(id core.ProcID, h int) (geom.Rect, error)
 	walk = func(id core.ProcID, h int) (geom.Rect, error) {
-		n := c.nodes[id]
+		n := nodes[id]
 		if n == nil {
 			return geom.Rect{}, fmt.Errorf("proto: dead process %d referenced at height %d", id, h)
 		}
@@ -61,7 +76,7 @@ func (c *Cluster) CheckLegal() error {
 		if !isRoot && in.numChildren() < m {
 			return geom.Rect{}, fmt.Errorf("proto: node (%d,%d) underflows: %d < m=%d", id, h, in.numChildren(), m)
 		}
-		if isRoot && len(c.nodes) > 1 && in.numChildren() < 2 {
+		if isRoot && len(nodes) > 1 && in.numChildren() < 2 {
 			return geom.Rect{}, fmt.Errorf("proto: root (%d,%d) has %d children, want >= 2", id, h, in.numChildren())
 		}
 		if in.numChildren() > M {
@@ -72,7 +87,7 @@ func (c *Cluster) CheckLegal() error {
 		}
 		var union geom.Rect
 		for _, ch := range in.childID {
-			cn := c.nodes[ch]
+			cn := nodes[ch]
 			if cn == nil {
 				return geom.Rect{}, fmt.Errorf("proto: node (%d,%d) lists dead child %d", id, h, ch)
 			}
@@ -109,10 +124,10 @@ func (c *Cluster) CheckLegal() error {
 	if _, err := walk(rootID, rootH); err != nil {
 		return err
 	}
-	if len(reached) != len(c.nodes) {
-		return fmt.Errorf("proto: only %d of %d processes reachable from the root", len(reached), len(c.nodes))
+	if len(reached) != len(nodes) {
+		return fmt.Errorf("proto: only %d of %d processes reachable from the root", len(reached), len(nodes))
 	}
-	for id, n := range c.nodes {
+	for id, n := range nodes {
 		for h := 0; h <= n.top; h++ {
 			if n.at(h) == nil {
 				return fmt.Errorf("proto: node %d chain gap at %d", id, h)
@@ -151,4 +166,62 @@ func (c *Cluster) Describe() string {
 		out += "\n"
 	}
 	return out
+}
+
+// census fills in who received each event of a drained batch: every
+// node, in ascending pids order, whose seen set holds the event's ID,
+// classified by its filter.
+func census(out []core.Delivery, batch []core.Publication, ids []int64, pids []core.ProcID, node func(core.ProcID) *Node) {
+	for i := range batch {
+		d := &out[i]
+		for _, pid := range pids {
+			n := node(pid)
+			if !n.seen.has(ids[i]) {
+				continue
+			}
+			d.Received = append(d.Received, pid)
+			if n.filter.ContainsPoint(batch[i].Event) {
+				d.TruePositives = append(d.TruePositives, pid)
+			} else {
+				d.FalsePositives = append(d.FalsePositives, pid)
+			}
+		}
+	}
+}
+
+// faults is the transient-fault surface of experiment E5 (the paper's
+// fault model: parent, children, MBR, underloaded are all corruptible),
+// embedded by both runtimes. apply runs fn on the instance (id, h) under
+// whatever exclusion the runtime needs.
+type faults struct {
+	apply func(id core.ProcID, h int, fn func(*instance)) error
+}
+
+// corruptNode applies fn to n's instance at height h.
+func corruptNode(n *Node, id core.ProcID, h int, fn func(*instance)) error {
+	if n == nil || n.at(h) == nil {
+		return fmt.Errorf("proto: no instance (%d,%d)", id, h)
+	}
+	fn(n.at(h))
+	return nil
+}
+
+// CorruptParent overwrites the local parent variable of (id, h).
+func (f faults) CorruptParent(id core.ProcID, h int, parent core.ProcID) error {
+	return f.apply(id, h, func(in *instance) { in.parent = parent })
+}
+
+// CorruptChildren replaces the local children set of (id, h).
+func (f faults) CorruptChildren(id core.ProcID, h int, children []core.ProcID) error {
+	return f.apply(id, h, func(in *instance) { in.setChildren(children, nil) })
+}
+
+// CorruptMBR overwrites the local MBR of (id, h).
+func (f faults) CorruptMBR(id core.ProcID, h int, mbr geom.Rect) error {
+	return f.apply(id, h, func(in *instance) { in.mbr = mbr })
+}
+
+// CorruptUnderloaded flips the local underloaded flag of (id, h).
+func (f faults) CorruptUnderloaded(id core.ProcID, h int) error {
+	return f.apply(id, h, func(in *instance) { in.underloaded = !in.underloaded })
 }

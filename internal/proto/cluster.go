@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"slices"
 
 	"drtree/internal/core"
 	"drtree/internal/geom"
@@ -14,6 +13,7 @@ import (
 // messages, let every node process its inbox, fire the periodic CHECK_*
 // timers every Config.CheckEvery rounds, and collect outboxes.
 type Cluster struct {
+	faults
 	cfg   Config
 	net   *simnet.Network
 	nodes map[core.ProcID]*Node
@@ -30,12 +30,20 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.MaxFanout < 2*cfg.MinFanout {
 		return nil, fmt.Errorf("proto: MaxFanout must be >= 2*MinFanout")
 	}
-	return &Cluster{
+	c := &Cluster{
 		cfg:   cfg,
 		net:   simnet.New(),
 		nodes: make(map[core.ProcID]*Node),
-	}, nil
+	}
+	c.faults.apply = func(id core.ProcID, h int, fn func(*instance)) error {
+		return corruptNode(c.nodes[id], id, h, fn)
+	}
+	return c, nil
 }
+
+// CheckLegal verifies Definition 3.1 on the nodes' local states (see
+// checkLegal).
+func (c *Cluster) CheckLegal() error { return checkLegal(c.cfg, c.nodes) }
 
 // Len returns the live population.
 func (c *Cluster) Len() int { return len(c.nodes) }
@@ -103,14 +111,7 @@ func (c *Cluster) Filter(id core.ProcID) (geom.Rect, bool) {
 func (c *Cluster) Node(id core.ProcID) *Node { return c.nodes[id] }
 
 // IDs returns live process IDs, ascending.
-func (c *Cluster) IDs() []core.ProcID {
-	out := make([]core.ProcID, 0, len(c.nodes))
-	for id := range c.nodes {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
+func (c *Cluster) IDs() []core.ProcID { return sortedIDs(c.nodes) }
 
 // ProcIDs returns live process IDs, ascending (the Engine-interface name
 // for IDs).
@@ -391,25 +392,10 @@ func (c *Cluster) PublishBatch(batch []core.Publication) ([]core.Delivery, error
 			}
 		}
 	}
-	rounds := c.round - start
-	idList := c.IDs()
-	for i := range batch {
-		d := &out[i]
-		d.Rounds = rounds
-		d.Messages = msgs[i]
-		for _, pid := range idList {
-			node := c.nodes[pid]
-			if !node.seen.has(ids[i]) {
-				continue
-			}
-			d.Received = append(d.Received, pid)
-			if node.filter.ContainsPoint(batch[i].Event) {
-				d.TruePositives = append(d.TruePositives, pid)
-			} else {
-				d.FalsePositives = append(d.FalsePositives, pid)
-			}
-		}
+	for i := range out {
+		out[i].Rounds, out[i].Messages = c.round-start, msgs[i]
 	}
+	census(out, batch, ids, c.IDs(), func(id core.ProcID) *Node { return c.nodes[id] })
 	return out, nil
 }
 
@@ -434,47 +420,4 @@ func eventIDOf(payload any) int64 {
 func (c *Cluster) Stabilize() core.StabReport {
 	rounds, ok := c.RunUntilStable(c.budget(c.cfg.StabilizeBudget))
 	return core.StabReport{Rounds: rounds, Converged: ok}
-}
-
-// Corruption helpers for experiment E5 (the paper's transient fault
-// model: parent, children, MBR, underloaded are all corruptible).
-
-// CorruptParent overwrites the local parent variable of (id, h).
-func (c *Cluster) CorruptParent(id core.ProcID, h int, parent core.ProcID) error {
-	n := c.nodes[id]
-	if n == nil || n.at(h) == nil {
-		return fmt.Errorf("proto: no instance (%d,%d)", id, h)
-	}
-	n.at(h).parent = parent
-	return nil
-}
-
-// CorruptChildren replaces the local children set of (id, h).
-func (c *Cluster) CorruptChildren(id core.ProcID, h int, children []core.ProcID) error {
-	n := c.nodes[id]
-	if n == nil || n.at(h) == nil {
-		return fmt.Errorf("proto: no instance (%d,%d)", id, h)
-	}
-	n.at(h).setChildren(children, nil)
-	return nil
-}
-
-// CorruptMBR overwrites the local MBR of (id, h).
-func (c *Cluster) CorruptMBR(id core.ProcID, h int, mbr geom.Rect) error {
-	n := c.nodes[id]
-	if n == nil || n.at(h) == nil {
-		return fmt.Errorf("proto: no instance (%d,%d)", id, h)
-	}
-	n.at(h).mbr = mbr
-	return nil
-}
-
-// CorruptUnderloaded flips the local underloaded flag of (id, h).
-func (c *Cluster) CorruptUnderloaded(id core.ProcID, h int) error {
-	n := c.nodes[id]
-	if n == nil || n.at(h) == nil {
-		return fmt.Errorf("proto: no instance (%d,%d)", id, h)
-	}
-	n.at(h).underloaded = !n.at(h).underloaded
-	return nil
 }

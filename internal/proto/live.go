@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -24,6 +23,7 @@ import (
 // use the deterministic Cluster, and the live runtime demonstrates that
 // the actor logic is schedule-independent.
 type LiveCluster struct {
+	faults
 	cfg Config
 
 	mu     sync.Mutex
@@ -70,11 +70,13 @@ func NewLiveCluster(cfg Config) (*LiveCluster, error) {
 	if cfg.MinFanout < 1 || cfg.MaxFanout < 2*cfg.MinFanout {
 		return nil, fmt.Errorf("proto: invalid fanout bounds m=%d M=%d", cfg.MinFanout, cfg.MaxFanout)
 	}
-	return &LiveCluster{
+	lc := &LiveCluster{
 		cfg:         cfg,
 		actors:      make(map[core.ProcID]*liveActor),
 		msgsByEvent: make(map[int64]int),
-	}, nil
+	}
+	lc.faults.apply = lc.corrupt
+	return lc, nil
 }
 
 // Join spawns a new subscriber actor and routes its JOIN request through
@@ -538,24 +540,11 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	pids := lc.procIDsLocked()
-	for i := range batch {
-		d := &out[i]
-		d.Messages = lc.msgsByEvent[ids[i]]
-		delete(lc.msgsByEvent, ids[i])
-		for _, pid := range pids {
-			n := lc.actors[pid].node
-			if !n.seen.has(ids[i]) {
-				continue
-			}
-			d.Received = append(d.Received, pid)
-			if n.filter.ContainsPoint(batch[i].Event) {
-				d.TruePositives = append(d.TruePositives, pid)
-			} else {
-				d.FalsePositives = append(d.FalsePositives, pid)
-			}
-		}
+	for i, id := range ids {
+		out[i].Messages = lc.msgsByEvent[id]
+		delete(lc.msgsByEvent, id)
 	}
+	census(out, batch, ids, sortedIDs(lc.actors), func(id core.ProcID) *Node { return lc.actors[id].node })
 	return out, nil
 }
 
@@ -613,16 +602,7 @@ func (lc *LiveCluster) RootMBR() geom.Rect {
 func (lc *LiveCluster) ProcIDs() []core.ProcID {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	return lc.procIDsLocked()
-}
-
-func (lc *LiveCluster) procIDsLocked() []core.ProcID {
-	out := make([]core.ProcID, 0, len(lc.actors))
-	for id := range lc.actors {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return sortedIDs(lc.actors)
 }
 
 // Filter returns the subscription rectangle of process id.
@@ -636,39 +616,14 @@ func (lc *LiveCluster) Filter(id core.ProcID) (geom.Rect, bool) {
 	return a.node.filter, true
 }
 
-// corrupt locks the cluster and applies fn to the instance (id, h),
-// mirroring the round-based cluster's transient-fault injectors.
+// corrupt applies a transient fault (see faults) under the cluster lock.
 func (lc *LiveCluster) corrupt(id core.ProcID, h int, fn func(*instance)) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	a := lc.actors[id]
-	if a == nil || a.node.at(h) == nil {
-		return fmt.Errorf("proto: no instance (%d,%d)", id, h)
+	if a := lc.actors[id]; a != nil {
+		return corruptNode(a.node, id, h, fn)
 	}
-	fn(a.node.at(h))
-	return nil
-}
-
-// CorruptParent overwrites the local parent variable of (id, h).
-func (lc *LiveCluster) CorruptParent(id core.ProcID, h int, parent core.ProcID) error {
-	return lc.corrupt(id, h, func(in *instance) { in.parent = parent })
-}
-
-// CorruptChildren replaces the local children set of (id, h).
-func (lc *LiveCluster) CorruptChildren(id core.ProcID, h int, children []core.ProcID) error {
-	return lc.corrupt(id, h, func(in *instance) {
-		in.setChildren(children, nil)
-	})
-}
-
-// CorruptMBR overwrites the local MBR of (id, h).
-func (lc *LiveCluster) CorruptMBR(id core.ProcID, h int, mbr geom.Rect) error {
-	return lc.corrupt(id, h, func(in *instance) { in.mbr = mbr })
-}
-
-// CorruptUnderloaded flips the local underloaded flag of (id, h).
-func (lc *LiveCluster) CorruptUnderloaded(id core.ProcID, h int) error {
-	return lc.corrupt(id, h, func(in *instance) { in.underloaded = !in.underloaded })
+	return corruptNode(nil, id, h, fn)
 }
 
 // AwaitLegal polls until the configuration is legal and no re-join is
@@ -685,19 +640,19 @@ func (lc *LiveCluster) AwaitLegal(timeout time.Duration) error {
 	return fmt.Errorf("proto: live cluster did not become legal: %w", last)
 }
 
-// checkLegalSnapshot freezes the membership and reuses the round-based
-// checker on a snapshot cluster.
+// checkLegalSnapshot freezes the membership and checks it: no re-join
+// pending, and the nodes' local states legal (checkLegal).
 func (lc *LiveCluster) checkLegalSnapshot() error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	snap := &Cluster{cfg: lc.cfg, nodes: make(map[core.ProcID]*Node, len(lc.actors))}
+	nodes := make(map[core.ProcID]*Node, len(lc.actors))
 	for id, a := range lc.actors {
 		if a.node.rejoinPending {
 			return fmt.Errorf("proto: process %d awaiting re-join", id)
 		}
-		snap.nodes[id] = a.node
+		nodes[id] = a.node
 	}
-	return snap.CheckLegal()
+	return checkLegal(lc.cfg, nodes)
 }
 
 // Len returns the live population.

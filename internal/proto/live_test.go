@@ -215,7 +215,7 @@ func interiorNonRoot(t *testing.T, lc *LiveCluster) (core.ProcID, int) {
 	root, _ := lc.Root()
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	for _, id := range lc.procIDsLocked() {
+	for _, id := range sortedIDs(lc.actors) {
 		if n := lc.actors[id].node; id != root && n.top >= 1 {
 			return id, n.top
 		}
@@ -400,7 +400,7 @@ func TestLiveEagerPropagation(t *testing.T) {
 	root, _ := lc.Root()
 	leaf := core.NoProc
 	lc.mu.Lock()
-	for _, id := range lc.procIDsLocked() {
+	for _, id := range sortedIDs(lc.actors) {
 		if n := lc.actors[id].node; n.top == 0 && n.at(0).parent != root {
 			leaf = id
 			break

@@ -317,13 +317,13 @@ func TestGatewayFilterShrinksOnUnsubscribe(t *testing.T) {
 	}
 }
 
-// TestFallbackFailedMoveKeepsMembershipAccurate: when the engine refuses
+// TestRefusedEngineOpKeepsMembershipAccurate: when the engine refuses
 // a gateway's filter move or its join, the Subscribe that needed it
 // fails and nothing else changes — the broker's view of the gateway's
 // membership and filter stays the engine's, existing subscribers keep
 // being served, and the retry against a healed engine goes through with
 // a union covering every local subscription.
-func TestFallbackFailedMoveKeepsMembershipAccurate(t *testing.T) {
+func TestRefusedEngineOpKeepsMembershipAccurate(t *testing.T) {
 	tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -98,11 +98,10 @@ func (b *Broker) retireLocked(gw *gateway) {
 		gw.joined = false
 	}
 	gw.mu.Unlock()
-	if err := b.journalPoolOp(poolRetire, gw.off); err != nil {
-		// The retirement stands in memory either way; the journal is
-		// behind (an extra idle gateway after recovery, nothing worse).
-		_ = err
-	}
+	// The retirement stands in memory either way; on a journal error the
+	// journal is behind (an extra idle gateway after recovery, nothing
+	// worse).
+	_ = b.journalPoolOp(poolRetire, gw.off)
 	if i := slices.Index(b.gws, gw); i >= 0 {
 		b.gws = slices.Delete(b.gws, i, i+1)
 	}
