@@ -11,8 +11,8 @@
 //   - EngineProto — the wire protocol (internal/proto) on a simulated
 //     network with deterministic message rounds, drops, delays and
 //     partitions.
-//   - EngineLive — the same protocol actors as free-running goroutines
-//     with real mailboxes and timers.
+//   - EngineLive — the same protocol actors on one real-time run loop
+//     per cluster: one message queue, one timer.
 //
 // Open builds an engine from functional options; Broker (the
 // content-based publish/subscribe front end) and the drtree-sim /
@@ -123,8 +123,8 @@ const (
 	// EngineProto is the wire protocol on a deterministic simulated
 	// network (rounds, drops, delays, partitions).
 	EngineProto EngineKind = "proto"
-	// EngineLive is the wire protocol as goroutine-per-node actors with
-	// real mailboxes and timers.
+	// EngineLive is the wire protocol's actors on one real-time run loop
+	// (one message queue, one timer): the runtime the daemons ship.
 	EngineLive EngineKind = "live"
 )
 

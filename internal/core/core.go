@@ -251,7 +251,7 @@ func (t *Tree) Params() Params { return t.params }
 
 // Close releases engine resources. The sequential engine holds none; the
 // method exists so Tree satisfies the unified Engine interface alongside
-// the goroutine-backed runtimes.
+// the live runtime, which owns a goroutine.
 func (t *Tree) Close() error { return nil }
 
 // Len returns the number of live processes.

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 
 	"drtree/internal/core"
 	"drtree/internal/filter"
@@ -92,6 +93,7 @@ func (d *Daemon) serveStats(w http.ResponseWriter, _ *http.Request) {
 	stats := struct {
 		Node        int `json:"node"`
 		Subscribers int `json:"subscribers"`
+		Goroutines  int `json:"goroutines"`
 		Transport   any `json:"transport"`
 		Sessions    struct {
 			RPC frontSnapshot `json:"rpc"`
@@ -103,6 +105,7 @@ func (d *Daemon) serveStats(w http.ResponseWriter, _ *http.Request) {
 	}{
 		Node:        d.cfg.Node,
 		Subscribers: d.broker.Len(),
+		Goroutines:  runtime.NumGoroutine(),
 		Transport:   d.tp.Stats(),
 		Overlay:     d.lc.Stats(),
 		Gateways:    d.broker.GatewayStats(),

@@ -71,8 +71,10 @@ type session struct {
 // more ready — one write per burst, and a lone delivery leaves at once.
 // A failed flush (the write deadline of a client that stopped reading
 // included) closes the connection, which ends the session's reader and
-// with it the session. Nil means the daemon is closing: conn has been
-// closed and the session must not start.
+// with it the session; a delivery that notify could not queue flushes
+// too, since under a flood the goroutine is never idle and the failure
+// may be the early write of a full buffer. Nil means the daemon is
+// closing: conn has been closed and the session must not start.
 func (d *Daemon) openSession(conn io.Closer, front *frontStats, notify func(core.ProcID, pubsub.Envelope) error, flush func() error) *session {
 	d.mu.Lock()
 	if d.closed {
@@ -84,12 +86,20 @@ func (d *Daemon) openSession(conn io.Closer, front *frontStats, notify func(core
 	d.closeWG.Add(1)
 	d.mu.Unlock()
 	front.open.Add(1)
-	s := &session{d: d, conn: conn, front: front, owned: make(map[core.ProcID]bool), notify: notify}
-	s.ob = d.broker.NewOutbox(func() {
+	flushOrClose := func() {
 		if flush() != nil {
 			conn.Close()
 		}
-	})
+	}
+	s := &session{d: d, conn: conn, front: front, owned: make(map[core.ProcID]bool)}
+	s.notify = func(id core.ProcID, e pubsub.Envelope) error {
+		err := notify(id, e)
+		if err != nil {
+			flushOrClose()
+		}
+		return err
+	}
+	s.ob = d.broker.NewOutbox(flushOrClose)
 	return s
 }
 

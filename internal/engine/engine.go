@@ -23,10 +23,10 @@ import (
 // result vocabulary (core.Delivery, core.StabReport) and the same
 // process/geometry types; they differ only in how the paper's rules
 // execute (direct state transitions, deterministic message rounds, or
-// free-running goroutine actors).
+// one real-time run loop).
 //
 // Engines are not required to be safe for concurrent use by multiple
-// callers; the goroutine-backed runtimes synchronize internally.
+// callers; the live runtime synchronizes internally.
 type Engine interface {
 	// Join inserts subscriber id with the given filter, routing from the
 	// root / connection oracle. Message-passing engines may complete the
@@ -59,8 +59,8 @@ type Engine interface {
 	// (certified by internal/enginetest); engines exploit the batch for
 	// amortization — shared dissemination scratch and result arenas
 	// (core), multiple in-flight events per round under one shared round
-	// budget (proto), pipelined event injection with in-flight tracking
-	// (live). Message counts are attributed per event.
+	// budget (proto), one queue-empty wait for the whole batch (live).
+	// Message counts are attributed per event.
 	PublishBatch(batch []core.Publication) ([]core.Delivery, error)
 	// Stabilize runs the paper's periodic CHECK_* verifications until
 	// the configuration stops changing (or an engine budget runs out,
@@ -90,7 +90,7 @@ type Engine interface {
 	CorruptMBR(id core.ProcID, h int, mbr geom.Rect) error
 	CorruptUnderloaded(id core.ProcID, h int) error
 
-	// Close releases engine resources (actor goroutines, network state).
+	// Close releases engine resources (the run loop, network state).
 	// Engines without background resources return nil immediately.
 	Close() error
 }
@@ -123,16 +123,20 @@ type SteppedEngine interface {
 // cannot afford that (and on a multi-daemon overlay no single engine
 // can even observe the full census), so it fire-and-forgets through
 // InjectEvent and observes local deliveries through the live runtime's
-// event hook instead. Satisfied by the goroutine-per-node live cluster.
+// event hook instead. Satisfied by the live cluster.
 type AsyncPublisher interface {
 	Engine
 	// InjectEvent starts disseminating ev from producer and returns as
-	// soon as the event is in flight.
+	// soon as the event is in flight. Unlike the rest of Engine it is
+	// safe for concurrent use, and it may wait for room in the engine's
+	// queue — a wait that ends through the engine's event hook, so the
+	// caller must hold no lock that hook takes. The hook never runs on
+	// the caller's stack.
 	InjectEvent(producer core.ProcID, ev geom.Point) error
 }
 
 // Compile-time conformance: the sequential specification, the
-// deterministic round cluster, and the goroutine-per-node live cluster
+// deterministic round cluster, and the run-loop live cluster
 // all satisfy the unified interface.
 var (
 	_ Engine          = (*core.Tree)(nil)

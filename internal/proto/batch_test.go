@@ -104,7 +104,7 @@ func TestClusterPublishBatchValidation(t *testing.T) {
 	}
 }
 
-// TestLivePublishBatch runs a batch through the goroutine runtime and
+// TestLivePublishBatch runs a batch through the live runtime and
 // checks exact ground-truth delivery per event plus per-event message
 // attribution (messages must be positive for any multi-process
 // delivery and the tracking map must not leak).

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,38 +11,56 @@ import (
 	"drtree/internal/simnet"
 )
 
-// LiveCluster drives the same protocol actors with one goroutine per
-// process and real channels instead of the deterministic round scheduler:
-// the concurrent runtime the repro hint calls for ("goroutines fit node
-// simulation naturally"). Each actor goroutine drains its mailbox and
-// fires its CHECK_* timers on a real ticker whose period adapts: checkBase
-// while the node's protocol state is moving, doubling up to checkCap
-// while it is not (see run). An undeliverable send (dead mailbox) bounces
-// back to the sender like the round-based substrate's failure notices.
+// LiveCluster runs the same protocol actors as the deterministic Cluster
+// in real time, on one run loop. Every local send appends to one FIFO of
+// pending messages; the loop — the only goroutine the runtime owns — pops
+// it until it is empty, so an event climbs and descends through every
+// local actor in one wake-up, and sleeps on one timer until the earliest
+// actor is due its CHECK_* timers (pace has the adaptive period). A
+// message whose destination is gone when it is popped bounces to its
+// sender like simnet's failure notices; only a destination on another
+// daemon leaves through the Substrate. The actor logic is
+// schedule-independent: the experiments use Cluster, the daemons this.
 //
-// LiveCluster trades determinism for real concurrency; the experiments
-// use the deterministic Cluster, and the live runtime demonstrates that
-// the actor logic is schedule-independent.
+// Nothing is dropped. Three invariants stand where a drop path would:
+//
+//  1. The loop never waits on anything but its own wake-up:
+//     Substrate.Send does not block, and hooks run after lc.mu is
+//     released.
+//  2. Every EventHook fires on the loop goroutine, never inside Join,
+//     UpdateFilter, InjectEvent, PublishBatch or Deliver: no lock of a
+//     caller is ever held under a hook.
+//  3. Only the two event-plane entry points, InjectEvent and Deliver,
+//     wait for room while the FIFO stands above fifoBound — the session's
+//     or the link's reader stalls and TCP pushes back — and they wait
+//     holding no lock the loop can want: the cluster lock is released for
+//     the wait, and their callers hold none that a hook takes.
 type LiveCluster struct {
 	faults
 	cfg Config
 
 	mu     sync.Mutex
 	actors map[core.ProcID]*liveActor
-	wg     sync.WaitGroup
 	closed bool
 	nextE  int64
-	// stats counts dispatched messages, the event dissemination messages
-	// among them (the Delivery.Messages metric) and mailbox drops;
-	// msgsByEvent attributes event messages to the event ID they carry;
-	// pendingEvents counts event messages enqueued in mailboxes but not
-	// yet processed (Publish waits for it to reach zero).
-	stats         LiveStats
-	msgsByEvent   map[int64]int
-	pendingEvents int
+	// fifo holds the pending messages, oldest first; turned is broadcast
+	// at the end of every turn, for those waiting for room or for an empty
+	// FIFO. Actor due times sit on a checkBase grid counted from epoch, so
+	// actors at one period share a wake-up.
+	fifo   []simnet.Message
+	turned sync.Cond
+	epoch  time.Time
+	// wake (one pending token is enough) and done are the loop's inputs;
+	// the loop closes stopped on its way out.
+	wake, done, stopped chan struct{}
+	// stats counts dispatched messages and the event dissemination
+	// messages among them (the Delivery.Messages metric); msgsByEvent
+	// attributes event messages to the event ID they carry.
+	stats       LiveStats
+	msgsByEvent map[int64]int
 
 	// Remote substrate plumbing (see liveremote.go); all nil/zero for a
-	// purely local cluster, which keeps the historical behaviour intact.
+	// purely local cluster.
 	remote    Substrate
 	isLocal   func(core.ProcID) bool
 	contactFn func() core.ProcID
@@ -49,23 +68,41 @@ type LiveCluster struct {
 	hookQ     []hookFire
 }
 
+// fifoBound is how deep the FIFO may stand before InjectEvent and Deliver
+// wait, and how many messages one turn pops before it hands back its
+// hooks and looks at the timers again. A message turn costs about a
+// microsecond, so 1024 of them hold a due CHECK_* timer or a hook back by
+// half a base period at worst, while a burst of a few hundred publishes
+// (each one message here and a handful more per level) never waits.
+const fifoBound = 1024
+
 type liveActor struct {
 	node *Node
-	box  chan simnet.Message
-	stop chan struct{}
 
-	// Timer pacing, guarded by the cluster lock (see pace): the current
-	// CHECK_* period, the state fingerprint after the latest turn, whether
+	// Timer pacing, guarded by the cluster lock (see pace): when the
+	// CHECK_* timers fire next (zero: a period after the next turn), the
+	// current period, the state fingerprint after the latest turn, whether
 	// any turn since the previous tick moved it, and since when the node
 	// has been a root without interruption (zero: it is not one).
+	due       time.Time
 	period    time.Duration
 	fp        uint64
 	moved     bool
 	rootSince time.Time
 }
 
-// NewLiveCluster creates an empty concurrent cluster.
+// NewLiveCluster creates an empty concurrent cluster and starts its loop.
 func NewLiveCluster(cfg Config) (*LiveCluster, error) {
+	lc, err := newLiveCluster(cfg)
+	if err == nil {
+		go lc.loop()
+	}
+	return lc, err
+}
+
+// newLiveCluster builds a cluster without its loop: a test steps it by
+// calling turn with times of its own, counted from lc.epoch.
+func newLiveCluster(cfg Config) (*LiveCluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MinFanout < 1 || cfg.MaxFanout < 2*cfg.MinFanout {
 		return nil, fmt.Errorf("proto: invalid fanout bounds m=%d M=%d", cfg.MinFanout, cfg.MaxFanout)
@@ -74,7 +111,12 @@ func NewLiveCluster(cfg Config) (*LiveCluster, error) {
 		cfg:         cfg,
 		actors:      make(map[core.ProcID]*liveActor),
 		msgsByEvent: make(map[int64]int),
+		epoch:       time.Now(),
+		wake:        make(chan struct{}, 1),
+		done:        make(chan struct{}),
+		stopped:     make(chan struct{}),
 	}
+	lc.turned.L = &lc.mu
 	lc.faults.apply = lc.corrupt
 	return lc, nil
 }
@@ -88,12 +130,6 @@ func (lc *LiveCluster) Join(id core.ProcID, filter geom.Rect) error {
 // JoinFrom spawns a new subscriber actor whose JOIN request routes
 // through an explicit contact rather than the connection oracle.
 func (lc *LiveCluster) JoinFrom(contact, id core.ProcID, filter geom.Rect) error {
-	lc.mu.Lock()
-	known := lc.actors[contact] != nil
-	lc.mu.Unlock()
-	if !known {
-		return fmt.Errorf("proto: contact %d not in the cluster", contact)
-	}
 	return lc.join(id, filter, contact)
 }
 
@@ -109,13 +145,10 @@ func (lc *LiveCluster) join(id core.ProcID, filter geom.Rect, contact core.ProcI
 	if lc.actors[id] != nil {
 		return fmt.Errorf("proto: process %d already joined", id)
 	}
-	a := &liveActor{
-		node: newNode(id, filter, lc.cfg),
-		box:  make(chan simnet.Message, 256),
-		stop: make(chan struct{}),
-
-		period: checkBase,
+	if contact != core.NoProc && lc.actors[contact] == nil {
+		return fmt.Errorf("proto: contact %d not in the cluster", contact)
 	}
+	a := &liveActor{node: newNode(id, filter, lc.cfg), period: checkBase}
 	lc.actors[id] = a
 	a.node.deliverCB = func(eventID int64, ev geom.Point, matched bool) {
 		if lc.hook != nil {
@@ -137,20 +170,19 @@ func (lc *LiveCluster) join(id core.ProcID, filter geom.Rect, contact core.ProcI
 		}
 		if contact != core.NoProc && contact != id {
 			a.node.rejoin(contact, 0)
-			lc.dispatchLocked(a.node.drainOut())
+			lc.sendLocked(a.node.drainOut()...)
 		} else {
 			a.node.rejoinPending = false
 		}
 	}
-	lc.wg.Add(1)
-	go lc.run(a)
+	lc.wakeLocked()
 	return nil
 }
 
-// UpdateFilter replaces the subscription filter of live process id (the
-// FilterUpdater capability): the FILTER_UPDATE is applied in the owning
-// actor's next locked turn, and the periodic CHECK_MBR probes carry the
-// MBR change to the root; Stabilize (AwaitLegal) confirms convergence.
+// UpdateFilter replaces the subscription filter of live process id: the
+// FILTER_UPDATE is applied here, under the cluster lock, its report to
+// the parent rides the FIFO, and each ancestor's pushUp carries the MBR
+// change on to the root; Stabilize (AwaitLegal) confirms convergence.
 func (lc *LiveCluster) UpdateFilter(id core.ProcID, f geom.Rect) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
@@ -167,17 +199,14 @@ func (lc *LiveCluster) UpdateFilter(id core.ProcID, f geom.Rect) error {
 	if f.Dims() != a.node.filter.Dims() {
 		return fmt.Errorf("proto: filter has %d dims, cluster uses %d", f.Dims(), a.node.filter.Dims())
 	}
-	a.node.process(simnet.Message{
-		From:    simnet.NodeID(id),
-		To:      simnet.NodeID(id),
-		Payload: mFilterUpdate{Filter: f},
-	})
-	lc.dispatchLocked(a.node.drainOut())
+	a.node.onFilterUpdate(mFilterUpdate{Filter: f})
+	lc.sendLocked(a.node.drainOut()...)
+	lc.wakeLocked()
 	return nil
 }
 
 // Leave performs a controlled departure: the leaver notifies the parent
-// of its topmost instance and its actor stops; the periodic checks of
+// of its topmost instance and its actor is gone; the periodic checks of
 // the survivors repair the rest.
 func (lc *LiveCluster) Leave(id core.ProcID) error {
 	lc.mu.Lock()
@@ -188,14 +217,11 @@ func (lc *LiveCluster) Leave(id core.ProcID) error {
 	}
 	n := a.node
 	if in := n.at(n.top); in != nil && in.parent != id {
-		lc.dispatchLocked([]simnet.Message{{
-			From:    simnet.NodeID(id),
-			To:      simnet.NodeID(in.parent),
-			Payload: mLeave{Height: n.top + 1, Child: id},
-		}})
+		n.send(in.parent, mLeave{Height: n.top + 1, Child: id})
+		lc.sendLocked(n.drainOut()...)
+		lc.wakeLocked()
 	}
 	delete(lc.actors, id)
-	close(a.stop)
 	return nil
 }
 
@@ -203,12 +229,10 @@ func (lc *LiveCluster) Leave(id core.ProcID) error {
 func (lc *LiveCluster) Crash(id core.ProcID) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	a := lc.actors[id]
-	if a == nil {
+	if lc.actors[id] == nil {
 		return fmt.Errorf("proto: process %d not in the cluster", id)
 	}
 	delete(lc.actors, id)
-	close(a.stop)
 	return nil
 }
 
@@ -242,40 +266,94 @@ const (
 // when the root's timer has backed off.
 const rootAuditAfter = 100 * time.Millisecond
 
-// run is one actor goroutine: drain the mailbox, fire periodic checks.
-// The ticker is re-armed only when the period changes: a goroutine that
-// reset a one-shot timer after every tick measured ~60µs slower publish
-// acks at the base period than the runtime re-arming a ticker itself.
-func (lc *LiveCluster) run(a *liveActor) {
-	defer lc.wg.Done()
-	armed := checkBase
-	ticker := time.NewTicker(armed)
-	defer ticker.Stop()
+// loop is the cluster's one goroutine: wait for a wake-up or the timer,
+// take a turn, fire its hooks, set the timer for the next actor due.
+func (lc *LiveCluster) loop() {
+	defer close(lc.stopped)
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	for {
-		var rearm time.Duration
 		select {
-		case <-a.stop:
+		case <-lc.done:
 			return
-		case m := <-a.box:
-			rearm = lc.withActor(a, false, func() {
-				if _, ok := m.Payload.(mEvent); ok {
-					lc.pendingEvents--
-				}
-				a.node.process(m)
-			})
-		case <-ticker.C:
-			rearm = lc.withActor(a, true, func() { lc.tickLocked(a) })
+		case <-lc.wake:
+		case <-timer.C:
 		}
-		if rearm > 0 && rearm != armed {
-			armed = rearm
-			ticker.Reset(armed)
+		fires, next := lc.turn(time.Now())
+		lc.fireHooks(fires)
+		if next.IsZero() {
+			timer.Stop()
+		} else {
+			timer.Reset(time.Until(next))
 		}
 	}
 }
 
+// wakeLocked tells the loop there is work; every entry point that puts
+// something in the FIFO from outside a turn ends with it.
+func (lc *LiveCluster) wakeLocked() {
+	select {
+	case lc.wake <- struct{}{}:
+	default:
+	}
+}
+
+// turn is the loop body: fire the timers of every actor due at now,
+// drain the FIFO, and hand back the hooks owed with the time the next
+// actor is due (zero: there is none). Actor turns are serialized under
+// the cluster lock, which keeps the legality snapshot (and the race
+// detector) happy while preserving the message-driven semantics. It pops
+// at most fifoBound messages, so an exchange that feeds itself (a JOIN
+// climbing a corrupted parent cycle) starves neither timers nor hooks;
+// what is left wakes the loop again at once.
+func (lc *LiveCluster) turn(now time.Time) (fires []hookFire, next time.Time) {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	for _, a := range lc.actors {
+		if !now.Before(a.due) {
+			if !a.due.IsZero() { // a newcomer is only given its first due time
+				lc.tickLocked(a, now)
+			}
+			lc.endTurnLocked(a, now, true)
+		}
+	}
+	lc.stats.QueueHighWater = max(lc.stats.QueueHighWater, len(lc.fifo))
+	n := 0
+	for ; n < len(lc.fifo) && n < fifoBound; n++ { // handling m may append
+		m := lc.fifo[n]
+		if a := lc.actors[core.ProcID(m.To)]; a != nil {
+			if inj, ok := m.Payload.(mInject); ok {
+				a.node.onEvent(mEvent{ID: inj.ID, Ev: inj.Ev, Height: a.node.top, Up: true, From: core.NoProc})
+			} else {
+				a.node.process(m)
+			}
+			lc.endTurnLocked(a, now, false)
+		} else if _, isBounce := m.Payload.(simnet.Bounce); !isBounce {
+			// The failure notice simnet gives for a dead mailbox; a
+			// bounce is never bounced.
+			lc.sendLocked(simnet.Message{
+				From: m.To, To: m.From,
+				Payload: simnet.Bounce{To: m.To, Original: m.Payload},
+			})
+		}
+	}
+	// Delete zeroes what it vacates, so no handled payload stays pinned.
+	if lc.fifo = slices.Delete(lc.fifo, 0, n); len(lc.fifo) > 0 {
+		lc.wakeLocked()
+	}
+	lc.turned.Broadcast()
+	for _, a := range lc.actors {
+		if next.IsZero() || a.due.Before(next) {
+			next = a.due
+		}
+	}
+	fires, lc.hookQ = lc.hookQ, nil
+	return fires, next
+}
+
 // tickLocked fires the node's CHECK_* timers and, on a networked cluster,
 // the root audit.
-func (lc *LiveCluster) tickLocked(a *liveActor) {
+func (lc *LiveCluster) tickLocked(a *liveActor, now time.Time) {
 	a.node.periodic(lc.contactLocked())
 	if lc.contactFn == nil {
 		return
@@ -288,7 +366,6 @@ func (lc *LiveCluster) tickLocked(a *liveActor) {
 		a.rootSince = time.Time{}
 		return
 	}
-	now := time.Now()
 	if a.rootSince.IsZero() {
 		a.rootSince = now
 	} else if now.Sub(a.rootSince) >= rootAuditAfter {
@@ -297,34 +374,34 @@ func (lc *LiveCluster) tickLocked(a *liveActor) {
 	}
 }
 
-// withActor runs fn as one turn of actor a under the cluster lock: actor
-// turns are serialized, which keeps the legality snapshot (and the race
-// detector) happy while preserving the message-driven semantics. The
-// turn ends with the eager upward report (Node.pushUp), the dispatch of
-// everything it sent, and the pacing decision; the result is the period
-// a's ticker should run at from now on, or 0 to leave it as it is.
-func (lc *LiveCluster) withActor(a *liveActor, tick bool, fn func()) time.Duration {
-	lc.mu.Lock()
-	fn()
+// endTurnLocked closes one turn of actor a: the eager upward report
+// (Node.pushUp), the dispatch of everything the turn sent, and the
+// pacing decision. When pace asks for a period, a is due that long from
+// now, rounded down to the grid (a timer fires just past a grid point, so
+// a steady period stays exact) — or at its root audit, if that is sooner.
+func (lc *LiveCluster) endTurnLocked(a *liveActor, now time.Time, tick bool) {
 	a.node.pushUp()
-	lc.dispatchLocked(a.node.drainOut())
-	rearm := a.pace(tick)
-	fires := lc.takeHooksLocked()
-	lc.mu.Unlock()
-	lc.fireHooks(fires)
-	return rearm
+	lc.sendLocked(a.node.drainOut()...)
+	p := a.pace(tick)
+	if p == 0 {
+		return
+	}
+	a.due = now.Add(p - (now.Sub(lc.epoch)+p)%checkBase)
+	if audit := a.rootSince.Add(rootAuditAfter); !a.rootSince.IsZero() && audit.Before(a.due) {
+		a.due = audit
+	}
 }
 
 // pace decides a's CHECK_* period after a turn, from protocol state
-// alone. A turn that moved the state fingerprint — and any change made
-// from outside a turn since the last one (UpdateFilter, the fault
-// injectors) — snaps the period to checkBase and asks for the ticker to
-// be re-armed at once. A tick doubles the period when it and everything
-// since the previous tick left the fingerprint alone and no re-join is
-// pending (a pending re-join is retried every tick and must not wait);
-// otherwise it stays at checkBase. Probe answers that confirm the
-// caches, and event traffic, move nothing and wake nobody. A root due an
-// audit before its next tick is woken for it.
+// alone, and returns the period a's timers should run at from now on, or
+// 0 to leave them as they are. A turn that moved the state fingerprint —
+// and any change made from outside a turn since the last one
+// (UpdateFilter, the fault injectors) — snaps the period to checkBase at
+// once. A tick doubles the period when it and everything since the
+// previous tick left the fingerprint alone and no re-join is pending (a
+// pending re-join is retried every tick and must not wait); otherwise it
+// stays at checkBase. Probe answers that confirm the caches, and event
+// traffic, move nothing and wake nobody.
 func (a *liveActor) pace(tick bool) time.Duration {
 	if fp := a.node.fingerprint(); fp != a.fp {
 		a.fp, a.moved = fp, true
@@ -342,17 +419,14 @@ func (a *liveActor) pace(tick bool) time.Duration {
 		a.period = min(2*a.period, checkCap)
 	}
 	a.moved = false
-	if !a.rootSince.IsZero() {
-		// Never below checkBase: a ticker takes no non-positive period.
-		return min(a.period, max(checkBase, rootAuditAfter-time.Since(a.rootSince)))
-	}
 	return a.period
 }
 
-// dispatchLocked delivers outgoing messages to mailboxes; sends to dead
-// mailboxes bounce back to the sender, sends to saturated ones are
-// dropped and counted.
-func (lc *LiveCluster) dispatchLocked(msgs []simnet.Message) {
+// sendLocked counts what local actors (and the bounces made for them)
+// send, hands a message for another daemon's process to the attached
+// substrate and appends every other one to the FIFO: whether a local
+// destination still exists is decided when the message is popped.
+func (lc *LiveCluster) sendLocked(msgs ...simnet.Message) {
 	for _, m := range msgs {
 		lc.stats.Dispatched++
 		if ev, ok := m.Payload.(mEvent); ok {
@@ -364,43 +438,35 @@ func (lc *LiveCluster) dispatchLocked(msgs []simnet.Message) {
 				lc.msgsByEvent[ev.ID]++
 			}
 		}
-		dst := lc.actors[core.ProcID(m.To)]
-		if dst == nil {
-			// A destination owned by another daemon rides the attached
-			// substrate; only a vanished local process bounces here.
-			if lc.remote != nil && lc.isLocal != nil && !lc.isLocal(core.ProcID(m.To)) {
-				lc.remote.Send(m)
-				continue
-			}
-			if src := lc.actors[core.ProcID(m.From)]; src != nil {
-				lc.enqueueLocked(src, simnet.Message{
-					From: m.To, To: m.From,
-					Payload: simnet.Bounce{To: simnet.NodeID(m.To), Original: m.Payload},
-				})
-			}
-			continue
+		if to := core.ProcID(m.To); lc.remote != nil && lc.actors[to] == nil && !lc.isLocal(to) {
+			lc.remote.Send(m)
+		} else {
+			lc.fifo = append(lc.fifo, m)
 		}
-		lc.enqueueLocked(dst, m)
 	}
 }
 
-// enqueueLocked puts m in dst's mailbox. A saturated mailbox drops it:
-// for protocol traffic that is transient loss the periodic checks
-// repair; a dropped event message is a lost delivery. Both are counted
-// (Stats), because nothing else would show them.
-func (lc *LiveCluster) enqueueLocked(dst *liveActor, m simnet.Message) {
-	_, isEvent := m.Payload.(mEvent)
-	select {
-	case dst.box <- m:
-		if isEvent {
-			lc.pendingEvents++
-		}
-	default:
-		if isEvent {
-			lc.stats.DroppedEvents++
-		} else {
-			lc.stats.DroppedProtocol++
-		}
+// mInject is a publication waiting in the FIFO (never on a wire): popped,
+// it starts at the producer's topmost instance as it then stands.
+type mInject struct {
+	ID int64
+	Ev geom.Point
+}
+
+// injectLocked queues the publication of ev at producer under a new ID.
+func (lc *LiveCluster) injectLocked(producer core.ProcID, ev geom.Point) int64 {
+	lc.nextE++
+	to := simnet.NodeID(producer)
+	lc.fifo = append(lc.fifo, simnet.Message{From: to, To: to, Payload: mInject{ID: lc.nextE, Ev: ev}})
+	lc.wakeLocked()
+	return lc.nextE
+}
+
+// awaitRoomLocked parks an event-plane entry point while the FIFO stands
+// above its bound (invariant 3); waiting releases the cluster lock.
+func (lc *LiveCluster) awaitRoomLocked() {
+	for len(lc.fifo) > fifoBound && !lc.closed {
+		lc.turned.Wait()
 	}
 }
 
@@ -411,10 +477,10 @@ type LiveStats struct {
 	// messages among them.
 	Dispatched uint64 `json:"dispatched"`
 	EventMsgs  uint64 `json:"event_msgs"`
-	// DroppedEvents and DroppedProtocol count messages (dispatched here or
-	// delivered by the substrate) lost to a full actor mailbox.
-	DroppedEvents   uint64 `json:"dropped_events"`
-	DroppedProtocol uint64 `json:"dropped_protocol"`
+	// QueueHighWater is the deepest the FIFO has stood at the start of a
+	// turn: how near its bound, where publishers and links start to wait,
+	// the cluster runs.
+	QueueHighWater int `json:"queue_high_water"`
 	// BackedOff is the number of actors whose CHECK_* period currently
 	// stands above the base period.
 	BackedOff int `json:"backed_off"`
@@ -433,13 +499,7 @@ func (lc *LiveCluster) Stats() LiveStats {
 	return st
 }
 
-// Oracle returns the current best contact (tallest self-parented actor).
-func (lc *LiveCluster) Oracle() core.ProcID {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.oracleLocked()
-}
-
+// oracleLocked returns the best contact: the tallest self-parented actor.
 func (lc *LiveCluster) oracleLocked() core.ProcID {
 	best := core.NoProc
 	bestH := -1
@@ -466,80 +526,46 @@ func (lc *LiveCluster) Publish(producer core.ProcID, ev geom.Point) (core.Delive
 	return ds[0], nil
 }
 
-// PublishBatch injects every event of the batch at its producer in one
-// locked turn — the whole batch is in flight through the actor mailboxes
-// at once — and waits for the pipelined dissemination to quiesce: no
-// event message may be sitting in a mailbox and the receiver sets and
-// per-event message counts must stop changing for a few consecutive
-// polls (the in-flight counter makes a descheduled actor with a queued
-// event hold the poll open rather than cause a spurious miss). One
-// quiescence wait covers the whole batch, so a batch costs one
-// settle-time rather than len(batch) of them. Messages counts only the
-// event messages carrying each entry's event ID (periodic check traffic
-// keeps flowing in the background); Rounds is always 0 — the live
-// runtime has no round clock.
+// PublishBatch queues every event of the batch at its producer under one
+// hold of the cluster lock — the whole batch is in the FIFO at once — and
+// waits for the loop to report the FIFO empty: event messages beget only
+// event messages, so by then every copy has been handled, and one wait
+// covers the whole batch. The PublishBudget bounds the wait when other
+// publishers keep the FIFO standing. Messages counts only the event
+// messages carrying each entry's event ID (periodic check traffic keeps
+// flowing in the background); Rounds is always 0 — the live runtime has
+// no round clock.
 func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, error) {
 	out := make([]core.Delivery, len(batch))
 	if len(batch) == 0 {
 		return out, nil
 	}
+	budget := lc.budgetDuration(lc.cfg.PublishBudget)
 	lc.mu.Lock()
+	defer lc.mu.Unlock()
 	if lc.closed {
-		lc.mu.Unlock()
 		return nil, fmt.Errorf("proto: live cluster closed")
 	}
 	for i := range batch {
 		if lc.actors[batch[i].Producer] == nil {
-			lc.mu.Unlock()
 			return nil, fmt.Errorf("proto: producer %d not in the cluster", batch[i].Producer)
 		}
 	}
 	ids := make([]int64, len(batch))
 	for i := range batch {
-		lc.nextE++
-		ids[i] = lc.nextE
+		ids[i] = lc.injectLocked(batch[i].Producer, batch[i].Event)
 		for _, b := range lc.actors {
 			b.node.seen.forget(ids[i])
 		}
 		lc.msgsByEvent[ids[i]] = 0
-		a := lc.actors[batch[i].Producer]
-		a.node.onEvent(mEvent{ID: ids[i], Ev: batch[i].Event, Height: a.node.top, Up: true, From: core.NoProc})
-		lc.dispatchLocked(a.node.drainOut())
-	}
-	fires := lc.takeHooksLocked()
-	lc.mu.Unlock()
-	lc.fireHooks(fires)
-
-	poll := func() (int, int, int) {
-		lc.mu.Lock()
-		defer lc.mu.Unlock()
-		seen, msgs := 0, 0
-		for _, b := range lc.actors {
-			for _, id := range ids {
-				if b.node.seen.has(id) {
-					seen++
-				}
-			}
-		}
-		for _, id := range ids {
-			msgs += lc.msgsByEvent[id]
-		}
-		return seen, msgs, lc.pendingEvents
-	}
-	deadline := time.Now().Add(lc.budgetDuration(lc.cfg.PublishBudget))
-	stable, lastSeen, lastMsgs := 0, -1, -1
-	for stable < 8 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-		seen, msgs, pending := poll()
-		if pending == 0 && seen == lastSeen && msgs == lastMsgs {
-			stable++
-		} else {
-			stable, lastSeen, lastMsgs = 0, seen, msgs
-		}
 	}
 
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
+	// A FIFO that is not empty has the loop taking turns back to back, so
+	// the next broadcast, and look at the deadline, is never far.
+	for deadline := time.Now().Add(budget); len(lc.fifo) > 0 && !lc.closed && time.Now().Before(deadline); {
+		lc.turned.Wait()
+	}
+
 	for i, id := range ids {
 		out[i].Messages = lc.msgsByEvent[id]
 		delete(lc.msgsByEvent, id)
@@ -555,13 +581,10 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 // budget means the same thing on both message-passing runtimes. 0 uses
 // the same adaptive default as the round scheduler.
 func (lc *LiveCluster) budgetDuration(configured int) time.Duration {
-	rounds := configured
-	if rounds <= 0 {
-		lc.mu.Lock()
-		rounds = 800 + 200*len(lc.actors)
-		lc.mu.Unlock()
+	if configured <= 0 {
+		configured = 800 + 200*lc.Len()
 	}
-	return time.Duration(rounds) * checkBase
+	return time.Duration(configured) * checkBase
 }
 
 // Stabilize waits for the actors' periodic checks to restore a legal
@@ -570,9 +593,6 @@ func (lc *LiveCluster) budgetDuration(configured int) time.Duration {
 func (lc *LiveCluster) Stabilize() core.StabReport {
 	return core.StabReport{Converged: lc.AwaitLegal(lc.budgetDuration(lc.cfg.StabilizeBudget)) == nil}
 }
-
-// CheckLegal verifies Definition 3.1 on a frozen membership snapshot.
-func (lc *LiveCluster) CheckLegal() error { return lc.checkLegalSnapshot() }
 
 // Root returns the root process and height from the omniscient view
 // (tallest self-parented topmost instance), or (NoProc, -1).
@@ -632,7 +652,7 @@ func (lc *LiveCluster) AwaitLegal(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	var last error
 	for time.Now().Before(deadline) {
-		if last = lc.checkLegalSnapshot(); last == nil {
+		if last = lc.CheckLegal(); last == nil {
 			return nil
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -640,9 +660,9 @@ func (lc *LiveCluster) AwaitLegal(timeout time.Duration) error {
 	return fmt.Errorf("proto: live cluster did not become legal: %w", last)
 }
 
-// checkLegalSnapshot freezes the membership and checks it: no re-join
-// pending, and the nodes' local states legal (checkLegal).
-func (lc *LiveCluster) checkLegalSnapshot() error {
+// CheckLegal verifies Definition 3.1 on a frozen membership snapshot: no
+// re-join pending, and the nodes' local states legal (checkLegal).
+func (lc *LiveCluster) CheckLegal() error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	nodes := make(map[core.ProcID]*Node, len(lc.actors))
@@ -662,7 +682,8 @@ func (lc *LiveCluster) Len() int {
 	return len(lc.actors)
 }
 
-// Close stops every actor goroutine and waits for them to exit.
+// Close drops every actor, stops the loop and waits for it to exit;
+// callers waiting for room return.
 func (lc *LiveCluster) Close() error {
 	lc.mu.Lock()
 	if lc.closed {
@@ -670,11 +691,10 @@ func (lc *LiveCluster) Close() error {
 		return nil
 	}
 	lc.closed = true
-	for id, a := range lc.actors {
-		close(a.stop)
-		delete(lc.actors, id)
-	}
+	clear(lc.actors)
+	lc.turned.Broadcast()
 	lc.mu.Unlock()
-	lc.wg.Wait()
+	close(lc.done)
+	<-lc.stopped
 	return nil
 }

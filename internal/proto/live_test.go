@@ -4,7 +4,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,7 +42,7 @@ func TestLiveClusterGrowsAndStabilizes(t *testing.T) {
 func TestLiveClusterRepairsCrash(t *testing.T) {
 	lc := grownLive(t, 15, 32)
 	// Crash the current root; the live actors must elect and repair.
-	root := lc.Oracle()
+	root, _ := lc.Root()
 	if err := lc.Crash(root); err != nil {
 		t.Fatal(err)
 	}
@@ -269,35 +269,99 @@ func TestLiveWakeUpFromCap(t *testing.T) {
 	awaitAllAtCap(t, lc)
 }
 
+// steppedLive is a LiveCluster without its loop: the test is the loop,
+// and time is what the test says it is.
+type steppedLive struct {
+	*LiveCluster
+	now time.Time
+}
+
+func newSteppedLive(t *testing.T) *steppedLive {
+	t.Helper()
+	lc, err := newLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &steppedLive{LiveCluster: lc, now: lc.epoch}
+}
+
+// step moves time one base period on and takes the turns the loop would:
+// one at the new time, and more while the FIFO is not empty.
+func (s *steppedLive) step() {
+	s.now = s.now.Add(checkBase)
+	for s.turn(s.now); s.pending() > 0; {
+		s.turn(s.now)
+	}
+}
+
+func (lc *LiveCluster) pending() int {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	return len(lc.fifo)
+}
+
+// settle steps until the configuration is legal and every actor has
+// backed off to the cap.
+func (s *steppedLive) settle(t *testing.T) {
+	t.Helper()
+	for i := 0; i < 5000; i++ {
+		s.step()
+		if s.CheckLegal() != nil {
+			continue
+		}
+		atCap := true
+		for _, p := range s.periods() {
+			atCap = atCap && p == checkCap
+		}
+		if atCap {
+			return
+		}
+	}
+	t.Fatalf("not legal and backed off after 5000 base periods: %v, periods %v", s.CheckLegal(), s.periods())
+}
+
 // TestLiveJoinWakesBackedOffActor: a join arriving at a fully backed-off
 // overlay puts the actors whose state it changes back at the base period
-// at once, not at their next expiry.
+// at once — on the turn that handles the join — not at their next expiry.
 func TestLiveJoinWakesBackedOffActor(t *testing.T) {
-	lc := grownLive(t, 12, 42)
-	awaitAllAtCap(t, lc)
-	const joiner = 99
-	start := time.Now()
-	if err := lc.Join(joiner, geom.R2(380, 380, 395, 395)); err != nil {
-		t.Fatal(err)
-	}
-	// The window at the base period is two ticks wide; poll it without
-	// sleeping.
-	woken := core.NoProc
-	for woken == core.NoProc && time.Since(start) < checkCap/2 {
-		for id, p := range lc.periods() {
-			if id != joiner && p == checkBase {
-				woken = id
-			}
+	s := newSteppedLive(t)
+	rng := rand.New(rand.NewPCG(42, 42))
+	for i := 1; i <= 12; i++ {
+		x, y := rng.Float64()*370, rng.Float64()*370
+		if err := s.Join(core.ProcID(i), geom.R2(x, y, x+30, y+30)); err != nil {
+			t.Fatal(err)
 		}
-		runtime.Gosched()
+		s.step()
 	}
-	if woken == core.NoProc {
-		t.Fatalf("no backed-off actor returned to the base period within %v of a join: %v", checkCap/2, lc.periods())
-	}
-	if err := lc.AwaitLegal(30 * time.Second); err != nil {
+	s.settle(t)
+	const joiner = 99
+	if err := s.Join(joiner, geom.R2(380, 380, 395, 395)); err != nil {
 		t.Fatal(err)
 	}
-	awaitAllAtCap(t, lc)
+	// Not a base period later: the same instant, so no timer but the
+	// joiner's own is due and only the join's messages can wake anyone.
+	for s.turn(s.now); s.pending() > 0; {
+		s.turn(s.now)
+	}
+	woken := 0
+	s.mu.Lock()
+	for id, a := range s.actors {
+		if id == joiner || a.period != checkBase {
+			continue
+		}
+		woken++
+		if want := s.now.Add(checkBase); !a.due.Equal(want) {
+			t.Errorf("woken actor %d is due at +%v, want one base period after the join (+%v)", id, a.due.Sub(s.epoch), want.Sub(s.epoch))
+		}
+	}
+	s.mu.Unlock()
+	if woken == 0 {
+		t.Fatalf("no backed-off actor returned to the base period on the turn after a join: %v", s.periods())
+	}
+	s.settle(t)
+	if s.Len() != 13 {
+		t.Fatalf("Len = %d after the join settled", s.Len())
+	}
 }
 
 // TestLivePaceDecidesFromState drives one actor's pacing by hand: what
@@ -438,73 +502,169 @@ func TestLiveEagerPropagation(t *testing.T) {
 	}
 }
 
-// auditSink is a substrate that records when root-audit joins leave for
-// the remote bootstrap contact.
+// auditSink is a substrate that records when, on the stepped clock,
+// root-audit joins leave for the remote bootstrap contact.
 type auditSink struct {
-	mu    sync.Mutex
+	now   *time.Time
 	times []time.Time
 }
 
 func (s *auditSink) Send(msgs ...simnet.Message) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, m := range msgs {
 		if _, ok := m.Payload.(mJoin); ok {
-			s.times = append(s.times, time.Now())
+			s.times = append(s.times, *s.now)
 		}
 	}
 }
 
-func (s *auditSink) audits() []time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Clone(s.times)
-}
-
-// TestLiveRootAuditAtCap: a root whose timer ticks every 64ms still
+// TestLiveRootAuditAtCap: a root whose timers fire every 64ms still
 // audits its claim after every 100ms of tenure, not after every second
-// tick.
+// tick (128ms), and auditing does not count as a change of state.
 func TestLiveRootAuditAtCap(t *testing.T) {
-	lc, err := NewLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	sink := &auditSink{}
+	s := newSteppedLive(t)
+	sink := &auditSink{now: &s.now}
 	const remoteAnchor = 1000
-	if err := lc.AttachSubstrate(sink, func(p core.ProcID) bool { return p < remoteAnchor }); err != nil {
+	if err := s.AttachSubstrate(sink, func(p core.ProcID) bool { return p < remoteAnchor }); err != nil {
 		t.Fatal(err)
 	}
 	// The first process roots itself (no contact yet); only then does the
 	// cluster learn of a bootstrap contact on another daemon — a healed
 	// partition seen from the minority side.
-	if err := lc.Join(1, geom.R2(0, 0, 10, 10)); err != nil {
+	if err := s.Join(1, geom.R2(0, 0, 10, 10)); err != nil {
 		t.Fatal(err)
 	}
-	lc.SetContact(func() core.ProcID { return remoteAnchor })
-	awaitAllAtCap(t, lc)
+	s.SetContact(func() core.ProcID { return remoteAnchor })
+	s.settle(t)
 
-	from := len(sink.audits())
+	from := len(sink.times)
 	const gaps = 4
-	deadline := time.Now().Add(5 * time.Second)
-	for len(sink.audits()) < from+gaps+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d audits in 5s from a root at the cap", len(sink.audits())-from)
-		}
-		time.Sleep(5 * time.Millisecond)
+	for i := 0; i < (gaps+1)*int(rootAuditAfter/checkBase); i++ {
+		s.step()
 	}
-	if p := lc.periods()[1]; p != checkCap {
+	at := sink.times[from:]
+	if len(at) < gaps+1 {
+		t.Fatalf("%d audits in %v from a root at the cap", len(at), (gaps+1)*rootAuditAfter)
+	}
+	for i := 1; i < len(at); i++ {
+		if gap := at[i].Sub(at[i-1]); gap != rootAuditAfter {
+			t.Fatalf("audit %d came %v after the previous one, want exactly %v of tenure", i, gap, rootAuditAfter)
+		}
+	}
+	if p := s.periods()[1]; p != checkCap {
 		t.Fatalf("root period %v while auditing, want the cap (audits must not count as changes)", p)
 	}
-	at := sink.audits()[from : from+gaps+1]
-	for i := 1; i < len(at); i++ {
-		if gap := at[i].Sub(at[i-1]); gap < rootAuditAfter-5*time.Millisecond {
-			t.Fatalf("audit %d came %v after the previous one, tenure must reach %v", i, gap, rootAuditAfter)
-		}
+}
+
+// TestLiveBurstLosesNothing: a back-to-back burst of publishes on a
+// stabilized overlay reaches every matching process — the FIFO has no
+// drop path — and with a hook slow enough for the FIFO to reach its
+// bound, InjectEvent waits for room instead of losing or failing.
+func TestLiveBurstLosesNothing(t *testing.T) {
+	const actors, events = 13, 4000
+	for _, tc := range []struct {
+		name string
+		busy time.Duration
+	}{{"fast hook", 0}, {"a 50µs hook fills the FIFO", 50 * time.Microsecond}} {
+		t.Run(tc.name, func(t *testing.T) {
+			lc, err := NewLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lc.Close()
+			var fired atomic.Int64
+			lc.SetEventHook(func(_ core.ProcID, _ int64, _ geom.Point, matched bool) {
+				if matched {
+					fired.Add(1)
+				}
+				// Spinning, not time.Sleep: a 50µs sleep takes a millisecond.
+				for t0 := time.Now(); time.Since(t0) < tc.busy; {
+				}
+			})
+			world := geom.R2(0, 0, 400, 400)
+			for i := 1; i <= actors; i++ {
+				if err := lc.Join(core.ProcID(i), world); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lc.AwaitLegal(30 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			firedAtReturn := int64(0)
+			for i := 0; i < events; i++ {
+				if err := lc.InjectEvent(1, geom.Point{200, 200}); err != nil {
+					t.Fatalf("inject %d: %v", i, err)
+				}
+				firedAtReturn = fired.Load()
+			}
+			const owed = actors * events
+			deadline := time.Now().Add(60 * time.Second)
+			for fired.Load() < owed && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond) // a duplicate would show now
+			st := lc.Stats()
+			if got := fired.Load(); got != owed {
+				t.Fatalf("%d matched hook firings for %d events at %d all-world actors, want exactly %d (stats %+v)", got, events, actors, owed, st)
+			}
+			if tc.busy == 0 {
+				return
+			}
+			// The burst is injected in milliseconds and its hooks take
+			// seconds: had InjectEvent not waited, it would have returned
+			// with almost nothing fired and the whole burst queued.
+			if st.QueueHighWater <= fifoBound {
+				t.Fatalf("FIFO high water %d never passed the bound %d: the case proves nothing", st.QueueHighWater, fifoBound)
+			}
+			if firedAtReturn < owed/2 {
+				t.Fatalf("the last InjectEvent returned with %d of %d hooks fired: it did not wait for room", firedAtReturn, owed)
+			}
+			t.Logf("FIFO high water %d (bound %d), %d of %d hooks fired when the last InjectEvent returned", st.QueueHighWater, fifoBound, firedAtReturn, owed)
+		})
 	}
-	// Two cap periods (128ms) is what a tick-count audit would give.
-	if mean := at[gaps].Sub(at[0]) / gaps; mean > rootAuditAfter+15*time.Millisecond {
-		t.Fatalf("mean audit spacing %v at the cap, want ≈%v", mean, rootAuditAfter)
+}
+
+// TestLiveGoroutinesIndependentOfActors: the runtime owns one goroutine
+// however many actors it hosts, and Close gives it back.
+func TestLiveGoroutinesIndependentOfActors(t *testing.T) {
+	// A goroutine that has signalled its exit is counted for a moment
+	// more (an earlier test's loop, and this one's after Close): counts
+	// are read once they have stopped falling.
+	goroutines := func() int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+			time.Sleep(5 * time.Millisecond)
+			if m := runtime.NumGoroutine(); m >= n {
+				break
+			} else {
+				n = m
+			}
+		}
+		return n
+	}
+	before := goroutines()
+	lc, err := NewLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	join := func(from, to int) int {
+		for i := from; i <= to; i++ {
+			if err := lc.Join(core.ProcID(i), geom.R2(float64(i), 0, float64(i)+5, 5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lc.AwaitLegal(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return goroutines()
+	}
+	at4, at64 := join(1, 4), join(5, 64)
+	if at4 != before+1 || at64 != at4 {
+		t.Fatalf("%d goroutines before the cluster, %d with 4 actors, %d with 64: want one more, whatever the actor count", before, at4, at64)
+	}
+	lc.Close()
+	if after := goroutines(); after != before {
+		t.Fatalf("%d goroutines after Close, %d before the cluster", after, before)
 	}
 }
 

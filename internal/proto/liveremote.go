@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"drtree/internal/core"
@@ -15,19 +16,18 @@ import (
 // of it.
 //
 // The flow is symmetric: outbound messages whose destination is not
-// local leave through the attached Substrate instead of bouncing
-// (dispatchLocked), and inbound frames from peers enter through
-// Deliver, which enqueues to the owning actor's mailbox exactly like a
-// local dispatch — the actors cannot tell the difference. An inbound
-// message for a process this daemon no longer hosts is answered with a
-// bounce over the substrate, which is the same failure-detector notice
-// simnet synthesizes for a dead mailbox.
+// local leave through the attached Substrate instead of entering the
+// FIFO (sendLocked), and inbound frames from peers enter it through
+// Deliver exactly like a local send — the actors cannot tell the
+// difference. An inbound message for a process this daemon no longer
+// hosts is answered, when popped, with a bounce over the substrate: the
+// same failure-detector notice simnet synthesizes for a dead mailbox.
 
 // Substrate is the outbound half of a message substrate: fire-and-forget
 // delivery of simnet messages. *simnet.Network satisfies it natively;
 // internal/transport's TCP implementation satisfies it over sockets.
 // Send must not block and must not call back into the cluster
-// synchronously (it runs under the cluster lock).
+// synchronously (it runs on the loop goroutine, under the cluster lock).
 type Substrate interface {
 	Send(msgs ...simnet.Message)
 }
@@ -36,14 +36,15 @@ var _ Substrate = (*simnet.Network)(nil)
 
 // EventHook observes the first receipt of an event by a local process:
 // proc delivered event eventID at point ev, and matched reports whether
-// the process's own filter contains it. Hooks run outside the cluster
-// lock, after the actor turn that delivered the event, so they may call
-// back into the cluster or the broker; they must not block for long, as
-// the delivering actor's goroutine carries them.
+// the process's own filter contains it. Hooks run on the cluster's loop
+// goroutine, outside the cluster lock, after the turn that delivered the
+// event — never on the stack of a caller of the cluster — so they may
+// take any lock and call back into the cluster or the broker, except
+// Close; they must not block for long, as the loop carries them.
 type EventHook func(proc core.ProcID, eventID int64, ev geom.Point, matched bool)
 
 // hookFire is one pending EventHook invocation, collected under the
-// cluster lock during an actor turn and fired after it unlocks.
+// cluster lock and fired by the loop after its turn unlocks.
 type hookFire struct {
 	proc    core.ProcID
 	event   int64
@@ -125,53 +126,40 @@ func (lc *LiveCluster) remoteJoinNeededLocked(id core.ProcID) bool {
 }
 
 // Deliver injects one inbound message from the substrate, as the
-// transport's receive loop calls it: enqueue to the owning actor's
-// mailbox, or answer with a bounce when no such actor exists here. A
-// bounce is never bounced.
+// transport's receive loop calls it, waiting for room first (invariant
+// 3). The loop bounces it if no such actor exists here when it is popped.
 func (lc *LiveCluster) Deliver(m simnet.Message) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	if lc.closed {
+	if lc.awaitRoomLocked(); lc.closed {
 		return
 	}
-	dst := lc.actors[core.ProcID(m.To)]
-	if dst == nil {
-		_, isBounce := m.Payload.(simnet.Bounce)
-		if !isBounce && lc.remote != nil && lc.isLocal != nil && !lc.isLocal(core.ProcID(m.From)) {
-			lc.remote.Send(simnet.Message{
-				From: m.To, To: m.From,
-				Payload: simnet.Bounce{To: m.To, Original: m.Payload},
-			})
-		}
-		return
-	}
-	lc.enqueueLocked(dst, m)
+	lc.fifo = append(lc.fifo, m)
+	lc.wakeLocked()
 }
 
 // InjectEvent starts an asynchronous dissemination from producer and
 // returns without waiting for quiescence (the engine.AsyncPublisher
-// capability). Deliveries surface through the event hook; there is no
-// receipt census — on a multi-daemon overlay no single cluster can see
-// one.
-func (lc *LiveCluster) InjectEvent(producer core.ProcID, ev geom.Point) error {
+// capability), after waiting for room if it must (invariant 3). It is
+// safe for concurrent use. Deliveries, the producer's own included,
+// surface through the event hook; there is no receipt census — on a
+// multi-daemon overlay no single cluster can see one.
+func (lc *LiveCluster) InjectEvent(producer core.ProcID, ev geom.Point) (err error) {
 	lc.mu.Lock()
-	if lc.closed {
-		lc.mu.Unlock()
-		return fmt.Errorf("proto: live cluster closed")
+	if lc.awaitRoomLocked(); lc.closed {
+		err = fmt.Errorf("proto: live cluster closed")
+	} else if lc.actors[producer] == nil {
+		err = fmt.Errorf("proto: producer %d not in the cluster", producer)
+	} else {
+		lc.injectLocked(producer, ev)
 	}
-	a := lc.actors[producer]
-	if a == nil {
-		lc.mu.Unlock()
-		return fmt.Errorf("proto: producer %d not in the cluster", producer)
-	}
-	lc.nextE++
-	id := lc.nextE
-	a.node.onEvent(mEvent{ID: id, Ev: ev, Height: a.node.top, Up: true, From: core.NoProc})
-	lc.dispatchLocked(a.node.drainOut())
-	fires := lc.takeHooksLocked()
 	lc.mu.Unlock()
-	lc.fireHooks(fires)
-	return nil
+	// Hand the processor to the loop. What a caller does next is write an
+	// ack, which wakes its client; local deliveries written a moment after
+	// that find the client asleep again and cost it a second wake-up
+	// (240µs on bench's steady-3d local Notify p50), so they go first.
+	runtime.Gosched()
+	return err
 }
 
 // ActorState is a diagnostic snapshot of one live actor's protocol
@@ -205,19 +193,10 @@ func (lc *LiveCluster) ActorStates() []ActorState {
 	return out
 }
 
-// takeHooksLocked detaches the pending hook invocations collected
-// during the current locked turn.
-func (lc *LiveCluster) takeHooksLocked() []hookFire {
-	fires := lc.hookQ
-	lc.hookQ = nil
-	return fires
-}
-
-// fireHooks runs detached hook invocations outside the cluster lock.
+// fireHooks runs the hook invocations a turn handed back, outside the
+// cluster lock. An invocation is only ever queued with the hook set, and
+// queued under the lock, so reading it here is ordered after the write.
 func (lc *LiveCluster) fireHooks(fires []hookFire) {
-	if lc.hook == nil {
-		return
-	}
 	for _, f := range fires {
 		lc.hook(f.proc, f.event, f.ev, f.matched)
 	}

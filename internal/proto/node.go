@@ -24,7 +24,7 @@ type Config struct {
 	UnderloadPatience int
 	// PublishBudget bounds, in rounds, how long one Publish may run
 	// before giving up on draining the network. 0 means adaptive
-	// (800 + 200 per live process). The goroutine-backed LiveCluster
+	// (800 + 200 per live process). The real-time LiveCluster
 	// has no round clock and reads one round as one base check period
 	// (checkBase) of wall-clock time, however far its actors' timers
 	// have backed off.

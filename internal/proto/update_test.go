@@ -111,7 +111,7 @@ func TestClusterUpdateFilterValidation(t *testing.T) {
 }
 
 // TestLiveUpdateFilter exercises the FilterUpdater capability on the
-// goroutine-backed runtime: update a filter, await legality, publish.
+// live runtime: update a filter, await legality, publish.
 func TestLiveUpdateFilter(t *testing.T) {
 	lc, err := NewLiveCluster(Config{MinFanout: 2, MaxFanout: 4})
 	if err != nil {

@@ -6,6 +6,8 @@ package pubsub
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -103,6 +105,19 @@ func TestPublishAsyncRequiresCapability(t *testing.T) {
 	}
 }
 
+// notifyHook bridges a live cluster's event hook to NotifyGateway: the
+// daemon's bridge, without the goroutine drtreed puts in between.
+func notifyHook(space *filter.Space, b *Broker) proto.EventHook {
+	return func(proc core.ProcID, _ int64, ev geom.Point, matched bool) {
+		if !matched {
+			return
+		}
+		if e, err := space.Event(ev); err == nil {
+			b.NotifyGateway(proc, e)
+		}
+	}
+}
+
 // TestPublishAsyncEndToEnd wires the live runtime's event hook to
 // NotifyGateway — exactly the daemon's bridge — and checks an async
 // publish reaches a queue-backed subscriber with no synchronous census.
@@ -117,16 +132,7 @@ func TestPublishAsyncEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	lc.SetEventHook(func(proc core.ProcID, _ int64, ev geom.Point, matched bool) {
-		if !matched {
-			return
-		}
-		e, err := space.Event(ev)
-		if err != nil {
-			return
-		}
-		b.NotifyGateway(proc, e)
-	})
+	lc.SetEventHook(notifyHook(space, b))
 
 	if err := b.PublishAsync(1, filter.Event{"price": 1, "qty": 1}); !errors.Is(err, ErrProducerNotRegistered) {
 		t.Fatalf("unregistered producer: err = %v", err)
@@ -160,5 +166,69 @@ func TestPublishAsyncEndToEnd(t *testing.T) {
 	case e := <-ch:
 		t.Fatalf("unexpected delivery %v", e.Event)
 	case <-time.After(300 * time.Millisecond):
+	}
+}
+
+// TestPublishAsyncVersusGrowingSubscribe: an async publisher and a
+// subscriber whose filters keep widening the gateway's union must not
+// deadlock. The event hook calls NotifyGateway itself (notifyHook): it
+// takes the gateway's read lock, while a union-growing Subscribe holds that
+// gateway's lock and wants the engine mutex — so the hook may never run
+// on the stack of a publisher that holds the engine mutex, and
+// PublishAsync may not hold it while the engine waits on its hooks.
+func TestPublishAsyncVersusGrowingSubscribe(t *testing.T) {
+	lc, err := proto.NewLiveCluster(proto.Config{MinFanout: 2, MaxFanout: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := filter.MustSpace("price")
+	b, err := New(space, lc, WithGateways(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc.SetEventHook(notifyHook(space, b))
+	if err := b.SubscribeExpr(1, "price in [0, 10]"); err != nil {
+		t.Fatal(err)
+	}
+
+	const publishes, subscribes = 20000, 2000
+	done := make(chan error, 2) // one result per worker
+	go func() {
+		for i := 0; i < publishes; i++ {
+			if err := b.PublishAsync(1, filter.Event{"price": 5}); err != nil {
+				done <- fmt.Errorf("publish %d: %w", i, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	go func() {
+		// Each filter is wider than the last, so every Subscribe grows the
+		// union; none contains the published price, so the hook's match
+		// stays one subscriber's worth of work.
+		for i := 1; i <= subscribes; i++ {
+			if err := b.SubscribeExpr(core.ProcID(1+i), fmt.Sprintf("price in [10, %d]", 10+i)); err != nil {
+				done <- fmt.Errorf("subscribe %d: %w", i, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	watchdog := time.After(20 * time.Second)
+	for range 2 {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-watchdog:
+			// The workers are wedged and Close would wedge behind them:
+			// leave everything as it stands, with the stacks in the log.
+			stacks := make([]byte, 1<<20)
+			t.Fatalf("publisher and subscriber deadlocked; all goroutines:\n%s", stacks[:runtime.Stack(stacks, true)])
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Error(err)
 	}
 }

@@ -18,7 +18,7 @@
 // The broker is engine-agnostic: it consumes only the unified
 // engine.Engine interface, so the same pub/sub front end runs over the
 // sequential tree, the deterministic message-passing cluster (including
-// lossy simulated networks), or the goroutine-per-node live cluster.
+// lossy simulated networks), or the run-loop live cluster.
 // Gateways move their overlay filter in place through
 // Engine.UpdateFilter.
 package pubsub
@@ -125,7 +125,11 @@ func (gw *gateway) load() int { return len(gw.subs) }
 // classify interest — runs outside the engine mutex, so concurrent
 // publishers only serialize on the overlay traversal itself. The lock
 // order is fixed: a gateway lock may be held while taking the engine
-// mutex, never the reverse.
+// mutex, never the reverse. PublishAsync holds neither around the
+// engine: AsyncPublisher.InjectEvent is safe for concurrent use, and the
+// engine's event hook (NotifyGateway, a gateway read lock) runs on the
+// engine's own goroutine, never on the stack of a call made under the
+// engine mutex — so nothing under it ever waits for a gateway lock.
 type Broker struct {
 	space *filter.Space
 	engMu sync.Mutex // serializes all calls into eng
@@ -924,10 +928,10 @@ func (b *Broker) PublishAsync(producer core.ProcID, ev filter.Event) error {
 	if err != nil {
 		return err
 	}
-	gwID := pgw.procID
-	b.engMu.Lock()
-	err = ap.InjectEvent(gwID, p)
-	b.engMu.Unlock()
+	// Not under engMu: InjectEvent is safe for concurrent use and may
+	// wait for room in the engine's queue, which drains through event
+	// hooks that take gateway locks (NotifyGateway).
+	err = ap.InjectEvent(pgw.procID, p)
 	if err != nil && !b.registered(producer) {
 		return fmt.Errorf("%w: %d (unsubscribed concurrently with publish: %v)", ErrProducerNotRegistered, producer, err)
 	}

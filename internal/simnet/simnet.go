@@ -51,7 +51,7 @@ type scheduled struct {
 }
 
 // Network is the round-based bus. Not safe for concurrent use; the
-// goroutine runtime (proto.LiveCluster) provides a concurrent driver.
+// live runtime (proto.LiveCluster) provides a concurrent driver.
 type Network struct {
 	pending []scheduled
 	round   int
