@@ -379,7 +379,9 @@ func WithGatewayBase(base ProcID) BrokerOption { return pubsub.WithGatewayBase(b
 // process through a narrow Store seam (see internal/state).
 type (
 	// Store is the durability seam: an append-only journal with a
-	// snapshot baseline behind Append/Snapshot/Replay/Compact.
+	// snapshot baseline behind Write/Sync/Snapshot/Replay/Compact. Adding
+	// a record is Write (ordered) then Sync (durable); the built-in stores
+	// offer the pair as Append.
 	Store = state.Store
 	// StoreStats describes a store's shape (records, snapshot presence,
 	// torn bytes repaired on open).

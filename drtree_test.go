@@ -381,7 +381,11 @@ func TestFacadeDurableBroker(t *testing.T) {
 
 	// The in-memory store satisfies the same seam.
 	var mem drtree.Store = drtree.NewMemStore()
-	if err := mem.Append([]byte("x")); err != nil {
+	seq, err := mem.Write([]byte("x"))
+	if err == nil {
+		err = mem.Sync(seq)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,6 +26,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -39,6 +40,24 @@ type ProcID int
 
 // NoProc is the zero ProcID, used as "no process".
 const NoProc ProcID = 0
+
+// ErrNotMember is what every engine's refusal of a process that is not
+// a member of the overlay ("not in the tree", "not in the cluster") is
+// to errors.Is. A caller that raced a departure maps on it, and does not
+// have to look at its own tables a second time to guess what the engine
+// meant.
+var ErrNotMember = errors.New("core: process is not a member of the overlay")
+
+// NotMemberf formats an ErrNotMember refusal whose message is the
+// formatted text and nothing else.
+func NotMemberf(format string, args ...any) error {
+	return notMember(fmt.Sprintf(format, args...))
+}
+
+type notMember string
+
+func (e notMember) Error() string { return string(e) }
+func (e notMember) Unwrap() error { return ErrNotMember }
 
 // Params configures a DR-tree.
 type Params struct {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 )
 
@@ -31,7 +30,7 @@ func (t *Tree) Leave(id ProcID) error {
 func (t *Tree) LeaveWithStats(id ProcID) (LeaveStats, error) {
 	p := t.procs[id]
 	if p == nil {
-		return LeaveStats{}, fmt.Errorf("core: process %d not in the tree", id)
+		return LeaveStats{}, NotMemberf("core: process %d not in the tree", id)
 	}
 	var st LeaveStats
 
@@ -73,7 +72,7 @@ func (t *Tree) LeaveWithStats(id ProcID) (LeaveStats, error) {
 func (t *Tree) Crash(id ProcID) error {
 	p := t.procs[id]
 	if p == nil {
-		return fmt.Errorf("core: process %d not in the tree", id)
+		return NotMemberf("core: process %d not in the tree", id)
 	}
 	t.dropProc(p)
 	if len(t.procs) == 0 {

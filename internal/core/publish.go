@@ -67,7 +67,7 @@ func (st *pubCtx) grow(n int32) {
 // (paper §3, dissemination example).
 func (t *Tree) Publish(producer ProcID, ev geom.Point) (Delivery, error) {
 	if t.procs[producer] == nil {
-		return Delivery{}, fmt.Errorf("core: producer %d not in the tree", producer)
+		return Delivery{}, NotMemberf("core: producer %d not in the tree", producer)
 	}
 	if d := t.dims(); len(ev) != d {
 		return Delivery{}, fmt.Errorf("core: event has %d dims, tree uses %d", len(ev), d)
@@ -195,7 +195,7 @@ func (t *Tree) PublishBatch(batch []Publication) ([]Delivery, error) {
 	dims := t.dims()
 	for i := range batch {
 		if t.procs[batch[i].Producer] == nil {
-			return nil, fmt.Errorf("core: producer %d not in the tree", batch[i].Producer)
+			return nil, NotMemberf("core: producer %d not in the tree", batch[i].Producer)
 		}
 		if len(batch[i].Event) != dims {
 			return nil, fmt.Errorf("core: event has %d dims, tree uses %d", len(batch[i].Event), dims)

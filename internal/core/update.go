@@ -21,7 +21,7 @@ import (
 func (t *Tree) UpdateFilter(id ProcID, f geom.Rect) error {
 	p := t.procs[id]
 	if p == nil {
-		return fmt.Errorf("core: process %d not in the tree", id)
+		return NotMemberf("core: process %d not in the tree", id)
 	}
 	if f.IsEmpty() {
 		return fmt.Errorf("core: filter must be a non-empty rectangle")

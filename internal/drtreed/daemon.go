@@ -116,7 +116,7 @@ type Daemon struct {
 	// loop to that gateway's notifier goroutine (read-only once built).
 	// 1024 is what one turn of the loop can hand back (proto's FIFO
 	// bound): the loop gets through a turn's hooks without waiting while
-	// a notifier sits behind its gateway's lock.
+	// a notifier is matching.
 	notifyQ map[core.ProcID]chan geom.Point
 
 	mu       sync.Mutex
@@ -289,12 +289,12 @@ func (d *Daemon) TransportStats() transport.Stats { return d.tp.Stats() }
 
 // onOverlayDeliver is the live runtime's event hook: every first
 // receipt of an event by a local process lands here, on the overlay's
-// run loop. The loop must not wait for a gateway lock — a durable
-// Subscribe holds one across an fsync, and every actor of this daemon
-// would stand still with it — so a matched receipt at a gateway is only
-// handed to that gateway's notifier. When its queue is full the loop
-// does wait: the overlay pushes back on its publishers and links, and
-// nothing is dropped.
+// run loop. Matching it against the gateway's subscribers (an index
+// probe under the gateway's read lock, then the queue hand-offs) is not
+// overlay work, so a matched receipt at a gateway is only handed to that
+// gateway's notifier and the loop goes on to the next actor. When the
+// notifier's queue is full the loop does wait: the overlay pushes back
+// on its publishers and links, and nothing is dropped.
 func (d *Daemon) onOverlayDeliver(p core.ProcID, _ int64, ev geom.Point, matched bool) {
 	if q := d.notifyQ[p]; matched && q != nil {
 		q <- ev
@@ -302,11 +302,15 @@ func (d *Daemon) onOverlayDeliver(p core.ProcID, _ int64, ev geom.Point, matched
 }
 
 // notifier fans the events gateway p received out to its subscribers,
-// in the order the overlay delivered them. One goroutine per gateway,
-// not one per daemon: each waits out its own gateway's lock, and with
-// durable churn on every gateway those waits have to overlap (one
-// notifier for all four measured a quarter of the closed-loop capacity
-// on bench's churn-durable-3d). It starts when the daemon is up and ends
+// in the order the overlay delivered them, one goroutine per gateway:
+// the run loop hands a matched receipt over and moves on, and the four
+// gateways match side by side. No gateway lock is held across a disk
+// wait (pubsub/journal.go), so the loop could call NotifyGateway itself;
+// measured on bench's churn-durable-3d that reads no better —
+// notify_p50_us 440 -> 461, notify_p90_us 910 -> 934, capacity 7267 ->
+// 7498 events/s over two alternated pairs (EXPERIMENTS.md, "No gateway
+// lock across an fsync") — so the notifiers stay until an issue of its
+// own deletes them and notifyQ. It starts when the daemon is up and ends
 // when Close, with the overlay stopped, closes its queue.
 func (d *Daemon) notifier(p core.ProcID, q <-chan geom.Point) {
 	defer d.closeWG.Done()

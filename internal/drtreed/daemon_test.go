@@ -464,9 +464,13 @@ func TestHTTPEndpoints(t *testing.T) {
 			Filter geom.Rect
 		} `json:"gateways"`
 		Overlay map[string]float64 `json:"overlay"`
+		Store   json.RawMessage    `json:"store"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
+	}
+	if stats.Store != nil {
+		t.Errorf("statsz store = %s on a daemon without a data directory", stats.Store)
 	}
 	if len(stats.Gateways) != 2 {
 		t.Fatalf("statsz gateways = %d, want 2", len(stats.Gateways))

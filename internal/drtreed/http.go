@@ -36,6 +36,7 @@ import (
 	"drtree/internal/filter"
 	"drtree/internal/proto"
 	"drtree/internal/pubsub"
+	"drtree/internal/state"
 	"drtree/internal/ws"
 )
 
@@ -99,7 +100,10 @@ func (d *Daemon) serveStats(w http.ResponseWriter, _ *http.Request) {
 			RPC frontSnapshot `json:"rpc"`
 			WS  frontSnapshot `json:"ws"`
 		} `json:"sessions"`
-		Overlay  proto.LiveStats      `json:"overlay"`
+		Overlay proto.LiveStats `json:"overlay"`
+		// Store is present on a durable daemon; appended over syncs is the
+		// journal records one fsync is making durable.
+		Store    *state.Stats         `json:"store,omitempty"`
 		Gateways []pubsub.GatewayStat `json:"gateways"`
 		Actors   []proto.ActorState   `json:"actors"`
 	}{
@@ -112,6 +116,10 @@ func (d *Daemon) serveStats(w http.ResponseWriter, _ *http.Request) {
 		Actors:      d.lc.ActorStates(),
 	}
 	stats.Sessions.RPC, stats.Sessions.WS = d.rpcStats.snapshot(), d.wsStats.snapshot()
+	if st, ok := d.store.(state.Stater); ok {
+		ss := st.Stats()
+		stats.Store = &ss
+	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(stats)
 }

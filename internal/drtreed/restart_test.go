@@ -3,6 +3,7 @@ package drtreed
 import (
 	"encoding/json"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -97,6 +98,30 @@ func TestThreeDaemonRestart(t *testing.T) {
 	for id, expr := range traders {
 		if err := dial(id).Subscribe(id, expr); err != nil {
 			t.Fatalf("trader %d subscribe: %v", id, err)
+		}
+	}
+
+	// Each daemon journaled its two traders, and /statsz says what that
+	// cost: two records, and between one fsync (a shared one) and two.
+	for i, d := range ds {
+		resp, err := http.Get("http://" + d.HTTPAddr() + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats struct {
+			Store *struct {
+				Records  int    `json:"records"`
+				Appended uint64 `json:"appended"`
+				Syncs    uint64 `json:"syncs"`
+			} `json:"store"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := stats.Store; st == nil || st.Records != 2 || st.Appended != 2 || st.Syncs < 1 || st.Syncs > 2 {
+			t.Fatalf("daemon %d statsz store = %+v, want 2 records appended in 1..2 syncs", i, st)
 		}
 	}
 

@@ -132,7 +132,7 @@ func TestCertifyRecoveryAdaptivePool(t *testing.T) {
 }
 
 // amnesiacStore wraps a Store and silently drops every write after the
-// first `allow` appends — the lie a broken durability layer would tell.
+// first `allow` records — the lie a broken durability layer would tell.
 // CertifyRecovery exists to catch exactly this.
 type amnesiacStore struct {
 	state.Store
@@ -140,15 +140,17 @@ type amnesiacStore struct {
 	seen  int
 }
 
-func (a *amnesiacStore) Append(rec []byte) error {
+func (a *amnesiacStore) Write(rec []byte) (uint64, error) {
 	a.seen++
 	if a.seen > a.allow {
-		return nil // claims durability, writes nothing
+		return a.Store.Written(), nil // claims a place in the log, writes nothing
 	}
-	return a.Store.Append(rec)
+	return a.Store.Write(rec)
 }
 
-func (a *amnesiacStore) Snapshot([]byte) error { return nil }
+func (a *amnesiacStore) Sync(uint64) error { return nil } // and claims it durable
+
+func (a *amnesiacStore) Snapshot([]byte, uint64) error { return nil }
 
 func TestCertifyRecoveryCatchesLostSubscriptions(t *testing.T) {
 	sched := &Schedule{

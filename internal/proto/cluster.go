@@ -128,7 +128,7 @@ func (c *Cluster) Join(id core.ProcID, filter geom.Rect) error {
 // an explicit contact node rather than the connection oracle.
 func (c *Cluster) JoinFrom(contact, id core.ProcID, filter geom.Rect) error {
 	if c.nodes[contact] == nil {
-		return fmt.Errorf("proto: contact %d not in the cluster", contact)
+		return core.NotMemberf("proto: contact %d not in the cluster", contact)
 	}
 	return c.join(id, filter, contact)
 }
@@ -168,7 +168,7 @@ func (c *Cluster) join(id core.ProcID, filter geom.Rect, contact core.ProcID) er
 func (c *Cluster) UpdateFilter(id core.ProcID, f geom.Rect) error {
 	n := c.nodes[id]
 	if n == nil {
-		return fmt.Errorf("proto: process %d not in the cluster", id)
+		return core.NotMemberf("proto: process %d not in the cluster", id)
 	}
 	if f.IsEmpty() {
 		return fmt.Errorf("proto: filter must be non-empty")
@@ -191,7 +191,7 @@ func (c *Cluster) UpdateFilter(id core.ProcID, f geom.Rect) error {
 func (c *Cluster) Leave(id core.ProcID) error {
 	n := c.nodes[id]
 	if n == nil {
-		return fmt.Errorf("proto: process %d not in the cluster", id)
+		return core.NotMemberf("proto: process %d not in the cluster", id)
 	}
 	if in := n.at(n.top); in != nil && in.parent != id {
 		c.net.Send(simnet.Message{
@@ -209,7 +209,7 @@ func (c *Cluster) Leave(id core.ProcID) error {
 // reveal the failure.
 func (c *Cluster) Crash(id core.ProcID) error {
 	if c.nodes[id] == nil {
-		return fmt.Errorf("proto: process %d not in the cluster", id)
+		return core.NotMemberf("proto: process %d not in the cluster", id)
 	}
 	delete(c.nodes, id)
 	c.net.Kill(simnet.NodeID(id))
@@ -349,7 +349,7 @@ func (c *Cluster) PublishBatch(batch []core.Publication) ([]core.Delivery, error
 	}
 	for i := range batch {
 		if c.nodes[batch[i].Producer] == nil {
-			return nil, fmt.Errorf("proto: producer %d not in the cluster", batch[i].Producer)
+			return nil, core.NotMemberf("proto: producer %d not in the cluster", batch[i].Producer)
 		}
 	}
 	maxRounds := c.budget(c.cfg.PublishBudget)

@@ -146,7 +146,7 @@ func (lc *LiveCluster) join(id core.ProcID, filter geom.Rect, contact core.ProcI
 		return fmt.Errorf("proto: process %d already joined", id)
 	}
 	if contact != core.NoProc && lc.actors[contact] == nil {
-		return fmt.Errorf("proto: contact %d not in the cluster", contact)
+		return core.NotMemberf("proto: contact %d not in the cluster", contact)
 	}
 	a := &liveActor{node: newNode(id, filter, lc.cfg), period: checkBase}
 	lc.actors[id] = a
@@ -191,7 +191,7 @@ func (lc *LiveCluster) UpdateFilter(id core.ProcID, f geom.Rect) error {
 	}
 	a := lc.actors[id]
 	if a == nil {
-		return fmt.Errorf("proto: process %d not in the cluster", id)
+		return core.NotMemberf("proto: process %d not in the cluster", id)
 	}
 	if f.IsEmpty() {
 		return fmt.Errorf("proto: filter must be non-empty")
@@ -213,7 +213,7 @@ func (lc *LiveCluster) Leave(id core.ProcID) error {
 	defer lc.mu.Unlock()
 	a := lc.actors[id]
 	if a == nil {
-		return fmt.Errorf("proto: process %d not in the cluster", id)
+		return core.NotMemberf("proto: process %d not in the cluster", id)
 	}
 	n := a.node
 	if in := n.at(n.top); in != nil && in.parent != id {
@@ -230,7 +230,7 @@ func (lc *LiveCluster) Crash(id core.ProcID) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	if lc.actors[id] == nil {
-		return fmt.Errorf("proto: process %d not in the cluster", id)
+		return core.NotMemberf("proto: process %d not in the cluster", id)
 	}
 	delete(lc.actors, id)
 	return nil
@@ -548,7 +548,7 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 	}
 	for i := range batch {
 		if lc.actors[batch[i].Producer] == nil {
-			return nil, fmt.Errorf("proto: producer %d not in the cluster", batch[i].Producer)
+			return nil, core.NotMemberf("proto: producer %d not in the cluster", batch[i].Producer)
 		}
 	}
 	ids := make([]int64, len(batch))

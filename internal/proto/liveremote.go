@@ -149,7 +149,7 @@ func (lc *LiveCluster) InjectEvent(producer core.ProcID, ev geom.Point) (err err
 	if lc.awaitRoomLocked(); lc.closed {
 		err = fmt.Errorf("proto: live cluster closed")
 	} else if lc.actors[producer] == nil {
-		err = fmt.Errorf("proto: producer %d not in the cluster", producer)
+		err = core.NotMemberf("proto: producer %d not in the cluster", producer)
 	} else {
 		lc.injectLocked(producer, ev)
 	}

@@ -234,9 +234,11 @@ func (h *hookEngine) PublishBatch(batch []core.Publication) ([]core.Delivery, er
 }
 
 // TestPublishUnsubscribeRaceMapsToSentinel: when a concurrent
-// Unsubscribe removes the producer after the registered check, the raw
-// engine error is mapped to ErrProducerNotRegistered — callers see one
-// error for one condition regardless of interleaving.
+// Unsubscribe removes the producer after the registered check, the
+// engine's "not a member" refusal is mapped to ErrProducerNotRegistered
+// — callers see one error for one condition regardless of interleaving,
+// including the one where the producer has subscribed again by the time
+// the refusal comes back.
 func TestPublishUnsubscribeRaceMapsToSentinel(t *testing.T) {
 	tree, err := core.New(core.Params{MinFanout: 2, MaxFanout: 4})
 	if err != nil {
@@ -267,14 +269,34 @@ func TestPublishUnsubscribeRaceMapsToSentinel(t *testing.T) {
 		if err := b.Unsubscribe(1); err != nil {
 			return fmt.Errorf("hook unsubscribe: %v", err)
 		}
-		return fmt.Errorf("injected: unknown process 1")
+		return core.NotMemberf("injected: process 1 not in the tree")
 	}
 	if _, err := b.Publish(1, filter.Event{"x": 5}); !errors.Is(err, ErrProducerNotRegistered) {
 		t.Fatalf("raced publish: %v, want ErrProducerNotRegistered", err)
 	}
 
-	// An engine error with the producer still registered stays a raw
-	// engine error — the mapping is for the unsubscribe race only.
+	// The refusal decides, not a second look at the table: a producer
+	// that left and came back while the engine call was in flight still
+	// gets the sentinel (the TestConcurrentBrokerHammer flake). With 1
+	// back, 2's leave and rejoin take no engine call either.
+	if err := b.SubscribeExpr(1, "x in [0, 10]"); err != nil {
+		t.Fatal(err)
+	}
+	he.hook = func() error {
+		if err := b.Unsubscribe(2); err != nil {
+			return fmt.Errorf("hook unsubscribe: %v", err)
+		}
+		if err := b.SubscribeExpr(2, "x in [0, 10]"); err != nil {
+			return fmt.Errorf("hook resubscribe: %v", err)
+		}
+		return core.NotMemberf("injected: process 2 not in the tree")
+	}
+	if _, err := b.Publish(2, filter.Event{"x": 5}); !errors.Is(err, ErrProducerNotRegistered) {
+		t.Fatalf("publish raced by leave+rejoin: %v, want ErrProducerNotRegistered", err)
+	}
+
+	// Any other engine error stays a raw engine error — the mapping is
+	// for the unsubscribe race only.
 	he.hook = func() error { return fmt.Errorf("injected transient engine failure") }
 	if _, err := b.Publish(2, filter.Event{"x": 5}); err == nil || errors.Is(err, ErrProducerNotRegistered) {
 		t.Fatalf("unrelated engine error must not be masked: %v", err)

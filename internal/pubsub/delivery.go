@@ -138,7 +138,7 @@ func (b *Broker) subscribeFunc(ob *Outbox, id core.ProcID, f filter.Filter, h Ha
 	if err != nil {
 		return err
 	}
-	if err := b.subscribe(id, f, cons, true); err != nil {
+	if err := b.subscribe(id, f, cons); err != nil {
 		cons.q.Close()
 		return err
 	}
@@ -227,7 +227,7 @@ func (b *Broker) SubscribeChan(id core.ProcID, f filter.Filter, opts ...Delivery
 	if err != nil {
 		return nil, err
 	}
-	if err := b.subscribe(id, f, cons, true); err != nil {
+	if err := b.subscribe(id, f, cons); err != nil {
 		cons.q.Close()
 		return nil, err
 	}

@@ -5,6 +5,41 @@ package pubsub
 // snapshots the whole subscription table and compacts the log; Recover
 // rebuilds a fresh broker from snapshot + suffix.
 //
+// The rule is write before commit, sync before ack. A record is
+// written (Store.Write: framed, numbered and handed to the OS) inside
+// the same hold of the owning gateway's lock that commits the operation
+// in memory — for Subscribe and UpdateFilter before the commit, so a
+// failed Write leaves nothing changed; for Unsubscribe after it, the
+// engine having already let the gateway go. It is made durable
+// (Store.Sync, the fsync) only after that lock, and the pool lock, have
+// been released, and the public call returns only after that. So:
+//
+//   - No gateway or pool lock is ever held across a disk wait. Matching
+//     (NotifyGateway, Publish) takes gateway locks shared and used to
+//     stand behind every fsync of a subscriber joining or leaving.
+//   - The order of records in the log is the order of commits, per
+//     gateway: Write is what fixes a record's place in the log, and a
+//     gateway's Writes and its commits happen one pair per hold of
+//     gw.mu. (Across gateways the log interleaves, as it always did; the
+//     fold in Recover only needs per-subscriber order, and a subscriber
+//     has one gateway at a time — moves are journaled under poolMu,
+//     which excludes every other writer.)
+//   - A call that returned nil is durable.
+//   - A registration is visible to matching for the length of one fsync
+//     before it is durable. A crash in that window forgets a Subscribe
+//     that was never acknowledged, and resurrects an Unsubscribe that
+//     was never acknowledged (a ghost: false positives, never a false
+//     negative). A crash loses a suffix of the log, never a middle.
+//   - When Sync fails: Subscribe takes the registration back through the
+//     normal remove path and returns the error; Unsubscribe and Fail
+//     stand (the engine has let go) and return it, meaning "durability
+//     is behind"; UpdateFilter keeps the new filter in memory and
+//     returns it under the same contract.
+//
+// Checkpoint follows the same rule: the blob is encoded and the log
+// position it describes is read under the locks, the file is written
+// after them.
+//
 // Records carry the subscriber ID and the *exact* predicate list —
 // attribute, operator, and the raw float64 bits of the constant — via
 // the internal/wire primitives. Filter.String() is deliberately not
@@ -64,13 +99,15 @@ const (
 	poolRetire = byte(2)
 )
 
-// journalAppend durably records one subscription operation. No-op on a
-// memory-only broker. Called with the owning gateway's lock held, which
-// is what orders the journal consistently with the in-memory commit
-// order for any single subscriber ID.
-func (b *Broker) journalAppend(op byte, id core.ProcID, f filter.Filter, gwOff int) error {
+// journalWrite hands one subscription operation to the store and
+// returns its sequence number (0 and nil on a memory-only broker). The
+// record is ordered, not yet durable: the public entry point passes the
+// number to journalSync once it holds no lock. Called with the owning
+// gateway's lock held, which is what puts the record in the log where
+// the commit is in the gateway's history.
+func (b *Broker) journalWrite(op byte, id core.ProcID, f filter.Filter, gwOff int) (uint64, error) {
 	if b.store == nil {
-		return nil
+		return 0, nil
 	}
 	w := wire.NewWriter(make([]byte, 0, 64))
 	w.Byte(journalVersion)
@@ -80,11 +117,14 @@ func (b *Broker) journalAppend(op byte, id core.ProcID, f filter.Filter, gwOff i
 		w.Uvarint(uint64(gwOff))
 		encodeFilter(w, f)
 	}
-	return b.appendRecord(w.Bytes())
+	return b.writeRecord(w.Bytes())
 }
 
 // journalAssign records that subscriber id now lives on the gateway at
 // pool offset gwOff — a move (split/drain), not a new registration.
+// poolMu is held exclusively, and whoever holds it syncs before it
+// returns (subscribePolicy on its Subscribe record, written after any
+// move; removePolicy on journalFrontier).
 func (b *Broker) journalAssign(id core.ProcID, gwOff int) error {
 	if b.store == nil {
 		return nil
@@ -94,10 +134,12 @@ func (b *Broker) journalAssign(id core.ProcID, gwOff int) error {
 	w.Byte(journalAssignOp)
 	w.Varint(int64(id))
 	w.Uvarint(uint64(gwOff))
-	return b.appendRecord(w.Bytes())
+	_, err := b.writeRecord(w.Bytes())
+	return err
 }
 
-// journalPoolOp records an adaptive-pool membership change.
+// journalPoolOp records an adaptive-pool membership change, under
+// poolMu like journalAssign.
 func (b *Broker) journalPoolOp(kind byte, gwOff int) error {
 	if b.store == nil {
 		return nil
@@ -107,19 +149,46 @@ func (b *Broker) journalPoolOp(kind byte, gwOff int) error {
 	w.Byte(journalPoolOp)
 	w.Byte(kind)
 	w.Uvarint(uint64(gwOff))
-	return b.appendRecord(w.Bytes())
+	_, err := b.writeRecord(w.Bytes())
+	return err
 }
 
-// appendRecord writes one framed record and drives the checkpoint
-// cadence.
-func (b *Broker) appendRecord(rec []byte) error {
-	if err := b.store.Append(rec); err != nil {
-		return fmt.Errorf("pubsub: journal append: %w", err)
+// writeRecord writes one record and drives the checkpoint cadence.
+func (b *Broker) writeRecord(rec []byte) (uint64, error) {
+	seq, err := b.store.Write(rec)
+	if err != nil {
+		return 0, fmt.Errorf("pubsub: journal write: %w", err)
 	}
 	if b.snapEvery > 0 && b.sinceSnap.Add(1) >= uint64(b.snapEvery) {
 		b.checkpointAsync()
 	}
+	return seq, nil
+}
+
+// journalSync returns once every record up to seq is durable. The
+// caller holds no gateway lock and not the pool lock. Sequence number 0
+// is "wrote nothing": a memory-only broker, or an operation that failed
+// before its Write.
+func (b *Broker) journalSync(seq uint64) error {
+	if seq == 0 {
+		return nil
+	}
+	if err := b.store.Sync(seq); err != nil {
+		return fmt.Errorf("pubsub: journal sync: %w", err)
+	}
 	return nil
+}
+
+// journalFrontier returns the sequence number of the last record
+// written, 0 on a memory-only broker. Under an exclusive hold of poolMu
+// in policy mode, or under every gateway's lock, no one else is writing,
+// so this is the caller's own highest record (or an older one, which is
+// durable or about to be: syncing on it is harmless).
+func (b *Broker) journalFrontier() uint64 {
+	if b.store == nil {
+		return 0
+	}
+	return b.store.Written()
 }
 
 // checkpointAsync runs Checkpoint in the background, one at a time.
@@ -137,13 +206,17 @@ func (b *Broker) checkpointAsync() {
 
 // Checkpoint snapshots the current subscription table (and, for an
 // adaptive pool, the pool membership) into the store and compacts the
-// journal. The snapshot is cut under the shared pool lock plus every
-// gateway's read lock simultaneously, which excludes all journal
-// appends (they run under a gateway write lock) and all pool
-// reorganizations (they hold the pool lock exclusively), so the blob
-// and the covered log prefix describe exactly the same history — no
-// operation can slip between the cut and the snapshot's coverage
-// point. No-op on a memory-only broker.
+// journal. The cut — the blob, and the sequence number of the last
+// record it reflects — is taken under the shared pool lock plus every
+// gateway's read lock simultaneously, which excludes all journal writes
+// (they run under a gateway write lock) and all pool reorganizations
+// (they hold the pool lock exclusively), so the blob and the covered log
+// prefix describe exactly the same history. The locks are released
+// before the store is touched: writing the snapshot is a temp file, two
+// fsyncs and a rename, and a Subscribe queued behind those read locks
+// would park every later NotifyGateway behind itself for all of it.
+// Records written meanwhile are above the cut and stay in the log. No-op
+// on a memory-only broker.
 func (b *Broker) Checkpoint() error {
 	if b.store == nil {
 		return nil
@@ -176,12 +249,12 @@ func (b *Broker) Checkpoint() error {
 			encodeFilter(w, sub.f)
 		}
 	}
-	err := b.store.Snapshot(w.Bytes())
+	covered := b.journalFrontier()
 	for _, gw := range gws {
 		gw.mu.RUnlock()
 	}
 	b.poolMu.RUnlock()
-	if err != nil {
+	if err := b.store.Snapshot(w.Bytes(), covered); err != nil {
 		return fmt.Errorf("pubsub: checkpoint: %w", err)
 	}
 	b.sinceSnap.Store(0)
@@ -283,11 +356,15 @@ func (b *Broker) Recover() (RecoverStats, error) {
 		if b.policy != nil {
 			off = rs.subs[id].off
 		}
-		if err := b.subscribeAt(id, rs.subs[id].f, nil, false, off); err != nil {
+		if _, err := b.subscribeAt(id, rs.subs[id].f, nil, false, off); err != nil {
 			return st, fmt.Errorf("pubsub: recovering subscriber %d: %w", id, err)
 		}
 	}
 	st.Subscribers = len(ids)
+	// A placement re-derived above journaled an assign record. Like the
+	// write itself this is best-effort: unsynced, the next recovery
+	// re-derives the placement once more.
+	_ = b.journalSync(b.journalFrontier())
 	// The replayed suffix counts toward the checkpoint cadence: a
 	// broker that crashes repeatedly still converges on a snapshot.
 	b.sinceSnap.Store(uint64(st.Records))

@@ -11,6 +11,9 @@ package pubsub
 // rest of the pool and retires from the overlay.
 //
 // Lock order, broker-wide: poolMu -> gateway.mu -> (engMu | routeMu).
+// None of them is held across the store's Sync, Snapshot or Compact: the
+// pool and assign records written under poolMu are synced by the entry
+// point that took it, after it let go (journal.go).
 // Every pool mutation (placement, split, drain, retire) holds poolMu
 // exclusively, which is also what makes reading another gateway's
 // union/load without its lock safe here: the only writers that do not

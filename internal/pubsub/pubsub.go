@@ -44,8 +44,8 @@ import (
 
 // ErrProducerNotRegistered reports a Publish/PublishBatch whose producer
 // is not a current subscriber — including the race where the producer is
-// unsubscribed concurrently with the publish (which otherwise surfaces
-// as a raw engine error).
+// unsubscribed concurrently with the publish (which the engine reports
+// as core.ErrNotMember).
 var ErrProducerNotRegistered = errors.New("pubsub: producer not registered")
 
 // DefaultGateways is the default size of the gateway pool. Sixteen keeps
@@ -130,6 +130,9 @@ func (gw *gateway) load() int { return len(gw.subs) }
 // engine's event hook (NotifyGateway, a gateway read lock) runs on the
 // engine's own goroutine, never on the stack of a call made under the
 // engine mutex — so nothing under it ever waits for a gateway lock.
+// And no gateway lock, nor the pool lock, is held across a disk wait:
+// the store's Sync, Snapshot and Compact are called only after both are
+// released (journal.go: write before commit, sync before ack).
 type Broker struct {
 	space *filter.Space
 	engMu sync.Mutex // serializes all calls into eng
@@ -139,7 +142,8 @@ type Broker struct {
 	// Fixed-mode pools never change shape, so the hot paths there take
 	// it only for a pointer lookup; adaptive-pool mutations (placement,
 	// split, drain, retire — pool.go) hold it exclusively. Lock order:
-	// poolMu -> gateway.mu -> (engMu | routeMu).
+	// poolMu -> gateway.mu -> (engMu | routeMu); no gateway or pool lock
+	// is held across the store's Sync, Snapshot or Compact.
 	poolMu  sync.RWMutex
 	gws     []*gateway
 	byProc  map[core.ProcID]*gateway
@@ -394,29 +398,46 @@ func (b *Broker) engUpdateFilter(gw *gateway, f geom.Rect) error {
 // (message-passing engines may still be routing the join or the filter
 // update when Subscribe returns; Repair drives the overlay to
 // quiescence). Subscriber IDs must be positive and unused. On a durable
-// broker the registration is journaled before Subscribe returns.
+// broker the registration is durable when Subscribe returns nil; it
+// takes part in matching from one fsync earlier (journal.go).
 func (b *Broker) Subscribe(id core.ProcID, f filter.Filter) error {
-	return b.subscribe(id, f, nil, true)
+	return b.subscribe(id, f, nil)
 }
 
 // subscribe is the shared registration path: Subscribe passes a nil
 // consumer (record-only), SubscribeFunc/SubscribeChan pass the
-// subscriber's delivery queue. journal is false only on the Recover
-// path, which re-applies records that are already durable.
-func (b *Broker) subscribe(id core.ProcID, f filter.Filter, cons *consumer, journal bool) error {
-	return b.subscribeAt(id, f, cons, journal, -1)
+// subscriber's delivery queue. The registration is written and committed
+// under the locks and synced after them; one that cannot be made durable
+// is not acknowledged, so it is taken back the way any subscriber leaves
+// (closing cons's queue with it) and the sync error returned.
+func (b *Broker) subscribe(id core.ProcID, f filter.Filter, cons *consumer) error {
+	seq, err := b.subscribeAt(id, f, cons, true, -1)
+	if err != nil {
+		return err
+	}
+	if err := b.journalSync(seq); err != nil {
+		// Best-effort: if the engine refuses the departure the subscriber
+		// stays, as after any refused Unsubscribe; the caller has the
+		// sync error either way.
+		_, _ = b.removeUnsynced(id, b.eng.Leave)
+		return err
+	}
+	return nil
 }
 
-// subscribeAt is subscribe with an optional pinned pool offset: off >= 0
-// replays a journaled assignment during Recover (policy mode only),
-// off < 0 places through the pool policy, or hashes in fixed mode.
-func (b *Broker) subscribeAt(id core.ProcID, f filter.Filter, cons *consumer, journal bool, off int) error {
+// subscribeAt is the registration up to, not including, the sync: it
+// returns the sequence number of the journal record it wrote (0 with
+// journal false — the Recover path, which re-applies records that are
+// already durable). off >= 0 pins the pool offset of a journaled
+// assignment during Recover (policy mode only), off < 0 places through
+// the pool policy, or hashes in fixed mode.
+func (b *Broker) subscribeAt(id core.ProcID, f filter.Filter, cons *consumer, journal bool, off int) (uint64, error) {
 	if id <= core.NoProc {
-		return fmt.Errorf("pubsub: subscriber IDs must be positive, got %d", id)
+		return 0, fmt.Errorf("pubsub: subscriber IDs must be positive, got %d", id)
 	}
 	rect, err := b.space.Rect(f)
 	if err != nil {
-		return fmt.Errorf("pubsub: compiling filter: %w", err)
+		return 0, fmt.Errorf("pubsub: compiling filter: %w", err)
 	}
 	if b.policy != nil {
 		return b.subscribePolicy(id, rect, f, cons, journal, off)
@@ -429,11 +450,13 @@ func (b *Broker) subscribeAt(id core.ProcID, f filter.Filter, cons *consumer, jo
 
 // subscribePolicy is the adaptive-pool registration path: placement,
 // split-growth and the assignment table live under poolMu (pool.go).
-func (b *Broker) subscribePolicy(id core.ProcID, rect geom.Rect, f filter.Filter, cons *consumer, journal bool, off int) error {
+// The Subscribe record is the last one it writes — a split's pool and
+// assign records come before it — so syncing on its number covers them.
+func (b *Broker) subscribePolicy(id core.ProcID, rect geom.Rect, f filter.Filter, cons *consumer, journal bool, off int) (uint64, error) {
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	if b.assign[id] != nil {
-		return fmt.Errorf("pubsub: subscriber %d already registered", id)
+		return 0, fmt.Errorf("pubsub: subscriber %d already registered", id)
 	}
 	var gw *gateway
 	if off >= 0 {
@@ -446,14 +469,15 @@ func (b *Broker) subscribePolicy(id core.ProcID, rect geom.Rect, f filter.Filter
 	if gw == nil {
 		var err error
 		if gw, err = b.placeLocked(rect); err != nil {
-			return err
+			return 0, err
 		}
 		placed = true
 	}
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	if err := b.subscribeLocked(gw, id, rect, f, cons, journal); err != nil {
-		return err
+	seq, err := b.subscribeLocked(gw, id, rect, f, cons, journal)
+	if err != nil {
+		return 0, err
 	}
 	b.assign[id] = gw
 	b.unmarkIdleLocked(gw)
@@ -461,18 +485,20 @@ func (b *Broker) subscribePolicy(id core.ProcID, rect geom.Rect, f filter.Filter
 		// Recovery placed a subscription whose journaled gateway is gone
 		// (a torn pool record): journal the assignment so the *next*
 		// recovery replays this placement instead of re-deriving it
-		// against a different pool shape.
+		// against a different pool shape. Best-effort; Recover syncs.
 		_ = b.journalAssign(id, gw.off)
 	}
-	return nil
+	return seq, nil
 }
 
 // subscribeLocked commits one registration on gw: engine first, then
-// journal, then the local maps and the incremental union. gw.mu held;
-// poolMu held exclusively in policy mode.
-func (b *Broker) subscribeLocked(gw *gateway, id core.ProcID, rect geom.Rect, f filter.Filter, cons *consumer, journal bool) error {
+// the journal write, then the local maps and the incremental union. It
+// returns the record's sequence number for the caller to sync on once
+// the locks are gone. gw.mu held; poolMu held exclusively in policy
+// mode.
+func (b *Broker) subscribeLocked(gw *gateway, id core.ProcID, rect geom.Rect, f filter.Filter, cons *consumer, journal bool) (uint64, error) {
 	if _, dup := gw.subs[id]; dup {
-		return fmt.Errorf("pubsub: subscriber %d already registered", id)
+		return 0, fmt.Errorf("pubsub: subscriber %d already registered", id)
 	}
 	key := rectKey(rect)
 	newEntry := gw.entries[key] == nil
@@ -482,22 +508,23 @@ func (b *Broker) subscribeLocked(gw *gateway, id core.ProcID, rect geom.Rect, f 
 	switch {
 	case !gw.joined:
 		if err := b.engJoin(gw.procID, gw.unionPeekAdd(rect)); err != nil {
-			return err
+			return 0, err
 		}
 		gw.joined = true
 	case newEntry && !gw.union.Contains(rect):
 		if err := b.engUpdateFilter(gw, gw.unionPeekAdd(rect)); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	// Journal before the local commit: if the append fails nothing local
+	// Write before the local commit: if the write fails nothing local
 	// changed (the grown union is harmless — false positives at worst),
 	// and if a later step fails the journal holds a subscription the
-	// memory lacks — a recovered ghost, also false-positive-safe. The
-	// inverse order could lose an acknowledged subscription on crash.
+	// memory lacks — a recovered ghost, also false-positive-safe.
+	var seq uint64
 	if journal {
-		if err := b.journalAppend(journalSubscribe, id, f, gw.off); err != nil {
-			return err
+		var err error
+		if seq, err = b.journalWrite(journalSubscribe, id, f, gw.off); err != nil {
+			return 0, err
 		}
 	}
 	e := gw.entries[key]
@@ -506,14 +533,14 @@ func (b *Broker) subscribeLocked(gw *gateway, id core.ProcID, rect geom.Rect, f 
 		gw.entries[key] = e
 		if err := gw.index.Insert(rect, e); err != nil {
 			delete(gw.entries, key)
-			return fmt.Errorf("pubsub: indexing filter: %w", err)
+			return 0, fmt.Errorf("pubsub: indexing filter: %w", err)
 		}
 		gw.unionCommitAdd(rect)
 		b.routeReplace(gw, gw.union)
 	}
 	e.subs[id] = entrySub{f: f, cons: cons}
 	gw.subs[id] = subscription{f: f, key: key, cons: cons}
-	return nil
+	return seq, nil
 }
 
 // SubscribeExpr is Subscribe with a textual filter (filter.Parse syntax).
@@ -534,52 +561,68 @@ func (b *Broker) SubscribeExpr(id core.ProcID, src string) error {
 // state untouched, so there is no rollback path — in particular no
 // fallible match-index re-insert whose own failure used to leave the
 // rectangle missing from the index while the subscription stayed
-// registered (a permanent false negative).
+// registered (a permanent false negative). The departure is synced once
+// the locks are released; if that fails it stands — the engine has let
+// go — and the error says durability is behind.
 func (b *Broker) remove(id core.ProcID, leave func(core.ProcID) error) error {
+	seq, err := b.removeUnsynced(id, leave)
+	if err != nil {
+		return err
+	}
+	return b.journalSync(seq)
+}
+
+// removeUnsynced is remove up to, not including, the sync: it returns
+// the highest journal sequence number the departure wrote.
+func (b *Broker) removeUnsynced(id core.ProcID, leave func(core.ProcID) error) (uint64, error) {
 	if b.policy != nil {
 		return b.removePolicy(id, leave)
 	}
 	gw := b.ownerLocked(id) // fixed pool: no lock needed, never resizes
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	_, err := b.removeLocked(gw, id, leave)
-	return err
+	seq, _, err := b.removeLocked(gw, id, leave)
+	return seq, err
 }
 
 // removePolicy removes under the pool lock and then runs the shrink
 // policy: an emptied gateway retires (pool above the floor), an
 // underfull one drains into its peers.
-func (b *Broker) removePolicy(id core.ProcID, leave func(core.ProcID) error) error {
+func (b *Broker) removePolicy(id core.ProcID, leave func(core.ProcID) error) (uint64, error) {
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	gw := b.assign[id]
 	if gw == nil {
-		return fmt.Errorf("pubsub: subscriber %d not registered", id)
+		return 0, fmt.Errorf("pubsub: subscriber %d not registered", id)
 	}
 	gw.mu.Lock()
-	removed, err := b.removeLocked(gw, id, leave)
+	_, removed, err := b.removeLocked(gw, id, leave)
 	gw.mu.Unlock()
 	if removed {
 		delete(b.assign, id)
 	}
 	if err != nil {
 		// Either nothing changed (engine refusal) or only durability is
-		// behind (journal append). Skip the shrink either way: pool
-		// reorganizations would pile more appends onto a failing store.
-		return err
+		// behind (journal write). Skip the shrink either way: pool
+		// reorganizations would pile more writes onto a failing store.
+		return 0, err
 	}
 	b.shrinkPoolLocked(gw)
-	return nil
+	// The shrink journals its retire and assign records after the
+	// departure's: the frontier, not the Unsubscribe record, is this
+	// call's highest.
+	return b.journalFrontier(), nil
 }
 
-// removeLocked commits one departure on gw, engine first. Reports
-// whether the local removal happened: a journal-append failure still
-// removes (the engine already committed) and returns the error only to
-// signal durability lag. gw.mu held.
-func (b *Broker) removeLocked(gw *gateway, id core.ProcID, leave func(core.ProcID) error) (bool, error) {
+// removeLocked commits one departure on gw, engine first, and returns
+// the sequence number of its journal record. Reports whether the local
+// removal happened: a journal-write failure still removes (the engine
+// already committed) and returns the error only to signal durability
+// lag. gw.mu held.
+func (b *Broker) removeLocked(gw *gateway, id core.ProcID, leave func(core.ProcID) error) (uint64, bool, error) {
 	sub, ok := gw.subs[id]
 	if !ok {
-		return false, fmt.Errorf("pubsub: subscriber %d not registered", id)
+		return 0, false, fmt.Errorf("pubsub: subscriber %d not registered", id)
 	}
 	e := gw.entries[sub.key]
 	entryGone := len(e.subs) == 1
@@ -592,14 +635,14 @@ func (b *Broker) removeLocked(gw *gateway, id core.ProcID, leave func(core.ProcI
 		err := leave(gw.procID)
 		b.engMu.Unlock()
 		if err != nil {
-			return false, err
+			return 0, false, err
 		}
 		gw.joined = false
 	case entryGone:
 		newU, full = gw.unionPeekRemove(e)
 		if !newU.Equal(gw.union) {
 			if err := b.engUpdateFilter(gw, newU); err != nil {
-				return false, err
+				return 0, false, err
 			}
 		}
 	}
@@ -622,11 +665,12 @@ func (b *Broker) removeLocked(gw *gateway, id core.ProcID, leave func(core.ProcI
 		sub.cons.q.Close()
 	}
 	// Journal last: the engine already committed the departure, so the
-	// removal must stand either way. A failed append leaves a ghost
+	// removal must stand either way. A failed write leaves a ghost
 	// subscription in the journal — a false positive after recovery,
 	// never a false negative — and the error tells the caller durability
 	// is behind.
-	return true, b.journalAppend(journalUnsubscribe, id, filter.Filter{}, gw.off)
+	seq, err := b.journalWrite(journalUnsubscribe, id, filter.Filter{}, gw.off)
+	return seq, true, err
 }
 
 // recomputeUnion derives the gateway's tightest overlay filter after a
@@ -669,13 +713,25 @@ func (b *Broker) Unsubscribe(id core.ProcID) error {
 // its delivery queue and sequence numbering. The gateway's overlay
 // filter grows (engine-first) when the new rectangle escapes the
 // current union and shrinks opportunistically when the old rectangle
-// was a maximal element. On a durable broker the change is journaled
-// before any local state moves.
+// was a maximal element. On a durable broker the change is written to
+// the journal before any local state moves, and durable when
+// UpdateFilter returns nil; if only the sync fails the new filter stays
+// in force in memory and the error says durability is behind.
 func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 	rect, err := b.space.Rect(f)
 	if err != nil {
 		return fmt.Errorf("pubsub: compiling filter: %w", err)
 	}
+	seq, err := b.updateFilterUnsynced(id, f, rect)
+	if err != nil {
+		return err
+	}
+	return b.journalSync(seq)
+}
+
+// updateFilterUnsynced is UpdateFilter up to, not including, the sync:
+// it returns the sequence number of the journal record it wrote.
+func (b *Broker) updateFilterUnsynced(id core.ProcID, f filter.Filter, rect geom.Rect) (uint64, error) {
 	if b.policy != nil {
 		// A shared pool lock keeps the owning gateway stable against
 		// concurrent drains/splits while letting filter moves (the
@@ -685,25 +741,26 @@ func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 	}
 	gw := b.ownerLocked(id)
 	if gw == nil {
-		return fmt.Errorf("pubsub: subscriber %d not registered", id)
+		return 0, fmt.Errorf("pubsub: subscriber %d not registered", id)
 	}
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	sub, ok := gw.subs[id]
 	if !ok {
-		return fmt.Errorf("pubsub: subscriber %d not registered", id)
+		return 0, fmt.Errorf("pubsub: subscriber %d not registered", id)
 	}
 	newKey := rectKey(rect)
 	if newKey == sub.key {
 		// Same rectangle, possibly different predicates (e.g. x >= 1
 		// vs 1 <= x <= inf): only the exact-match filter changes.
-		if err := b.journalAppend(journalUpdate, id, f, gw.off); err != nil {
-			return err
+		seq, err := b.journalWrite(journalUpdate, id, f, gw.off)
+		if err != nil {
+			return 0, err
 		}
 		e := gw.entries[sub.key]
 		e.subs[id] = entrySub{f: f, cons: sub.cons}
 		gw.subs[id] = subscription{f: f, key: sub.key, cons: sub.cons}
-		return nil
+		return seq, nil
 	}
 	oldE := gw.entries[sub.key]
 	oldGone := len(oldE.subs) == 1
@@ -720,11 +777,12 @@ func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 	target := base.Union(rect)
 	if !target.Equal(gw.union) {
 		if err := b.engUpdateFilter(gw, target); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	if err := b.journalAppend(journalUpdate, id, f, gw.off); err != nil {
-		return err
+	seq, err := b.journalWrite(journalUpdate, id, f, gw.off)
+	if err != nil {
+		return 0, err
 	}
 	newE := gw.entries[newKey]
 	created := newE == nil
@@ -734,7 +792,7 @@ func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 		// so a full-fold recount never sees both.
 		newE = &matchEntry{rect: rect, subs: make(map[core.ProcID]entrySub)}
 		if err := gw.index.Insert(rect, newE); err != nil {
-			return fmt.Errorf("pubsub: indexing filter: %w", err)
+			return 0, fmt.Errorf("pubsub: indexing filter: %w", err)
 		}
 	}
 	delete(oldE.subs, id)
@@ -752,7 +810,7 @@ func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 	newE.subs[id] = entrySub{f: f, cons: sub.cons}
 	gw.subs[id] = subscription{f: f, key: newKey, cons: sub.cons}
 	b.routeReplace(gw, gw.union)
-	return nil
+	return seq, nil
 }
 
 // UpdateFilterExpr is UpdateFilter with a textual filter (filter.Parse
@@ -879,15 +937,7 @@ func (b *Broker) PublishBatch(producer core.ProcID, evs []filter.Event) ([]Notif
 	ds, err := b.eng.PublishBatch(batch)
 	b.engMu.Unlock()
 	if err != nil {
-		// A concurrent Unsubscribe/Fail can detach the producer's gateway
-		// between the registered check above and the engine call; the
-		// engine then reports an unknown process. Map that race back to
-		// the sentinel the early check uses, so callers see one error for
-		// one condition regardless of interleaving.
-		if !b.registered(producer) {
-			return nil, fmt.Errorf("%w: %d (unsubscribed concurrently with publish: %v)", ErrProducerNotRegistered, producer, err)
-		}
-		return nil, err
+		return nil, producerErr(producer, err)
 	}
 	notes := make([]Notification, len(evs))
 	reached := make([]map[core.ProcID]bool, len(evs))
@@ -931,8 +981,21 @@ func (b *Broker) PublishAsync(producer core.ProcID, ev filter.Event) error {
 	// Not under engMu: InjectEvent is safe for concurrent use and may
 	// wait for room in the engine's queue, which drains through event
 	// hooks that take gateway locks (NotifyGateway).
-	err = ap.InjectEvent(pgw.procID, p)
-	if err != nil && !b.registered(producer) {
+	if err := ap.InjectEvent(pgw.procID, p); err != nil {
+		return producerErr(producer, err)
+	}
+	return nil
+}
+
+// producerErr maps an engine's refusal of a publish. A concurrent
+// Unsubscribe/Fail can detach the producer's gateway between the
+// registered check and the engine call; the engine then says the gateway
+// is not a member, and the caller gets the sentinel the early check
+// uses — one error for one condition regardless of interleaving. What
+// the engine said decides, not a second look at the subscription table:
+// the producer may have subscribed again by then.
+func producerErr(producer core.ProcID, err error) error {
+	if errors.Is(err, core.ErrNotMember) {
 		return fmt.Errorf("%w: %d (unsubscribed concurrently with publish: %v)", ErrProducerNotRegistered, producer, err)
 	}
 	return err

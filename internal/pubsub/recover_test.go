@@ -256,8 +256,8 @@ func TestBrokerRecoverRefusesJournalV1(t *testing.T) {
 	record := append([]byte{1, journalSubscribe, 2 /* id 1, zigzag */}, pred.Bytes()...)
 	snapshot := append([]byte{1, 1 /* count */, 2 /* id 1 */}, pred.Bytes()...)
 	for name, seed := range map[string]func(state.Store) error{
-		"record":   func(s state.Store) error { return s.Append(record) },
-		"snapshot": func(s state.Store) error { return s.Snapshot(snapshot) },
+		"record":   func(s state.Store) error { _, err := s.Write(record); return err },
+		"snapshot": func(s state.Store) error { return s.Snapshot(snapshot, 0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := state.NewMem()
@@ -473,7 +473,7 @@ func TestBrokerRecoverTornWAL(t *testing.T) {
 	// A daemon crash can tear the final journal record mid-write. The
 	// store truncates the torn tail on reopen; the broker must recover
 	// every fully-written subscription and route without false
-	// negatives — losing only the op whose Append never returned.
+	// negatives — losing only the op whose Write never returned.
 	dir := t.TempDir()
 	w, err := state.OpenWAL(dir)
 	if err != nil {

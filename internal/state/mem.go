@@ -1,6 +1,9 @@
 package state
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Mem is the pure in-memory Store: engines and most tests journal into
 // it without touching the filesystem. It models the disk, not the
@@ -11,32 +14,58 @@ type Mem struct {
 	mu      sync.Mutex
 	snap    []byte
 	hasSnap bool
-	recs    [][]byte
-	covered int // recs[:covered] are included in snap
+	recs    [][]byte // recs[i] has sequence number base+i+1
+	base    uint64   // records compacted away
+	covered int      // recs[:covered] are included in snap
 	stats   Stats
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{} }
 
-// Append adds one record. The slice is copied; the caller may reuse it.
-func (m *Mem) Append(rec []byte) error {
+// lastSeq is the sequence number of the last record; m.mu held.
+func (m *Mem) lastSeq() uint64 { return m.base + uint64(len(m.recs)) }
+
+// Write adds one record. The slice is copied; the caller may reuse it.
+func (m *Mem) Write(rec []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.recs = append(m.recs, append([]byte(nil), rec...))
 	m.stats.Appended++
-	return nil
+	return m.lastSeq(), nil
 }
 
-// Snapshot replaces the recovery baseline with a copy of state. All
-// records appended so far become covered (dropped by the next Compact,
-// skipped by Replay).
-func (m *Mem) Snapshot(state []byte) error {
+// Sync returns at once: a record in memory is as durable as Mem gets.
+func (m *Mem) Sync(uint64) error { return nil }
+
+// Append is Write then Sync.
+func (m *Mem) Append(rec []byte) error {
+	_, err := m.Write(rec)
+	return err
+}
+
+// Written returns the sequence number of the last record written.
+func (m *Mem) Written() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.lastSeq()
+}
+
+// Snapshot replaces the recovery baseline with a copy of state. Records
+// up to covered become covered (dropped by the next Compact, skipped by
+// Replay); a baseline older than the installed one is dropped.
+func (m *Mem) Snapshot(state []byte, covered uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if covered > m.lastSeq() {
+		return fmt.Errorf("state: snapshot covers seq %d, only %d written", covered, m.lastSeq())
+	}
+	if m.hasSnap && covered < m.base+uint64(m.covered) {
+		return nil
+	}
 	m.snap = append([]byte(nil), state...)
 	m.hasSnap = true
-	m.covered = len(m.recs)
+	m.covered = int(covered - m.base)
 	m.stats.Snapshots++
 	return nil
 }
@@ -68,6 +97,7 @@ func (m *Mem) Compact() error {
 		return nil
 	}
 	m.recs = append([][]byte(nil), m.recs[m.covered:]...)
+	m.base += uint64(m.covered)
 	m.covered = 0
 	m.stats.Compactions++
 	return nil

@@ -60,19 +60,19 @@ func TestSnapshotSuffixEquivalence(t *testing.T) {
 				switch r := rng.Intn(10); {
 				case r < 6: // append
 					rec := []byte(fmt.Sprintf("r%03d-%x", len(all), rng.Uint32()))
-					if err := cur.Append(rec); err != nil {
+					if err := appendRec(cur, rec); err != nil {
 						t.Fatalf("wal Append: %v", err)
 					}
-					if err := mem.Append(rec); err != nil {
+					if err := appendRec(mem, rec); err != nil {
 						t.Fatalf("mem Append: %v", err)
 					}
 					all = append(all, rec)
 				case r < 8: // snapshot: state summarizes the full history so far
 					snapState = []byte(fmt.Sprintf("state-after-%d", len(all)))
-					if err := cur.Snapshot(snapState); err != nil {
+					if err := snapshotAll(cur, snapState); err != nil {
 						t.Fatalf("wal Snapshot: %v", err)
 					}
-					if err := mem.Snapshot(snapState); err != nil {
+					if err := snapshotAll(mem, snapState); err != nil {
 						t.Fatalf("mem Snapshot: %v", err)
 					}
 					cut = len(all) - 1

@@ -32,6 +32,19 @@ func collect(t *testing.T, s Store) (snap []byte, hasSnap bool, recs [][]byte) {
 	return snap, hasSnap, recs
 }
 
+// appendRec adds one durable record the way every caller of the
+// interface does: Write, then Sync.
+func appendRec(s Store, rec []byte) error {
+	seq, err := s.Write(rec)
+	if err != nil {
+		return err
+	}
+	return s.Sync(seq)
+}
+
+// snapshotAll installs a baseline covering everything written so far.
+func snapshotAll(s Store, blob []byte) error { return s.Snapshot(blob, s.Written()) }
+
 func testRecords(n int) [][]byte {
 	recs := make([][]byte, n)
 	for i := range recs {
@@ -71,7 +84,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	storeVariants(t, func(t *testing.T, s Store, reopen func() Store) {
 		want := testRecords(25)
 		for _, r := range want {
-			if err := s.Append(r); err != nil {
+			if err := appendRec(s, r); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
 		}
@@ -99,14 +112,14 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 func TestSnapshotCoversLog(t *testing.T) {
 	storeVariants(t, func(t *testing.T, s Store, reopen func() Store) {
 		for _, r := range testRecords(10) {
-			if err := s.Append(r); err != nil {
+			if err := appendRec(s, r); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
 		}
-		if err := s.Snapshot([]byte("snap-state")); err != nil {
+		if err := snapshotAll(s, []byte("snap-state")); err != nil {
 			t.Fatalf("Snapshot: %v", err)
 		}
-		if err := s.Append([]byte("after-snap")); err != nil {
+		if err := appendRec(s, []byte("after-snap")); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		snap, hasSnap, recs := collect(t, s)
@@ -136,7 +149,7 @@ func TestSnapshotCoversLog(t *testing.T) {
 func TestCompactWithoutSnapshotIsNoop(t *testing.T) {
 	storeVariants(t, func(t *testing.T, s Store, _ func() Store) {
 		for _, r := range testRecords(5) {
-			s.Append(r)
+			appendRec(s, r)
 		}
 		if err := s.Compact(); err != nil {
 			t.Fatalf("Compact: %v", err)
@@ -151,7 +164,7 @@ func TestCompactWithoutSnapshotIsNoop(t *testing.T) {
 func TestReplayStopsOnCallbackError(t *testing.T) {
 	storeVariants(t, func(t *testing.T, s Store, _ func() Store) {
 		for _, r := range testRecords(5) {
-			s.Append(r)
+			appendRec(s, r)
 		}
 		boom := errors.New("boom")
 		calls := 0
@@ -177,7 +190,7 @@ func TestConcurrentAppends(t *testing.T) {
 			go func(id int) {
 				defer wg.Done()
 				for j := 0; j < per; j++ {
-					if err := s.Append([]byte(fmt.Sprintf("w%d-%d", id, j))); err != nil {
+					if err := appendRec(s, []byte(fmt.Sprintf("w%d-%d", id, j))); err != nil {
 						t.Errorf("Append: %v", err)
 						return
 					}
@@ -319,7 +332,7 @@ func TestWALClosedErrors(t *testing.T) {
 	if err := w.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append on closed: %v", err)
 	}
-	if err := w.Snapshot([]byte("x")); !errors.Is(err, ErrClosed) {
+	if err := snapshotAll(w, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Snapshot on closed: %v", err)
 	}
 	if err := w.Compact(); !errors.Is(err, ErrClosed) {
@@ -339,7 +352,7 @@ func TestWALSnapshotSurvivesCrashMidInstall(t *testing.T) {
 		t.Fatalf("OpenWAL: %v", err)
 	}
 	w.Append([]byte("r1"))
-	if err := w.Snapshot([]byte("good")); err != nil {
+	if err := snapshotAll(w, []byte("good")); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	w.Close()
@@ -368,7 +381,7 @@ func TestWALCompactShrinksLog(t *testing.T) {
 		w.Append(r)
 	}
 	before, _ := os.Stat(filepath.Join(dir, logName))
-	if err := w.Snapshot([]byte("covered")); err != nil {
+	if err := snapshotAll(w, []byte("covered")); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	if err := w.Compact(); err != nil {
@@ -413,16 +426,16 @@ func TestStats(t *testing.T) {
 			t.Fatalf("store does not implement Stater")
 		}
 		for i := 0; i < 4; i++ {
-			s.Append([]byte{byte(i)})
+			appendRec(s, []byte{byte(i)})
 		}
 		if got := st.Stats(); got.Records != 4 || got.Appended != 4 || got.HasSnapshot {
 			t.Fatalf("stats after appends: %+v", got)
 		}
-		s.Snapshot([]byte("s"))
+		snapshotAll(s, []byte("s"))
 		if got := st.Stats(); got.Records != 0 || !got.HasSnapshot || got.Snapshots != 1 {
 			t.Fatalf("stats after snapshot: %+v", got)
 		}
-		s.Append([]byte("x"))
+		appendRec(s, []byte("x"))
 		s.Compact()
 		if got := st.Stats(); got.Records != 1 || got.Compactions != 1 {
 			t.Fatalf("stats after compact: %+v", got)
@@ -449,4 +462,99 @@ func TestParseRecordRejectsOversizedLength(t *testing.T) {
 	if _, _, _, _, err := parseRecord(hdr[:]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized length: %v, want ErrCorrupt", err)
 	}
+}
+
+// TestWriteOrdersSyncCommits pins the two halves of adding a record:
+// Write numbers records 1, 2, 3... in call order and Written follows it;
+// one Sync on the highest number covers every record below it (one
+// fsync, not one per record); and numbering continues across a compact
+// and a reopen.
+func TestWriteOrdersSyncCommits(t *testing.T) {
+	storeVariants(t, func(t *testing.T, s Store, reopen func() Store) {
+		if got := s.Written(); got != 0 {
+			t.Fatalf("Written on an empty store = %d", got)
+		}
+		for i, r := range testRecords(5) {
+			seq, err := s.Write(r)
+			if err != nil || seq != uint64(i+1) {
+				t.Fatalf("Write #%d = seq %d, %v", i+1, seq, err)
+			}
+		}
+		if got := s.Written(); got != 5 {
+			t.Fatalf("Written = %d, want 5", got)
+		}
+		before := s.(Stater).Stats().Syncs
+		if err := s.Sync(5); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		for seq := uint64(1); seq <= 5; seq++ {
+			if err := s.Sync(seq); err != nil { // already durable: no disk
+				t.Fatalf("Sync(%d): %v", seq, err)
+			}
+		}
+		if _, isWAL := s.(*WAL); isWAL {
+			if got := s.(Stater).Stats().Syncs - before; got != 1 {
+				t.Fatalf("five writes, one Sync on the highest: %d fsyncs, want 1", got)
+			}
+		}
+		if err := s.Snapshot([]byte("through-3"), 3); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		s = reopen()
+		if got := s.Written(); got != 5 {
+			t.Fatalf("Written after compact+reopen = %d, want 5", got)
+		}
+		if seq, err := s.Write([]byte("six")); err != nil || seq != 6 {
+			t.Fatalf("Write after reopen = seq %d, %v", seq, err)
+		}
+	})
+}
+
+// TestSnapshotCoversOnlyWhatItSays: a baseline cut at seq 3 of 6 leaves
+// records 4..6 in the recovery stream (the broker encodes its blob under
+// its locks and writes it after releasing them, so records land in
+// between); one claiming more than was written is refused; and one older
+// than the installed baseline is dropped, whichever order two
+// checkpoints finish in.
+func TestSnapshotCoversOnlyWhatItSays(t *testing.T) {
+	storeVariants(t, func(t *testing.T, s Store, reopen func() Store) {
+		recs := testRecords(6)
+		for _, r := range recs {
+			if err := appendRec(s, r); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+		if err := s.Snapshot([]byte("ahead"), 7); err == nil {
+			t.Fatalf("snapshot covering an unwritten record accepted")
+		}
+		if err := s.Snapshot([]byte("through-3"), 3); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		verify := func(label string, s Store) {
+			t.Helper()
+			snap, hasSnap, got := collect(t, s)
+			if !hasSnap || string(snap) != "through-3" {
+				t.Fatalf("%s: snapshot %q (present %v)", label, snap, hasSnap)
+			}
+			if len(got) != 3 || !bytes.Equal(got[0], recs[3]) || !bytes.Equal(got[2], recs[5]) {
+				t.Fatalf("%s: suffix %q, want records 4..6", label, got)
+			}
+			if st := s.(Stater).Stats(); st.Records != 3 {
+				t.Fatalf("%s: Records = %d, want 3", label, st.Records)
+			}
+		}
+		verify("snapshot", s)
+		if err := s.Snapshot([]byte("through-1, finished late"), 1); err != nil {
+			t.Fatalf("stale Snapshot: %v", err)
+		}
+		verify("stale snapshot", s)
+		if err := s.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		verify("compact", s)
+		verify("reopen", reopen())
+	})
 }

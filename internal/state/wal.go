@@ -20,11 +20,11 @@ package state
 // written to a temp file, fsynced, and renamed into place, so a crash
 // mid-snapshot leaves the previous baseline intact.
 //
-// Durability: Append returns only after the record is fsynced.
-// Concurrent appenders share fsyncs through group commit — writers
-// buffer their record into the file under the write lock, then join a
-// sync cohort; one waiter issues the fsync that covers every record
-// written before it started, and the rest observe the advanced
+// Durability: Write hands the framed record to the OS under the write
+// lock, which fixes its place in the log; Sync returns only after it is
+// fsynced. Concurrent syncers share fsyncs through group commit — they
+// join a sync cohort; one waiter issues the fsync that covers every
+// record written before it started, and the rest observe the advanced
 // synced-seq without touching the disk.
 //
 // Versioning: the header's format byte is the migration hook. Opening
@@ -90,6 +90,9 @@ type WAL struct {
 	syncCond *sync.Cond
 	syncing  bool
 	synced   uint64 // highest seq known durable
+	syncs    uint64 // fsyncs issued by Sync
+
+	snapMu sync.Mutex // one snapshot install at a time
 }
 
 // OpenWAL opens (creating if needed) the store rooted at dir. A torn
@@ -107,6 +110,8 @@ func OpenWAL(dir string) (*WAL, error) {
 	if err := w.openLog(); err != nil {
 		return nil, err
 	}
+	// What the open found is on disk: the frontiers start level.
+	w.written, w.synced = w.nextSeq-1, w.nextSeq-1
 	return w, nil
 }
 
@@ -210,39 +215,52 @@ func (w *WAL) openLog() error {
 	if w.nextSeq == 0 {
 		w.nextSeq = 1
 	}
-	w.synced = w.nextSeq - 1
-	w.written = w.nextSeq - 1
 	return nil
 }
 
-// Append durably adds one record: written under the lock, made durable
-// by a (possibly shared) fsync before returning.
-func (w *WAL) Append(rec []byte) error {
+// Write frames one record, gives it the next sequence number and hands
+// it to the OS, all under the write lock: the order of Write calls is
+// the order of records in the log. Not durable until a Sync covers it.
+func (w *WAL) Write(rec []byte) (uint64, error) {
 	if len(rec) > maxRecord {
-		return fmt.Errorf("state: record %d bytes exceeds max %d", len(rec), maxRecord)
+		return 0, fmt.Errorf("state: record %d bytes exceeds max %d", len(rec), maxRecord)
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	seq := w.nextSeq
 	frame := appendRecordFrame(nil, kindRecord, seq, rec)
 	if _, err := w.log.Write(frame); err != nil {
-		w.mu.Unlock()
-		return fmt.Errorf("state: append: %w", err)
+		return 0, fmt.Errorf("state: append: %w", err)
 	}
 	w.nextSeq++
 	w.written = seq
 	w.live++
 	w.stats.Appended++
-	w.mu.Unlock()
-	return w.syncTo(seq)
+	return seq, nil
 }
 
-// syncTo blocks until every record up to seq is durable, issuing at
-// most one fsync per cohort of concurrent appenders.
-func (w *WAL) syncTo(seq uint64) error {
+// Append durably adds one record: Write, then Sync.
+func (w *WAL) Append(rec []byte) error {
+	seq, err := w.Write(rec)
+	if err != nil {
+		return err
+	}
+	return w.Sync(seq)
+}
+
+// Written returns the sequence number of the last record written.
+func (w *WAL) Written() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.written
+}
+
+// Sync blocks until every record up to seq is durable, issuing at most
+// one fsync per cohort of concurrent callers.
+func (w *WAL) Sync(seq uint64) error {
 	w.syncMu.Lock()
 	for {
 		if w.synced >= seq {
@@ -271,6 +289,9 @@ func (w *WAL) syncTo(seq uint64) error {
 
 	w.syncMu.Lock()
 	w.syncing = false
+	if !closed {
+		w.syncs++
+	}
 	if err == nil && target > w.synced {
 		w.synced = target
 	}
@@ -289,21 +310,30 @@ func (w *WAL) syncTo(seq uint64) error {
 	return nil
 }
 
-// Snapshot atomically replaces the recovery baseline: the blob is
-// written to a temp file, fsynced, and renamed over snapshot.bin. A
-// crash at any point leaves either the old or the new baseline, never
-// a torn one.
-func (w *WAL) Snapshot(stateBlob []byte) error {
+// Snapshot atomically replaces the recovery baseline with one that
+// covers the log up to covered: the blob is written to a temp file,
+// fsynced, and renamed over snapshot.bin. A crash at any point leaves
+// either the old or the new baseline, never a torn one. Installs are
+// serialized, and one older than the installed baseline is dropped, so
+// the file never falls behind what Compact trims by.
+func (w *WAL) Snapshot(stateBlob []byte, covered uint64) error {
 	if len(stateBlob) > maxRecord {
 		return fmt.Errorf("state: snapshot %d bytes exceeds max %d", len(stateBlob), maxRecord)
 	}
+	w.snapMu.Lock()
+	defer w.snapMu.Unlock()
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
-	covered := w.nextSeq - 1 // every record appended so far
+	closed, written := w.closed, w.written
+	stale := w.hasSnap && covered < w.snapSeq
 	w.mu.Unlock()
+	switch {
+	case closed:
+		return ErrClosed
+	case covered > written:
+		return fmt.Errorf("state: snapshot covers seq %d, only %d written", covered, written)
+	case stale:
+		return nil
+	}
 
 	path := filepath.Join(w.dir, snapName)
 	tmp := path + ".tmp"
@@ -321,11 +351,9 @@ func (w *WAL) Snapshot(stateBlob []byte) error {
 	}
 
 	w.mu.Lock()
-	if covered > w.snapSeq {
-		w.snapSeq = covered
-		// Records written between capturing `covered` and here stay live.
-		w.live = int(w.written - covered)
-	}
+	w.snapSeq = covered
+	// Records written above covered stay live.
+	w.live = int(w.written - covered)
 	w.hasSnap = true
 	w.stats.Snapshots++
 	w.mu.Unlock()
@@ -435,10 +463,13 @@ func (w *WAL) Close() error {
 // Stats reports the store's current shape.
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	s := w.stats
 	s.Records = w.live
 	s.HasSnapshot = w.hasSnap
+	w.mu.Unlock()
+	w.syncMu.Lock()
+	s.Syncs = w.syncs
+	w.syncMu.Unlock()
 	return s
 }
 
