@@ -352,16 +352,17 @@ func WithAtLeastOnce(maxRedeliver int) DeliveryOption { return pubsub.WithAtLeas
 // NewSpace builds an attribute space over the given names.
 func NewSpace(attrs ...string) (*Space, error) { return filter.NewSpace(attrs...) }
 
-// WithGateways sets the Broker's gateway pool size: the number of
-// overlay processes its subscribers share (default 16). More gateways
+// WithGateways makes the Broker's gateway pool a hash pool of n
+// overlay processes (default 16): subscriber id lives on gateway
+// base + id mod n, and the pool never grows or shrinks. More gateways
 // mean tighter aggregate filters and smaller per-gateway match indexes;
 // fewer mean a smaller overlay.
 func WithGateways(n int) BrokerOption { return pubsub.WithGateways(n) }
 
-// WithGatewayPolicy replaces the Broker's fixed gateway pool with an
-// adaptive one: the pool starts at min gateways, a gateway reaching
-// target subscriptions splits onto a new overlay member (up to max),
-// and an underfull gateway drains into its peers and retires.
+// WithGatewayPolicy gives the Broker's gateway pool the fit placer
+// instead of the hash: the pool starts at min gateways, a gateway
+// reaching target subscriptions splits onto a new overlay member (up to
+// max), and an underfull gateway drains into its peers and retires.
 // Subscriptions are placed spatially (least union enlargement), so the
 // broker's top-level routing tree prunes classification work — see
 // Notification.GatewayVisited. Mutually exclusive with WithGateways.

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -41,6 +42,10 @@ type LiveCluster struct {
 
 	mu     sync.Mutex
 	actors map[core.ProcID]*liveActor
+	// byID holds the same actors ordered by process ID: a turn fires due
+	// timers in this order, so two stepped runs of one scenario send the
+	// same messages in the same order.
+	byID   []*liveActor
 	closed bool
 	nextE  int64
 	// fifo holds the pending messages, oldest first; turned is broadcast
@@ -150,6 +155,8 @@ func (lc *LiveCluster) join(id core.ProcID, filter geom.Rect, contact core.ProcI
 	}
 	a := &liveActor{node: newNode(id, filter, lc.cfg), period: checkBase}
 	lc.actors[id] = a
+	i, _ := slices.BinarySearchFunc(lc.byID, id, func(b *liveActor, id core.ProcID) int { return cmp.Compare(b.node.id, id) })
+	lc.byID = slices.Insert(lc.byID, i, a)
 	a.node.deliverCB = func(eventID int64, ev geom.Point, matched bool) {
 		if lc.hook != nil {
 			lc.hookQ = append(lc.hookQ, hookFire{proc: id, event: eventID, ev: ev, matched: matched})
@@ -221,7 +228,7 @@ func (lc *LiveCluster) Leave(id core.ProcID) error {
 		lc.sendLocked(n.drainOut()...)
 		lc.wakeLocked()
 	}
-	delete(lc.actors, id)
+	lc.removeLocked(a)
 	return nil
 }
 
@@ -229,11 +236,18 @@ func (lc *LiveCluster) Leave(id core.ProcID) error {
 func (lc *LiveCluster) Crash(id core.ProcID) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	if lc.actors[id] == nil {
+	a := lc.actors[id]
+	if a == nil {
 		return core.NotMemberf("proto: process %d not in the cluster", id)
 	}
-	delete(lc.actors, id)
+	lc.removeLocked(a)
 	return nil
+}
+
+// removeLocked drops actor a from the cluster's map and its ID order.
+func (lc *LiveCluster) removeLocked(a *liveActor) {
+	delete(lc.actors, a.node.id)
+	lc.byID = slices.DeleteFunc(lc.byID, func(b *liveActor) bool { return b == a })
 }
 
 // The CHECK_* period of a live actor. The paper leaves the period of its
@@ -309,7 +323,7 @@ func (lc *LiveCluster) wakeLocked() {
 func (lc *LiveCluster) turn(now time.Time) (fires []hookFire, next time.Time) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	for _, a := range lc.actors {
+	for _, a := range lc.byID {
 		if !now.Before(a.due) {
 			if !a.due.IsZero() { // a newcomer is only given its first due time
 				lc.tickLocked(a, now)
@@ -692,6 +706,7 @@ func (lc *LiveCluster) Close() error {
 	}
 	lc.closed = true
 	clear(lc.actors)
+	lc.byID = nil
 	lc.turned.Broadcast()
 	lc.mu.Unlock()
 	close(lc.done)

@@ -44,8 +44,15 @@ func TestGatewayBaseNumbering(t *testing.T) {
 			t.Fatalf("gateway %d has procID %d, want %d", i, st.ProcID, want)
 		}
 	}
-	// GatewayOf agrees with the subscriber->gateway hash.
+	// GatewayOf agrees with the subscriber->gateway hash once an ID is
+	// registered; before that it has no gateway.
+	if got := b.GatewayOf(1); got != core.NoProc {
+		t.Fatalf("GatewayOf(unregistered 1) = %d, want NoProc", got)
+	}
 	for id := core.ProcID(1); id <= 8; id++ {
+		if err := b.SubscribeExpr(id, "price in [0, 10]"); err != nil {
+			t.Fatal(err)
+		}
 		if want := core.ProcID(50 + int(id)%4); b.GatewayOf(id) != want {
 			t.Fatalf("GatewayOf(%d) = %d, want %d", id, b.GatewayOf(id), want)
 		}

@@ -63,12 +63,14 @@ package pubsub
 //
 // gwOff is the owning gateway's stable pool offset; assign records pin
 // a subscription that *moved* gateways after registration (a pool split
-// or drain), and pool records track adaptive-pool membership (grow /
+// or drain), and pool records track a fit pool's membership (grow /
 // retire). A snapshot blob is version(2) poolCount(uvarint) {gwOff}...
 // count(uvarint) {id gwOff predicate-list}... — poolCount is 0 for a
-// fixed pool, whose shape is configuration, not state. The leading
-// version byte is the migration hook, independent of the store's
-// on-disk format version; any other version is refused.
+// hash pool, whose shape is configuration (as is any pool's with
+// min == max), not state; a hash pool's Recover also ignores every
+// gwOff and re-hashes. The leading version byte is the migration hook,
+// independent of the store's on-disk format version; any other version
+// is refused.
 
 import (
 	"cmp"
@@ -123,8 +125,8 @@ func (b *Broker) journalWrite(op byte, id core.ProcID, f filter.Filter, gwOff in
 // journalAssign records that subscriber id now lives on the gateway at
 // pool offset gwOff — a move (split/drain), not a new registration.
 // poolMu is held exclusively, and whoever holds it syncs before it
-// returns (subscribePolicy on its Subscribe record, written after any
-// move; removePolicy on journalFrontier).
+// returns (subscribeAt's caller on its Subscribe record, written after
+// any move; removeUnsynced's on journalFrontier).
 func (b *Broker) journalAssign(id core.ProcID, gwOff int) error {
 	if b.store == nil {
 		return nil
@@ -138,8 +140,8 @@ func (b *Broker) journalAssign(id core.ProcID, gwOff int) error {
 	return err
 }
 
-// journalPoolOp records an adaptive-pool membership change, under
-// poolMu like journalAssign.
+// journalPoolOp records a fit pool's membership change, under poolMu
+// like journalAssign.
 func (b *Broker) journalPoolOp(kind byte, gwOff int) error {
 	if b.store == nil {
 		return nil
@@ -180,9 +182,9 @@ func (b *Broker) journalSync(seq uint64) error {
 }
 
 // journalFrontier returns the sequence number of the last record
-// written, 0 on a memory-only broker. Under an exclusive hold of poolMu
-// in policy mode, or under every gateway's lock, no one else is writing,
-// so this is the caller's own highest record (or an older one, which is
+// written, 0 on a memory-only broker. Under an exclusive hold of
+// poolMu, or under every gateway's lock, no one else is writing, so
+// this is the caller's own highest record (or an older one, which is
 // durable or about to be: syncing on it is harmless).
 func (b *Broker) journalFrontier() uint64 {
 	if b.store == nil {
@@ -204,8 +206,8 @@ func (b *Broker) checkpointAsync() {
 	}()
 }
 
-// Checkpoint snapshots the current subscription table (and, for an
-// adaptive pool, the pool membership) into the store and compacts the
+// Checkpoint snapshots the current subscription table (and, for a fit
+// pool, the pool membership) into the store and compacts the
 // journal. The cut — the blob, and the sequence number of the last
 // record it reflects — is taken under the shared pool lock plus every
 // gateway's read lock simultaneously, which excludes all journal writes
@@ -228,20 +230,15 @@ func (b *Broker) Checkpoint() error {
 	}
 	w := wire.NewWriter(make([]byte, 0, 1024))
 	w.Byte(journalVersion)
-	if b.policy != nil {
-		offs := b.poolOffsetsLocked()
-		w.Uvarint(uint64(len(offs)))
-		for _, off := range offs {
-			w.Uvarint(uint64(off))
-		}
-	} else {
-		w.Uvarint(0)
+	var offs []int
+	if !b.policy.fixedShape() {
+		offs = b.poolOffsetsLocked()
 	}
-	n := 0
-	for _, gw := range gws {
-		n += len(gw.subs)
+	w.Uvarint(uint64(len(offs)))
+	for _, off := range offs {
+		w.Uvarint(uint64(off))
 	}
-	w.Uvarint(uint64(n))
+	w.Uvarint(uint64(len(b.assign)))
 	for _, gw := range gws {
 		for id, sub := range gw.subs {
 			w.Varint(int64(id))
@@ -284,18 +281,10 @@ type replaySub struct {
 // replayState is the fold target of one Replay pass.
 type replayState struct {
 	subs map[core.ProcID]replaySub
-	// pool is the set of live adaptive-pool offsets (grow minus
-	// retire); nil until the log proves the store was written by an
-	// adaptive pool (a pool record or a snapshot with offsets).
+	// pool is the set of live pool offsets: the configured floor, then
+	// grow minus retire, or a snapshot's offsets.
 	pool   map[int]bool
 	maxOff int
-}
-
-func (st *replayState) poolSet() map[int]bool {
-	if st.pool == nil {
-		st.pool = make(map[int]bool)
-	}
-	return st.pool
 }
 
 func (st *replayState) noteOff(off int) {
@@ -308,10 +297,11 @@ func (st *replayState) noteOff(off int) {
 // snapshot baseline (if any) plus every journaled operation after it,
 // re-applied through the normal subscribe path so subscriber shards,
 // match-index R-trees and gateway MBR-unions are all re-derived and the
-// gateways re-join the overlay. An adaptive pool first rebuilds its
-// pre-crash shape from the journaled pool records, then pins every
-// subscription to its journaled gateway, so the recovered assignment is
-// the pre-crash assignment, not a re-derived one. Recovered
+// gateways re-join the overlay. A fit pool first rebuilds its pre-crash
+// shape from the journaled pool records, then pins every subscription to
+// its journaled gateway, so the recovered assignment is the pre-crash
+// assignment, not a re-derived one. A hash pool keeps the shape it was
+// configured with and re-hashes every subscriber onto it. Recovered
 // subscriptions are record-only — delivery queues cannot outlive a
 // process — and their owners re-attach with AttachFunc/AttachChan. Call
 // on a freshly constructed broker (it fails on one that already has
@@ -324,13 +314,11 @@ func (b *Broker) Recover() (RecoverStats, error) {
 	if b.Len() != 0 {
 		return st, fmt.Errorf("pubsub: Recover on a broker with live subscribers")
 	}
-	rs := replayState{subs: make(map[core.ProcID]replaySub)}
-	if b.policy != nil {
-		// The initial floor gateways predate any journal record.
-		for i := 0; i < b.policy.min; i++ {
-			rs.poolSet()[i] = true
-			rs.noteOff(i)
-		}
+	// The initial floor gateways predate any journal record.
+	rs := replayState{subs: make(map[core.ProcID]replaySub), pool: make(map[int]bool)}
+	for i := 0; i < b.policy.min; i++ {
+		rs.pool[i] = true
+		rs.noteOff(i)
 	}
 	err := b.store.Replay(func(e state.Entry) error {
 		if e.Snapshot {
@@ -343,7 +331,7 @@ func (b *Broker) Recover() (RecoverStats, error) {
 	if err != nil {
 		return st, err
 	}
-	if b.policy != nil {
+	if !b.policy.fixedShape() {
 		b.rebuildPool(&rs)
 	}
 	ids := make([]core.ProcID, 0, len(rs.subs))
@@ -352,11 +340,7 @@ func (b *Broker) Recover() (RecoverStats, error) {
 	}
 	slices.SortFunc(ids, func(a, b core.ProcID) int { return cmp.Compare(a, b) })
 	for _, id := range ids {
-		off := -1
-		if b.policy != nil {
-			off = rs.subs[id].off
-		}
-		if _, err := b.subscribeAt(id, rs.subs[id].f, nil, false, off); err != nil {
+		if _, err := b.subscribeAt(id, rs.subs[id].f, nil, false, rs.subs[id].off); err != nil {
 			return st, fmt.Errorf("pubsub: recovering subscriber %d: %w", id, err)
 		}
 	}
@@ -371,7 +355,7 @@ func (b *Broker) Recover() (RecoverStats, error) {
 	return st, nil
 }
 
-// rebuildPool reshapes the virgin adaptive pool to the journaled
+// rebuildPool reshapes the virgin fit pool to the journaled
 // membership before any subscription replays: every journaled offset
 // gets an (empty, unjoined) gateway, in offset order.
 func (b *Broker) rebuildPool(rs *replayState) {
@@ -448,10 +432,10 @@ func applyJournalRecord(rec []byte, rs *replayState) error {
 		}
 		switch kind {
 		case poolGrow:
-			rs.poolSet()[off] = true
+			rs.pool[off] = true
 			rs.noteOff(off)
 		case poolRetire:
-			delete(rs.poolSet(), off)
+			delete(rs.pool, off)
 			rs.noteOff(off)
 		default:
 			return fmt.Errorf("pubsub: journal pool record kind %d unknown", kind)
@@ -518,11 +502,10 @@ func decodeSnapshot(blob []byte, rs *replayState) error {
 		return fmt.Errorf("pubsub: snapshot: %d pool offsets exceed blob", np)
 	}
 	if np > 0 {
-		pool := rs.poolSet()
-		clear(pool)
+		clear(rs.pool)
 		for i := uint64(0); i < np; i++ {
 			off := int(r.Uvarint())
-			pool[off] = true
+			rs.pool[off] = true
 			rs.noteOff(off)
 		}
 	}

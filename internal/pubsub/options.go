@@ -33,13 +33,21 @@ type DeliveryOption interface {
 }
 
 type brokerConfig struct {
-	gateways      int
-	gatewaysSet   bool
-	policy        *gatewayPolicy
+	policy        gatewayPolicy // zero until a pool option sets it
 	gwBase        core.ProcID
 	store         state.Store
 	snapshotEvery int
 	delivery      deliveryConfig
+}
+
+// setPool installs the pool configuration. Either pool option may be
+// repeated (the last wins), but the two do not mix.
+func (c *brokerConfig) setPool(p gatewayPolicy) error {
+	if c.policy.max > 0 && c.policy.hash != p.hash {
+		return fmt.Errorf("pubsub: WithGateways and WithGatewayPolicy are mutually exclusive")
+	}
+	c.policy = p
+	return nil
 }
 
 // brokerOption adapts a plain function into an Option.
@@ -54,32 +62,32 @@ type deliveryOption func(*deliveryConfig) error
 func (o deliveryOption) applyBroker(c *brokerConfig) error     { return o(&c.delivery) }
 func (o deliveryOption) applyDelivery(c *deliveryConfig) error { return o(c) }
 
-// WithGateways sets the gateway pool size: the number of overlay
-// processes the broker's subscribers share (default DefaultGateways).
-// More gateways mean smaller per-gateway match indexes and tighter
-// overlay filters; fewer mean a smaller overlay.
+// WithGateways makes the pool a hash pool of n gateways (default
+// DefaultGateways): subscriber id lives on gateway base + id mod n, and
+// the pool never splits, drains or retires (min = max = n). Its shape
+// and assignment are configuration, so a durable broker recovered with a
+// different n re-hashes every subscriber onto the new pool. More
+// gateways mean smaller per-gateway match indexes and tighter overlay
+// filters; fewer mean a smaller overlay.
 func WithGateways(n int) Option {
 	return brokerOption(func(c *brokerConfig) error {
 		if n < 1 {
 			return fmt.Errorf("pubsub: gateway count must be >= 1, got %d", n)
 		}
-		c.gateways = n
-		c.gatewaysSet = true
-		return nil
+		return c.setPool(gatewayPolicy{hash: true, min: n, max: n})
 	})
 }
 
-// WithGatewayPolicy replaces the fixed pool with an adaptive one: the
-// pool starts at min gateways, a gateway reaching target subscriptions
-// splits its entry set onto a new overlay member (up to max gateways),
-// and a gateway draining far below target hands its entries to its
-// peers and retires from the overlay. Subscriptions are placed on the
-// gateway whose MBR-union they enlarge least, so the pool stays
-// spatially coherent and the top-level routing tree prunes classify
-// work (Notification.GatewayVisited). Pool membership and subscription
-// assignment changes are journaled on a durable broker; Recover
-// rebuilds the exact pre-crash pool and assignment. Mutually exclusive
-// with WithGateways.
+// WithGatewayPolicy makes the pool a fit pool: it starts at min
+// gateways, a gateway reaching target subscriptions splits its entry set
+// onto a new overlay member (up to max gateways), and a gateway draining
+// far below target hands its entries to its peers and retires from the
+// overlay. Subscriptions are placed on the gateway whose MBR-union they
+// enlarge least, so the pool stays spatially coherent and the top-level
+// routing tree prunes classify work (Notification.GatewayVisited). Pool
+// membership and subscription assignment changes are journaled on a
+// durable broker; Recover rebuilds the exact pre-crash pool and
+// assignment. Mutually exclusive with WithGateways.
 func WithGatewayPolicy(target, min, max int) Option {
 	return brokerOption(func(c *brokerConfig) error {
 		if target < 1 {
@@ -91,8 +99,7 @@ func WithGatewayPolicy(target, min, max int) Option {
 		if max < min {
 			return fmt.Errorf("pubsub: gateway pool ceiling %d below floor %d", max, min)
 		}
-		c.policy = &gatewayPolicy{target: target, min: min, max: max}
-		return nil
+		return c.setPool(gatewayPolicy{target: target, min: min, max: max})
 	})
 }
 

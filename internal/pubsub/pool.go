@@ -1,26 +1,43 @@
 package pubsub
 
-// The adaptive gateway tier. Under WithGatewayPolicy the pool is no
-// longer a fixed hash ring: subscriptions are *placed* on the gateway
-// whose MBR-union they enlarge least (the R-tree ChooseLeaf heuristic
-// lifted one level, so gateways stay spatially coherent and the
-// top-level routing tree actually prunes), a gateway past its target
-// load splits like an R-tree node (half its entries move to a fresh or
-// idle gateway that joins the overlay with the moved group's union),
-// and a gateway that falls far below target drains its entries into the
-// rest of the pool and retires from the overlay.
+// The gateway pool. There is one pool with two placers, and placement
+// (placeLocked) is the only thing they decide:
 //
-// Lock order, broker-wide: poolMu -> gateway.mu -> (engMu | routeMu).
-// None of them is held across the store's Sync, Snapshot or Compact: the
-// pool and assign records written under poolMu are synced by the entry
-// point that took it, after it let go (journal.go).
-// Every pool mutation (placement, split, drain, retire) holds poolMu
-// exclusively, which is also what makes reading another gateway's
-// union/load without its lock safe here: the only writers that do not
-// hold poolMu exclusively hold it shared (UpdateFilter), and shared and
-// exclusive cannot coexist. Entry moves take both affected gateways'
-// write locks; only poolMu writers ever hold two gateway locks, so the
-// two-lock acquisition cannot deadlock against any other path.
+//   - hash (WithGateways(n)): subscriber id lives on gws[id mod n], and
+//     min = max = n, so the pool never splits, drains or retires. Its
+//     shape and assignment are configuration, not state.
+//   - fit (WithGatewayPolicy): a subscription is placed on the gateway
+//     whose MBR-union it enlarges least (the R-tree ChooseLeaf heuristic
+//     lifted one level, so gateways stay spatially coherent and the
+//     top-level routing tree actually prunes), a gateway past its target
+//     load splits like an R-tree node (half its entries move to a fresh
+//     or idle gateway that joins the overlay with the moved group's
+//     union), and a gateway that falls far below target drains its
+//     entries into the rest of the pool and retires from the overlay.
+//
+// Registration, removal, the assignment table, the routing tree, the
+// journal records and the lock order below exist once for both.
+//
+// Lock order, broker-wide: poolMu -> gateway.mu -> (engMu | routeMu). A
+// gateway lock may be held while taking the engine mutex, never the
+// reverse. PublishAsync holds neither around the engine:
+// AsyncPublisher.InjectEvent is safe for concurrent use, and the
+// engine's event hook (NotifyGateway, a pool and a gateway read lock)
+// runs on the engine's own goroutine, never on the stack of a call made
+// under the engine mutex — so nothing under it ever waits for a pool or
+// gateway lock. None of these locks is held across the store's Sync,
+// Snapshot or Compact: records are written under them and synced by the
+// entry point after it let go (journal.go).
+//
+// Subscribe, Unsubscribe and Fail hold poolMu exclusively, and so does
+// every pool mutation (split, drain, retire); UpdateFilter holds it
+// shared, and the read paths take it shared only to look a gateway up.
+// That is what makes reading another gateway's union/load without its
+// lock safe here: every other writer holds poolMu shared, and shared
+// and exclusive cannot coexist. Entry moves take both affected
+// gateways' write locks; only poolMu writers ever hold two gateway
+// locks, so the two-lock acquisition cannot deadlock against any other
+// path.
 
 import (
 	"cmp"
@@ -37,12 +54,19 @@ import (
 // policy floor (min >= 1) should make non-empty.
 var errPoolEmpty = errors.New("pubsub: gateway pool is empty")
 
-// gatewayPolicy is the adaptive pool configuration (WithGatewayPolicy).
+// gatewayPolicy is the pool configuration: {hash, min = max = n} for
+// WithGateways(n), {fit, target, min, max} for WithGatewayPolicy.
 type gatewayPolicy struct {
-	target int // subscriptions per gateway before it splits
-	min    int // pool floor (never drains below)
-	max    int // pool ceiling (never grows past)
+	hash   bool // placer: id mod n (true) or least enlargement (false)
+	target int  // subscriptions per gateway before it splits
+	min    int  // pool floor (never drains below)
+	max    int  // pool ceiling (never grows past)
 }
+
+// fixedShape reports whether the pool's membership is configuration: a
+// pool with min == max never grows or retires a gateway, so Checkpoint
+// journals no offsets for it and Recover keeps the configured pool.
+func (p *gatewayPolicy) fixedShape() bool { return p.min == p.max }
 
 // lowWater is the drain threshold: a gateway at or below it (and above
 // zero) hands its entries to the rest of the pool and retires.
@@ -79,11 +103,15 @@ func (b *Broker) growPoolLocked() (*gateway, error) {
 	return gw, nil
 }
 
-// retireLocked removes an empty gateway from the pool. The gateway must
-// hold no subscriptions; if it is still an overlay member (a drain
-// whose Leave failed) it stays in the pool as idle instead. poolMu held
-// exclusively, gw.mu not held.
+// retireLocked removes an empty gateway from a pool above its floor.
+// The gateway must hold no subscriptions; at the floor, or if it is
+// still an overlay member whose Leave fails (a drain's), it stays in the
+// pool as idle instead. poolMu held exclusively, gw.mu not held.
 func (b *Broker) retireLocked(gw *gateway) {
+	if len(b.gws) <= b.policy.min {
+		b.markIdleLocked(gw)
+		return
+	}
 	gw.mu.Lock()
 	if len(gw.subs) > 0 {
 		gw.mu.Unlock()
@@ -185,24 +213,38 @@ func pickBest(cands []*gateway, rect geom.Rect, skip *gateway) *gateway {
 	return best
 }
 
-// placeLocked chooses the gateway for a new subscription rectangle,
-// splitting a full winner first when the pool may still grow. poolMu
-// held exclusively.
-func (b *Broker) placeLocked(rect geom.Rect) (*gateway, error) {
+// placeLocked is the pool's one placement decision: the gateway a new
+// subscription of id with rectangle rect goes to. off >= 0 is the pool
+// offset Recover found journaled for id.
+//
+// The hash placer answers gws[id mod n] and ignores off: its assignment
+// is configuration, so a pool recovered under a new size re-hashes. The
+// fit placer honours off while that gateway exists (a torn log can name
+// one whose pool record was lost); otherwise it picks the best fit,
+// splitting a full winner first while the pool may still grow, and
+// reports derived so that Recover can journal a placement it had to
+// re-derive. poolMu held exclusively.
+func (b *Broker) placeLocked(id core.ProcID, rect geom.Rect, off int) (gw *gateway, derived bool, err error) {
+	if b.policy.hash {
+		return b.gws[uint64(id)%uint64(len(b.gws))], false, nil
+	}
+	if gw := b.byProc[b.gwBase+core.ProcID(off)]; off >= 0 && gw != nil {
+		return gw, false, nil
+	}
 	best := b.bestFitLocked(rect, nil)
 	if best == nil {
-		return nil, errPoolEmpty
+		return nil, false, errPoolEmpty
 	}
 	if len(best.subs) >= b.policy.target && len(b.gws) < b.policy.max {
 		other, err := b.splitGatewayLocked(best)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if other != nil && other.score(rect).better(best.score(rect)) {
 			best = other
 		}
 	}
-	return best, nil
+	return best, true, nil
 }
 
 // splitGatewayLocked splits src's entry set in two with a median cut
@@ -331,15 +373,12 @@ func medianCutUpper(rects []geom.Rect) []int {
 }
 
 // shrinkPoolLocked runs the retire/drain policy after gw lost a
-// subscription. poolMu held exclusively, gw.mu not held.
+// subscription; in a pool with min == max it only marks an emptied gw
+// idle. poolMu held exclusively, gw.mu not held.
 func (b *Broker) shrinkPoolLocked(gw *gateway) {
 	load := len(gw.subs)
 	if load == 0 {
-		if len(b.gws) > b.policy.min {
-			b.retireLocked(gw)
-		} else {
-			b.markIdleLocked(gw)
-		}
+		b.retireLocked(gw)
 		return
 	}
 	if load > b.policy.lowWater() || len(b.gws) <= b.policy.min {
@@ -394,11 +433,7 @@ func (b *Broker) drainLocked(gw *gateway) {
 	}
 	gw.mu.Unlock()
 	if drained {
-		if len(b.gws) > b.policy.min {
-			b.retireLocked(gw)
-		} else {
-			b.markIdleLocked(gw)
-		}
+		b.retireLocked(gw)
 	}
 }
 

@@ -1,15 +1,16 @@
 package pubsub
 
-// Tests for the adaptive gateway tier: the incremental MBR-union
-// bookkeeping (bit-identical to the naive fold), pool growth and
-// shrinkage under load, routing-tree pruning, crash recovery of the
-// pool shape, and the drift acceptance bound (contained filter moves
-// never pay a full re-union).
+// Tests for the gateway pool: the invariants both placers keep, the
+// incremental MBR-union bookkeeping (bit-identical to the naive fold),
+// the fit pool's growth and shrinkage under load, routing-tree pruning,
+// crash recovery of the pool shape, and the drift acceptance bound
+// (contained filter moves never pay a full re-union).
 
 import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -82,7 +83,8 @@ func assertUnionOracle(t *testing.T, b *Broker, step string) {
 // UpdateFilter sequence — with equivalent-rectangle sharing and signed
 // zeros in the coordinate pool — and asserts after every operation that
 // the incremental union equals the naive full re-union fold bitwise on
-// every gateway, in both fixed and adaptive pool modes.
+// every gateway, under both placers ("fixed" is the hash pool, "policy"
+// the fit pool).
 func TestUnionBitIdenticalToOracle(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	// A small discrete coordinate pool maximizes shared boundaries,
@@ -138,6 +140,128 @@ func TestUnionBitIdenticalToOracle(t *testing.T) {
 					t.Fatalf("step %d: %s(%d): %v", step, op, id, opErr)
 				}
 				assertUnionOracle(t, b, fmt.Sprintf("step %d after %s(%d)", step, op, id))
+			}
+		})
+	}
+}
+
+// assertPoolInvariants checks the pool's bookkeeping against itself:
+// live is the set of IDs the test has registered, out of 1..maxID.
+// Every registered subscriber is held by exactly the gateway GatewayOf
+// names and every other ID by none (GatewayOf says NoProc); every
+// gateway's union is the fold of its entries; a gateway is in the
+// routing tree under its union exactly when it holds a subscription;
+// and in a hash pool of n gateways the owner of id is base + id mod n.
+func assertPoolInvariants(t *testing.T, b *Broker, live map[core.ProcID]bool, maxID int, step string) {
+	t.Helper()
+	assertUnionOracle(t, b, step)
+	if b.Len() != len(live) {
+		t.Fatalf("%s: Len %d, %d registered", step, b.Len(), len(live))
+	}
+	holders := map[core.ProcID][]core.ProcID{}
+	routed := 0
+	for _, gw := range b.poolSnapshot() {
+		gw.mu.RLock()
+		for id := range gw.subs {
+			holders[id] = append(holders[id], gw.procID)
+		}
+		inRoute := !gw.routeRect.IsEmpty()
+		if inRoute {
+			routed++
+			b.routeMu.RLock()
+			found := slices.Contains(b.route.SearchContaining(gw.routeRect), any(gw))
+			b.routeMu.RUnlock()
+			if !found || !gw.routeRect.Equal(gw.union) {
+				t.Fatalf("%s: gateway %d routed under %v (found %v), union %v", step, gw.procID, gw.routeRect, found, gw.union)
+			}
+		}
+		if inRoute != (len(gw.subs) > 0) {
+			t.Fatalf("%s: gateway %d with %d subscribers is routed=%v", step, gw.procID, len(gw.subs), inRoute)
+		}
+		gw.mu.RUnlock()
+	}
+	b.routeMu.RLock()
+	inTree := b.route.Len()
+	b.routeMu.RUnlock()
+	if inTree != routed {
+		t.Fatalf("%s: routing tree holds %d entries, %d gateways are non-empty", step, inTree, routed)
+	}
+	for i := 1; i <= maxID; i++ {
+		id := core.ProcID(i)
+		got := b.GatewayOf(id)
+		if !live[id] {
+			if got != core.NoProc || len(holders[id]) != 0 {
+				t.Fatalf("%s: unregistered %d: GatewayOf %d, held by %v", step, id, got, holders[id])
+			}
+			continue
+		}
+		if len(holders[id]) != 1 || holders[id][0] != got {
+			t.Fatalf("%s: subscriber %d held by %v, GatewayOf says %d", step, id, holders[id], got)
+		}
+		if n := b.policy.max; b.policy.hash && got != b.gwBase+core.ProcID(i%n) {
+			t.Fatalf("%s: hash pool put %d on gateway %d, want %d", step, id, got, b.gwBase+core.ProcID(i%n))
+		}
+	}
+}
+
+// TestPoolInvariants drives both placers through one seeded stream of
+// subscribe, update, unsubscribe and fail, and checks the pool's
+// invariants after every operation: one registration, removal and
+// owner-lookup path must keep them for either placer.
+func TestPoolInvariants(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opt  Option
+	}{
+		{"hash", WithGateways(4)},
+		{"fit", WithGatewayPolicy(3, 1, 32)},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			b, err := newCore(filter.MustSpace("x", "y"), core.Params{MinFanout: 2, MaxFanout: 4}, mode.opt, WithGatewayBase(100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			const maxID = 40
+			rng := rand.New(rand.NewPCG(27, 4))
+			w := workload.World{Size: 100}
+			rects := workload.Subscriptions(rng, w, workload.Clustered, 4*maxID)
+			live := map[core.ProcID]bool{}
+			assertPoolInvariants(t, b, live, maxID, "fresh")
+			peak := 0
+			for step := 0; step < 400; step++ {
+				id := core.ProcID(1 + rng.IntN(maxID))
+				f := rectFilter(rects[rng.IntN(len(rects))])
+				var op string
+				var opErr error
+				switch k := rng.IntN(5); {
+				case !live[id]:
+					op, opErr = "subscribe", b.Subscribe(id, f)
+					live[id] = opErr == nil
+				case k < 2:
+					op, opErr = "update", b.UpdateFilter(id, f)
+				case k < 4:
+					op, opErr = "unsubscribe", b.Unsubscribe(id)
+					live[id] = opErr != nil
+				default:
+					op, opErr = "fail", b.Fail(id)
+					live[id] = opErr != nil
+					b.Repair()
+				}
+				if !live[id] {
+					delete(live, id)
+				}
+				if opErr != nil {
+					t.Fatalf("step %d: %s(%d): %v", step, op, id, opErr)
+				}
+				assertPoolInvariants(t, b, live, maxID, fmt.Sprintf("step %d after %s(%d)", step, op, id))
+				peak = max(peak, b.Gateways())
+			}
+			if !b.policy.fixedShape() && peak <= b.policy.min {
+				t.Fatalf("the fit pool never split (peak %d gateways); the stream proves nothing about growth", peak)
+			}
+			if st := b.Repair(); !st.Converged {
+				t.Fatalf("overlay did not converge: %v", b.Engine().CheckLegal())
 			}
 		})
 	}

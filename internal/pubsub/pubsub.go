@@ -112,10 +112,6 @@ type gateway struct {
 	joined       bool
 }
 
-// load is the gateway's subscription count; callers hold gw.mu or the
-// pool lock exclusively (see pool.go on why the latter suffices).
-func (gw *gateway) load() int { return len(gw.subs) }
-
 // Broker is the pub/sub front end over one DR-tree engine. It is safe
 // for concurrent use: subscriber state is sharded per gateway under
 // per-gateway read/write locks, and overlay-engine calls (which the
@@ -124,33 +120,22 @@ func (gw *gateway) load() int { return len(gw.subs) }
 // — compiling filters and events, and the match-index scans that
 // classify interest — runs outside the engine mutex, so concurrent
 // publishers only serialize on the overlay traversal itself. The lock
-// order is fixed: a gateway lock may be held while taking the engine
-// mutex, never the reverse. PublishAsync holds neither around the
-// engine: AsyncPublisher.InjectEvent is safe for concurrent use, and the
-// engine's event hook (NotifyGateway, a gateway read lock) runs on the
-// engine's own goroutine, never on the stack of a call made under the
-// engine mutex — so nothing under it ever waits for a gateway lock.
-// And no gateway lock, nor the pool lock, is held across a disk wait:
-// the store's Sync, Snapshot and Compact are called only after both are
-// released (journal.go: write before commit, sync before ack).
+// order, and which call holds which lock how, is written once, in
+// pool.go.
 type Broker struct {
 	space *filter.Space
 	engMu sync.Mutex // serializes all calls into eng
 	eng   engine.Engine
 
-	// poolMu guards the pool itself: gws, byProc, assign, idle, nextOff.
-	// Fixed-mode pools never change shape, so the hot paths there take
-	// it only for a pointer lookup; adaptive-pool mutations (placement,
-	// split, drain, retire — pool.go) hold it exclusively. Lock order:
-	// poolMu -> gateway.mu -> (engMu | routeMu); no gateway or pool lock
-	// is held across the store's Sync, Snapshot or Compact.
+	// poolMu guards the pool itself: gws, byProc, assign, idle, nextOff
+	// (pool.go has the lock order).
 	poolMu  sync.RWMutex
 	gws     []*gateway
 	byProc  map[core.ProcID]*gateway
-	assign  map[core.ProcID]*gateway // subscriber -> gateway; nil in fixed mode
+	assign  map[core.ProcID]*gateway // subscriber -> gateway: the owner lookup
 	idle    []*gateway               // zero-load gateways, reused before growing
 	nextOff int                      // next never-used pool offset
-	policy  *gatewayPolicy           // nil = fixed WithGateways pool
+	policy  gatewayPolicy
 
 	// route is the top level of the two-level classification tree: one
 	// entry per gateway with at least one subscription, keyed by the
@@ -186,7 +171,6 @@ func New(space *filter.Space, eng engine.Engine, opts ...Option) (*Broker, error
 		return nil, fmt.Errorf("pubsub: nil engine")
 	}
 	cfg := brokerConfig{
-		gateways:      DefaultGateways,
 		gwBase:        1,
 		snapshotEvery: DefaultSnapshotEvery,
 		delivery:      deliveryConfig{depth: DefaultQueueDepth, policy: DropOldest},
@@ -196,8 +180,8 @@ func New(space *filter.Space, eng engine.Engine, opts ...Option) (*Broker, error
 			return nil, err
 		}
 	}
-	if cfg.policy != nil && cfg.gatewaysSet {
-		return nil, fmt.Errorf("pubsub: WithGateways and WithGatewayPolicy are mutually exclusive")
+	if cfg.policy.max == 0 {
+		cfg.policy = gatewayPolicy{hash: true, min: DefaultGateways, max: DefaultGateways}
 	}
 	b := &Broker{
 		space:           space,
@@ -208,26 +192,21 @@ func New(space *filter.Space, eng engine.Engine, opts ...Option) (*Broker, error
 		snapEvery:       cfg.snapshotEvery,
 		defaultDelivery: cfg.delivery,
 	}
-	// Same wide fan-out as the per-gateway match indexes: an adaptive
-	// pool can reach thousands of gateways, and fan-out 32 keeps the
-	// routing tree two levels deep (so route-node visits stay a small
-	// constant) all the way to the policy ceiling.
+	// Same wide fan-out as the per-gateway match indexes: a fit pool can
+	// reach thousands of gateways, and fan-out 32 keeps the routing tree
+	// two levels deep (so route-node visits stay a small constant) all
+	// the way to the policy ceiling.
 	b.route = rtree.MustNew(8, 32, split.RStar{})
-	n := cfg.gateways
-	if b.policy != nil {
-		n = b.policy.min
-		b.assign = make(map[core.ProcID]*gateway)
-	}
+	n := b.policy.min
+	b.assign = make(map[core.ProcID]*gateway)
 	b.byProc = make(map[core.ProcID]*gateway, n)
 	b.gws = make([]*gateway, 0, n)
 	for i := 0; i < n; i++ {
 		gw := b.newGateway(i)
 		b.gws = append(b.gws, gw)
 		b.byProc[gw.procID] = gw
-		if b.policy != nil {
-			b.idle = append(b.idle, gw)
-		}
 	}
+	b.idle = slices.Clone(b.gws)
 	b.nextOff = n
 	return b, nil
 }
@@ -249,35 +228,14 @@ func rectKey(r geom.Rect) string {
 	return string(buf)
 }
 
-// owner returns the gateway owning subscriber id: the hash slot in
-// fixed mode (registered or not — the historical contract), the current
-// assignment in policy mode (nil when id is not registered).
+// owner returns the gateway subscriber id is assigned to, nil when id
+// is not registered. An assignment is made and dropped under poolMu
+// held exclusively, together with the gateway's own record of id.
 func (b *Broker) owner(id core.ProcID) *gateway {
 	b.poolMu.RLock()
-	gw := b.ownerLocked(id)
+	gw := b.assign[id]
 	b.poolMu.RUnlock()
 	return gw
-}
-
-// ownerLocked is owner with poolMu already held (either mode). Safe
-// without poolMu in fixed mode only, where the pool never changes.
-func (b *Broker) ownerLocked(id core.ProcID) *gateway {
-	if b.assign != nil {
-		return b.assign[id]
-	}
-	return b.gws[uint64(id)%uint64(len(b.gws))]
-}
-
-// registered reports whether id is a current subscriber.
-func (b *Broker) registered(id core.ProcID) bool {
-	gw := b.owner(id)
-	if gw == nil {
-		return false
-	}
-	gw.mu.RLock()
-	_, ok := gw.subs[id]
-	gw.mu.RUnlock()
-	return ok
 }
 
 // poolSnapshot clones the pool slice for lock-free iteration.
@@ -307,12 +265,9 @@ func (b *Broker) Gateways() int {
 
 // Len returns the number of active subscribers.
 func (b *Broker) Len() int {
-	n := 0
-	for _, gw := range b.poolSnapshot() {
-		gw.mu.RLock()
-		n += len(gw.subs)
-		gw.mu.RUnlock()
-	}
+	b.poolMu.RLock()
+	n := len(b.assign)
+	b.poolMu.RUnlock()
 	return n
 }
 
@@ -425,12 +380,16 @@ func (b *Broker) subscribe(id core.ProcID, f filter.Filter, cons *consumer) erro
 	return nil
 }
 
-// subscribeAt is the registration up to, not including, the sync: it
-// returns the sequence number of the journal record it wrote (0 with
-// journal false — the Recover path, which re-applies records that are
-// already durable). off >= 0 pins the pool offset of a journaled
-// assignment during Recover (policy mode only), off < 0 places through
-// the pool policy, or hashes in fixed mode.
+// subscribeAt is the one registration path, up to, not including, the
+// sync: placement (pool.go), then the engine, then the journal write,
+// then the local maps, the incremental union and the assignment. It
+// returns the sequence number of the last journal record it wrote for
+// the caller to sync on once the locks are gone (0 with journal false —
+// the Recover path, which re-applies records that are already durable).
+// off >= 0 is the pool offset Recover found journaled for id; off < 0
+// places afresh. The Subscribe record is the last one it writes — a
+// split's pool and assign records come before it — so syncing on its
+// number covers them.
 func (b *Broker) subscribeAt(id core.ProcID, f filter.Filter, cons *consumer, journal bool, off int) (uint64, error) {
 	if id <= core.NoProc {
 		return 0, fmt.Errorf("pubsub: subscriber IDs must be positive, got %d", id)
@@ -439,67 +398,17 @@ func (b *Broker) subscribeAt(id core.ProcID, f filter.Filter, cons *consumer, jo
 	if err != nil {
 		return 0, fmt.Errorf("pubsub: compiling filter: %w", err)
 	}
-	if b.policy != nil {
-		return b.subscribePolicy(id, rect, f, cons, journal, off)
-	}
-	gw := b.ownerLocked(id) // fixed pool: no lock needed, never resizes
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	return b.subscribeLocked(gw, id, rect, f, cons, journal)
-}
-
-// subscribePolicy is the adaptive-pool registration path: placement,
-// split-growth and the assignment table live under poolMu (pool.go).
-// The Subscribe record is the last one it writes — a split's pool and
-// assign records come before it — so syncing on its number covers them.
-func (b *Broker) subscribePolicy(id core.ProcID, rect geom.Rect, f filter.Filter, cons *consumer, journal bool, off int) (uint64, error) {
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	if b.assign[id] != nil {
 		return 0, fmt.Errorf("pubsub: subscriber %d already registered", id)
 	}
-	var gw *gateway
-	if off >= 0 {
-		// Recover replaying a journaled assignment. A torn log can pin
-		// to a gateway whose pool record was lost: fall back to
-		// placement.
-		gw = b.byProc[b.gwBase+core.ProcID(off)]
-	}
-	placed := false
-	if gw == nil {
-		var err error
-		if gw, err = b.placeLocked(rect); err != nil {
-			return 0, err
-		}
-		placed = true
-	}
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	seq, err := b.subscribeLocked(gw, id, rect, f, cons, journal)
+	gw, derived, err := b.placeLocked(id, rect, off)
 	if err != nil {
 		return 0, err
 	}
-	b.assign[id] = gw
-	b.unmarkIdleLocked(gw)
-	if placed && !journal {
-		// Recovery placed a subscription whose journaled gateway is gone
-		// (a torn pool record): journal the assignment so the *next*
-		// recovery replays this placement instead of re-deriving it
-		// against a different pool shape. Best-effort; Recover syncs.
-		_ = b.journalAssign(id, gw.off)
-	}
-	return seq, nil
-}
-
-// subscribeLocked commits one registration on gw: engine first, then
-// the journal write, then the local maps and the incremental union. It
-// returns the record's sequence number for the caller to sync on once
-// the locks are gone. gw.mu held; poolMu held exclusively in policy
-// mode.
-func (b *Broker) subscribeLocked(gw *gateway, id core.ProcID, rect geom.Rect, f filter.Filter, cons *consumer, journal bool) (uint64, error) {
-	if _, dup := gw.subs[id]; dup {
-		return 0, fmt.Errorf("pubsub: subscriber %d already registered", id)
-	}
+	gw.mu.Lock()
+	defer gw.mu.Unlock()
 	key := rectKey(rect)
 	newEntry := gw.entries[key] == nil
 	// Overlay side first: if the engine refuses, no local state was
@@ -522,24 +431,30 @@ func (b *Broker) subscribeLocked(gw *gateway, id core.ProcID, rect geom.Rect, f 
 	// memory lacks — a recovered ghost, also false-positive-safe.
 	var seq uint64
 	if journal {
-		var err error
 		if seq, err = b.journalWrite(journalSubscribe, id, f, gw.off); err != nil {
 			return 0, err
 		}
 	}
-	e := gw.entries[key]
-	if e == nil {
-		e = &matchEntry{rect: rect, subs: make(map[core.ProcID]entrySub)}
-		gw.entries[key] = e
+	if newEntry {
+		e := &matchEntry{rect: rect, subs: make(map[core.ProcID]entrySub)}
 		if err := gw.index.Insert(rect, e); err != nil {
-			delete(gw.entries, key)
 			return 0, fmt.Errorf("pubsub: indexing filter: %w", err)
 		}
+		gw.entries[key] = e
 		gw.unionCommitAdd(rect)
 		b.routeReplace(gw, gw.union)
 	}
-	e.subs[id] = entrySub{f: f, cons: cons}
+	gw.entries[key].subs[id] = entrySub{f: f, cons: cons}
 	gw.subs[id] = subscription{f: f, key: key, cons: cons}
+	b.assign[id] = gw
+	b.unmarkIdleLocked(gw)
+	if derived && !journal {
+		// Recovery placed a subscription whose journaled gateway is gone
+		// (a torn pool record): journal the assignment so the *next*
+		// recovery replays this placement instead of re-deriving it
+		// against a different pool shape. Best-effort; Recover syncs.
+		_ = b.journalAssign(id, gw.off)
+	}
 	return seq, nil
 }
 
@@ -572,23 +487,12 @@ func (b *Broker) remove(id core.ProcID, leave func(core.ProcID) error) error {
 	return b.journalSync(seq)
 }
 
-// removeUnsynced is remove up to, not including, the sync: it returns
-// the highest journal sequence number the departure wrote.
+// removeUnsynced is the one removal path, remove up to, not including,
+// the sync: it removes under the pool lock, then runs the shrink policy
+// (an emptied gateway retires while the pool is above its floor, an
+// underfull one drains into its peers; neither happens when min == max),
+// and returns the highest journal sequence number the departure wrote.
 func (b *Broker) removeUnsynced(id core.ProcID, leave func(core.ProcID) error) (uint64, error) {
-	if b.policy != nil {
-		return b.removePolicy(id, leave)
-	}
-	gw := b.ownerLocked(id) // fixed pool: no lock needed, never resizes
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	seq, _, err := b.removeLocked(gw, id, leave)
-	return seq, err
-}
-
-// removePolicy removes under the pool lock and then runs the shrink
-// policy: an emptied gateway retires (pool above the floor), an
-// underfull one drains into its peers.
-func (b *Broker) removePolicy(id core.ProcID, leave func(core.ProcID) error) (uint64, error) {
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	gw := b.assign[id]
@@ -596,7 +500,7 @@ func (b *Broker) removePolicy(id core.ProcID, leave func(core.ProcID) error) (ui
 		return 0, fmt.Errorf("pubsub: subscriber %d not registered", id)
 	}
 	gw.mu.Lock()
-	_, removed, err := b.removeLocked(gw, id, leave)
+	removed, err := b.removeLocked(gw, id, leave)
 	gw.mu.Unlock()
 	if removed {
 		delete(b.assign, id)
@@ -614,16 +518,13 @@ func (b *Broker) removePolicy(id core.ProcID, leave func(core.ProcID) error) (ui
 	return b.journalFrontier(), nil
 }
 
-// removeLocked commits one departure on gw, engine first, and returns
-// the sequence number of its journal record. Reports whether the local
-// removal happened: a journal-write failure still removes (the engine
-// already committed) and returns the error only to signal durability
-// lag. gw.mu held.
-func (b *Broker) removeLocked(gw *gateway, id core.ProcID, leave func(core.ProcID) error) (uint64, bool, error) {
-	sub, ok := gw.subs[id]
-	if !ok {
-		return 0, false, fmt.Errorf("pubsub: subscriber %d not registered", id)
-	}
+// removeLocked commits one departure on gw, engine first, then writes
+// its journal record. Reports whether the local removal happened: a
+// journal-write failure still removes (the engine already committed)
+// and returns the error only to signal durability lag. poolMu held
+// exclusively, gw.mu held.
+func (b *Broker) removeLocked(gw *gateway, id core.ProcID, leave func(core.ProcID) error) (bool, error) {
+	sub := gw.subs[id]
 	e := gw.entries[sub.key]
 	entryGone := len(e.subs) == 1
 	lastSub := len(gw.subs) == 1
@@ -635,14 +536,14 @@ func (b *Broker) removeLocked(gw *gateway, id core.ProcID, leave func(core.ProcI
 		err := leave(gw.procID)
 		b.engMu.Unlock()
 		if err != nil {
-			return 0, false, err
+			return false, err
 		}
 		gw.joined = false
 	case entryGone:
 		newU, full = gw.unionPeekRemove(e)
 		if !newU.Equal(gw.union) {
 			if err := b.engUpdateFilter(gw, newU); err != nil {
-				return 0, false, err
+				return false, err
 			}
 		}
 	}
@@ -669,8 +570,8 @@ func (b *Broker) removeLocked(gw *gateway, id core.ProcID, leave func(core.ProcI
 	// subscription in the journal — a false positive after recovery,
 	// never a false negative — and the error tells the caller durability
 	// is behind.
-	seq, err := b.journalWrite(journalUnsubscribe, id, filter.Filter{}, gw.off)
-	return seq, true, err
+	_, err := b.journalWrite(journalUnsubscribe, id, filter.Filter{}, gw.off)
+	return true, err
 }
 
 // recomputeUnion derives the gateway's tightest overlay filter after a
@@ -732,23 +633,18 @@ func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 // updateFilterUnsynced is UpdateFilter up to, not including, the sync:
 // it returns the sequence number of the journal record it wrote.
 func (b *Broker) updateFilterUnsynced(id core.ProcID, f filter.Filter, rect geom.Rect) (uint64, error) {
-	if b.policy != nil {
-		// A shared pool lock keeps the owning gateway stable against
-		// concurrent drains/splits while letting filter moves (the
-		// continuous-motion hot path) proceed in parallel.
-		b.poolMu.RLock()
-		defer b.poolMu.RUnlock()
-	}
-	gw := b.ownerLocked(id)
+	// A shared pool lock keeps the owning gateway stable against
+	// concurrent removals, drains and splits while letting filter moves
+	// (the continuous-motion hot path) proceed in parallel.
+	b.poolMu.RLock()
+	defer b.poolMu.RUnlock()
+	gw := b.assign[id]
 	if gw == nil {
 		return 0, fmt.Errorf("pubsub: subscriber %d not registered", id)
 	}
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
-	sub, ok := gw.subs[id]
-	if !ok {
-		return 0, fmt.Errorf("pubsub: subscriber %d not registered", id)
-	}
+	sub := gw.subs[id]
 	newKey := rectKey(rect)
 	if newKey == sub.key {
 		// Same rectangle, possibly different predicates (e.g. x >= 1
@@ -919,7 +815,7 @@ func (b *Broker) PublishBatch(producer core.ProcID, evs []filter.Event) ([]Notif
 		return nil, nil
 	}
 	pgw := b.owner(producer)
-	if pgw == nil || !b.registered(producer) {
+	if pgw == nil {
 		return nil, fmt.Errorf("%w: %d", ErrProducerNotRegistered, producer)
 	}
 	gwID := pgw.procID
@@ -971,7 +867,7 @@ func (b *Broker) PublishAsync(producer core.ProcID, ev filter.Event) error {
 		return fmt.Errorf("pubsub: engine %T cannot publish asynchronously", b.eng)
 	}
 	pgw := b.owner(producer)
-	if pgw == nil || !b.registered(producer) {
+	if pgw == nil {
 		return fmt.Errorf("%w: %d", ErrProducerNotRegistered, producer)
 	}
 	p, err := b.space.Point(ev)
@@ -1044,9 +940,8 @@ func (b *Broker) NotifyGateway(gwProc core.ProcID, ev filter.Event) int {
 }
 
 // GatewayOf returns the overlay process ID of the gateway owning
-// subscriber id. In fixed mode every ID hashes onto a gateway whether
-// or not it is registered (the historical contract); under an adaptive
-// pool an unregistered ID has no assignment and yields core.NoProc.
+// subscriber id, or core.NoProc when id is not registered (in a hash
+// pool too: an ID is assigned when it subscribes, not before).
 func (b *Broker) GatewayOf(id core.ProcID) core.ProcID {
 	gw := b.owner(id)
 	if gw == nil {

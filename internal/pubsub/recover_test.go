@@ -3,6 +3,7 @@ package pubsub
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +178,82 @@ func TestBrokerRecoverSnapshotPlusSuffix(t *testing.T) {
 			for id, f := range want {
 				if got[id] != f {
 					t.Fatalf("subscriber %d: %q want %q", id, got[id], f)
+				}
+			}
+		})
+	}
+}
+
+// TestHashPoolRecoversUnderNewSize pins "a hash pool's shape and
+// assignment are configuration": a durable 4-gateway broker (snapshot
+// plus journal suffix) recovered as an 8-gateway one puts every
+// subscriber on base + id mod 8 — the journaled offsets name the old
+// pool — and routes a probe sweep with zero false negatives.
+func TestHashPoolRecoversUnderNewSize(t *testing.T) {
+	const base = 10
+	for name, mk := range storesForRecovery(t) {
+		t.Run(name, func(t *testing.T) {
+			s, reopen := mk()
+			b := newDurableBroker(t, s, WithGateways(4), WithGatewayBase(base))
+			live := map[core.ProcID]filter.Filter{}
+			sub := func(id core.ProcID, f filter.Filter) {
+				if err := b.Subscribe(id, f); err != nil {
+					t.Fatalf("subscribe %d: %v", id, err)
+				}
+				live[id] = f
+			}
+			for i := 1; i <= 30; i++ {
+				sub(core.ProcID(i), filter.Range("price", float64(i), float64(i+10)).And(filter.Range("qty", 0, float64(i))))
+			}
+			if err := b.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			for i := 31; i <= 45; i++ {
+				sub(core.ProcID(i), filter.Range("qty", float64(i), float64(i+5)))
+			}
+			for _, id := range []core.ProcID{3, 17, 33} {
+				if err := b.Unsubscribe(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, id)
+			}
+			for _, id := range []core.ProcID{8, 40} {
+				f := filter.Range("price", 60, 70)
+				if err := b.UpdateFilter(id, f); err != nil {
+					t.Fatal(err)
+				}
+				live[id] = f
+			}
+			b.Close()
+
+			b2 := newDurableBroker(t, reopen(), WithGateways(8), WithGatewayBase(base))
+			defer b2.Close()
+			st, err := b2.Recover()
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if !st.Snapshot || st.Subscribers != len(live) {
+				t.Fatalf("RecoverStats %+v, want a snapshot and %d subscribers", st, len(live))
+			}
+			b2.Repair()
+			if b2.Gateways() != 8 {
+				t.Fatalf("recovered pool has %d gateways, want the configured 8", b2.Gateways())
+			}
+			for id := range live {
+				if got, want := b2.GatewayOf(id), core.ProcID(base+int(id)%8); got != want {
+					t.Fatalf("subscriber %d recovered onto gateway %d, want %d", id, got, want)
+				}
+			}
+			for id, f := range live {
+				plo, phi, _ := f.Interval("price")
+				qlo, qhi, _ := f.Interval("qty")
+				ev := filter.Event{"price": (max(plo, -50) + min(phi, 150)) / 2, "qty": (max(qlo, -50) + min(qhi, 150)) / 2}
+				note, err := b2.Publish(id, ev)
+				if err != nil {
+					t.Fatalf("publish from %d: %v", id, err)
+				}
+				if len(note.FalseNegatives) != 0 || !slices.Contains(note.Interested, id) {
+					t.Fatalf("probe inside %d's filter: interested %v, false negatives %v", id, note.Interested, note.FalseNegatives)
 				}
 			}
 		})

@@ -464,6 +464,19 @@ func TestParseRecordRejectsOversizedLength(t *testing.T) {
 	}
 }
 
+// TestWriteFileSyncReportsWriteError: a snapshot or compacted log that
+// cannot be written must not be reported as written, or the caller
+// renames a short file into place. /dev/full refuses every write with
+// ENOSPC.
+func TestWriteFileSyncReportsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	if err := writeFileSync("/dev/full", []byte("snapshot")); err == nil {
+		t.Fatal("writeFileSync to a full device returned nil")
+	}
+}
+
 // TestWriteOrdersSyncCommits pins the two halves of adding a record:
 // Write numbers records 1, 2, 3... in call order and Written follows it;
 // one Sync on the highest number covers every record below it (one

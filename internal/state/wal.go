@@ -621,7 +621,7 @@ func writeFileSync(path string, buf []byte) error {
 	if err != nil {
 		return fmt.Errorf("state: write %s: %w", filepath.Base(path), err)
 	}
-	if _, err := f.Write(buf); err == nil {
+	if _, err = f.Write(buf); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
