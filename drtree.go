@@ -139,14 +139,13 @@ func ParseEngineKind(s string) (EngineKind, error) {
 
 // openConfig collects the Open options.
 type openConfig struct {
-	kind       EngineKind
-	minFanout  int
-	maxFanout  int
-	split      split.Policy
-	election   Election
-	seed       uint64
-	seedSet    bool
-	checkEvery int
+	kind      EngineKind
+	minFanout int
+	maxFanout int
+	split     split.Policy
+	election  Election
+	seed      uint64
+	seedSet   bool
 }
 
 // Option configures Open.
@@ -202,18 +201,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithCheckEvery sets the period, in rounds, of the periodic CHECK_*
-// timers for the message-passing engines.
-func WithCheckEvery(rounds int) Option {
-	return func(c *openConfig) error {
-		if rounds < 1 {
-			return fmt.Errorf("drtree: CheckEvery must be >= 1, got %d", rounds)
-		}
-		c.checkEvery = rounds
-		return nil
-	}
-}
-
 // Open builds a DR-tree overlay engine from functional options:
 //
 //	eng, err := drtree.Open(drtree.WithEngine(drtree.EngineProto),
@@ -239,10 +226,9 @@ func Open(opts ...Option) (Engine, error) {
 		})
 	case EngineProto:
 		cl, err := proto.NewCluster(proto.Config{
-			MinFanout:  cfg.minFanout,
-			MaxFanout:  cfg.maxFanout,
-			Split:      cfg.split,
-			CheckEvery: cfg.checkEvery,
+			MinFanout: cfg.minFanout,
+			MaxFanout: cfg.maxFanout,
+			Split:     cfg.split,
 		})
 		if err != nil {
 			return nil, err
@@ -253,10 +239,9 @@ func Open(opts ...Option) (Engine, error) {
 		return cl, nil
 	case EngineLive:
 		return proto.NewLiveCluster(proto.Config{
-			MinFanout:  cfg.minFanout,
-			MaxFanout:  cfg.maxFanout,
-			Split:      cfg.split,
-			CheckEvery: cfg.checkEvery,
+			MinFanout: cfg.minFanout,
+			MaxFanout: cfg.maxFanout,
+			Split:     cfg.split,
 		})
 	}
 	return nil, fmt.Errorf("drtree: unknown engine %q", cfg.kind)

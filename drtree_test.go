@@ -123,9 +123,6 @@ func TestOpenOptionValidation(t *testing.T) {
 	if _, err := drtree.Open(drtree.WithFanout(0, 4)); err == nil {
 		t.Error("invalid fanout must be rejected")
 	}
-	if _, err := drtree.Open(drtree.WithCheckEvery(0)); err == nil {
-		t.Error("invalid check period must be rejected")
-	}
 	if _, err := drtree.ParseEngineKind("liv"); err == nil {
 		t.Error("ParseEngineKind must reject typos")
 	}

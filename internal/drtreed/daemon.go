@@ -18,8 +18,9 @@
 // Publishing is fire-and-forget (pubsub.PublishAsync): no daemon can
 // take a cluster-wide receipt census, so deliveries surface through the
 // live runtime's event hook, which hands each gateway receipt to that
-// gateway's notifier goroutine, and it to the local broker's
-// NotifyGateway for subscriber fan-out.
+// gateway's notifier goroutine; its NotifyGateway call queues each match
+// in the subscriber's session outbox, which frames it into the client
+// socket's wire.ConnWriter.
 package drtreed
 
 import (
@@ -304,14 +305,14 @@ func (d *Daemon) onOverlayDeliver(p core.ProcID, _ int64, ev geom.Point, matched
 // notifier fans the events gateway p received out to its subscribers,
 // in the order the overlay delivered them, one goroutine per gateway:
 // the run loop hands a matched receipt over and moves on, and the four
-// gateways match side by side. No gateway lock is held across a disk
-// wait (pubsub/journal.go), so the loop could call NotifyGateway itself;
-// measured on bench's churn-durable-3d that reads no better —
-// notify_p50_us 440 -> 461, notify_p90_us 910 -> 934, capacity 7267 ->
-// 7498 events/s over two alternated pairs (EXPERIMENTS.md, "No gateway
-// lock across an fsync") — so the notifiers stay until an issue of its
-// own deletes them and notifyQ. It starts when the daemon is up and ends
-// when Close, with the overlay stopped, closes its queue.
+// gateways match side by side. No gateway lock is held across an fsync
+// (pubsub/journal.go), so the loop could call NotifyGateway itself, but
+// ten alternated bench pairs measured that costing churn-durable-3d
+// capacity_events_s 4778 -> 4322 events/s (parent IQR 452) and five
+// costing steady-3d notify_p50_us 223 -> 261 us (EXPERIMENTS.md, "One
+// path from overlay receipt to client socket"): matching on the loop
+// serializes what the notifiers do beside it. It starts when the daemon
+// is up and ends when Close, with the overlay stopped, closes its queue.
 func (d *Daemon) notifier(p core.ProcID, q <-chan geom.Point) {
 	defer d.closeWG.Done()
 	for ev := range q {

@@ -11,7 +11,8 @@ import (
 // Cluster is the deterministic round scheduler driving the protocol
 // actors over a simnet.Network. Each round: deliver all in-flight
 // messages, let every node process its inbox, fire the periodic CHECK_*
-// timers every Config.CheckEvery rounds, and collect outboxes.
+// timers when the caller asks (Step's fireChecks; RunUntilStable fires
+// one check per period once the network drains), and collect outboxes.
 type Cluster struct {
 	faults
 	cfg   Config

@@ -269,6 +269,12 @@ const (
 	checkCap  = 64 * time.Millisecond
 )
 
+// underloadPatience is how many consecutive check periods a non-root
+// instance tolerates being underloaded before dissolving and
+// re-inserting its children (the Figure 14 fallback), in both runtimes:
+// a tick of the live timers or a check period of Cluster.
+const underloadPatience = 2
+
 // rootAuditAfter gates auditRoot on networked clusters: a node must have
 // been a stable self-proclaimed root for this long without interruption,
 // as seen by its ticks, before it re-verifies the claim through the

@@ -16,12 +16,6 @@ type Config struct {
 	MinFanout, MaxFanout int
 	// Split is the node-splitting policy (default quadratic).
 	Split split.Policy
-	// CheckEvery is the period, in rounds, of the CHECK_* timers.
-	CheckEvery int
-	// UnderloadPatience is how many consecutive check periods a non-root
-	// node tolerates being underloaded before dissolving and re-inserting
-	// its children (the Figure 14 fallback).
-	UnderloadPatience int
 	// PublishBudget bounds, in rounds, how long one Publish may run
 	// before giving up on draining the network. 0 means adaptive
 	// (800 + 200 per live process). The real-time LiveCluster
@@ -38,12 +32,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Split == nil {
 		c.Split = split.Quadratic{}
-	}
-	if c.CheckEvery == 0 {
-		c.CheckEvery = 2
-	}
-	if c.UnderloadPatience == 0 {
-		c.UnderloadPatience = 2
 	}
 	return c
 }

@@ -82,7 +82,7 @@ func (n *Node) periodic(contact core.ProcID) {
 		}
 		if in.underloaded && !n.isRootInstance(h) {
 			in.underRounds++
-			if in.underRounds > n.cfg.UnderloadPatience {
+			if in.underRounds > underloadPatience {
 				n.dissolve(h)
 			}
 		} else {

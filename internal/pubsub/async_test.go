@@ -112,8 +112,8 @@ func TestPublishAsyncRequiresCapability(t *testing.T) {
 	}
 }
 
-// notifyHook bridges a live cluster's event hook to NotifyGateway: the
-// daemon's bridge, without the goroutine drtreed puts in between.
+// notifyHook bridges a live cluster's event hook to NotifyGateway, as
+// drtreed's hook does: NotifyGateway runs on the cluster's run loop.
 func notifyHook(space *filter.Space, b *Broker) proto.EventHook {
 	return func(proc core.ProcID, _ int64, ev geom.Point, matched bool) {
 		if !matched {

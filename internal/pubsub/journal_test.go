@@ -9,6 +9,7 @@ import (
 
 	"drtree/internal/core"
 	"drtree/internal/filter"
+	"drtree/internal/proto"
 	"drtree/internal/state"
 )
 
@@ -127,82 +128,143 @@ func (d *diskStore) awaitSync(t *testing.T) uint64 {
 	}
 }
 
-// TestSubscribeDoesNotHoldGatewayAcrossSync is the tentpole's point:
-// while one Subscribe waits for its fsync the gateway is free. Matching
-// on that gateway delivers — to an older subscriber and to the one still
-// waiting for its ack — a second Subscribe on it gets as far as its own
-// fsync, and one fsync then acknowledges both. At the parent commit the
-// first Subscribe held gw.mu across the fsync and NotifyGateway waited
-// behind it.
+// TestSubscribeDoesNotHoldGatewayAcrossSync: while one Subscribe waits
+// for its fsync the gateway is free. Matching on that gateway delivers —
+// to an older subscriber and to the one still waiting for its ack — a
+// second Subscribe on it gets as far as its own fsync, and one fsync
+// then acknowledges both. The second case is the daemon's composition:
+// NotifyGateway runs on a live cluster's run loop (notifyHook), and the
+// events published while a Subscribe is parked in its fsync keep
+// arriving. When a Subscribe held gw.mu across the fsync, NotifyGateway
+// waited behind it, and the run loop with it.
 func TestSubscribeDoesNotHoldGatewayAcrossSync(t *testing.T) {
-	d := newDiskStore()
-	b := newDurableBroker(t, d, WithGateways(1))
-	defer b.Close()
-	inRange := filter.Range("price", 0, 10)
-	got := map[core.ProcID]chan uint64{1: make(chan uint64, 1), 2: make(chan uint64, 1)}
-	handler := func(id core.ProcID) Handler {
-		return func(e Envelope) error { got[id] <- e.Seq; return nil }
-	}
-	if err := b.SubscribeFunc(1, inRange, handler(1)); err != nil {
-		t.Fatalf("subscribe 1: %v", err)
-	}
-	d.awaitSync(t)
-
-	release := d.park()
-	defer release() // a failed assertion must not leave Close behind a parked Subscribe
-	acks := make(chan error, 2)
-	go func() { acks <- b.SubscribeFunc(2, inRange, handler(2)) }()
-	d.awaitSync(t) // 2 is registered and parked in its fsync
-
-	matched := make(chan int, 1)
-	go func() { matched <- b.NotifyGateway(b.GatewayOf(1), filter.Event{"price": 5, "qty": 1}) }()
-	select {
-	case n := <-matched:
-		if n != 2 {
-			t.Fatalf("NotifyGateway matched %d subscribers, want the older one and the parked one", n)
+	t.Run("NotifyGateway", func(t *testing.T) {
+		d := newDiskStore()
+		b := newDurableBroker(t, d, WithGateways(1))
+		defer b.Close()
+		inRange := filter.Range("price", 0, 10)
+		got := map[core.ProcID]chan uint64{1: make(chan uint64, 1), 2: make(chan uint64, 1)}
+		handler := func(id core.ProcID) Handler {
+			return func(e Envelope) error { got[id] <- e.Seq; return nil }
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("NotifyGateway stood behind a Subscribe that is waiting for its fsync")
-	}
-	select {
-	case <-got[1]:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("the older subscriber was not delivered to")
-	}
+		if err := b.SubscribeFunc(1, inRange, handler(1)); err != nil {
+			t.Fatalf("subscribe 1: %v", err)
+		}
+		d.awaitSync(t)
 
-	go func() { acks <- b.Subscribe(3, filter.Range("price", 20, 30)) }()
-	d.awaitSync(t) // 3 took the gateway lock, committed, and reached its own fsync
-	if n := b.Len(); n != 3 {
-		t.Fatalf("Len() = %d with two Subscribes parked, want 3 (visible before durable)", n)
-	}
-	select {
-	case err := <-acks:
-		t.Fatalf("a Subscribe returned (%v) before its fsync did", err)
-	default:
-	}
+		release := d.park()
+		defer release() // a failed assertion must not leave Close behind a parked Subscribe
+		acks := make(chan error, 2)
+		go func() { acks <- b.SubscribeFunc(2, inRange, handler(2)) }()
+		d.awaitSync(t) // 2 is registered and parked in its fsync
 
-	d.mu.Lock()
-	before := d.fsyncs
-	d.mu.Unlock()
-	release()
-	for i := 0; i < 2; i++ {
-		if err := <-acks; err != nil {
+		matched := make(chan int, 1)
+		go func() { matched <- b.NotifyGateway(b.GatewayOf(1), filter.Event{"price": 5, "qty": 1}) }()
+		select {
+		case n := <-matched:
+			if n != 2 {
+				t.Fatalf("NotifyGateway matched %d subscribers, want the older one and the parked one", n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("NotifyGateway stood behind a Subscribe that is waiting for its fsync")
+		}
+		select {
+		case <-got[1]:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the older subscriber was not delivered to")
+		}
+
+		go func() { acks <- b.Subscribe(3, filter.Range("price", 20, 30)) }()
+		d.awaitSync(t) // 3 took the gateway lock, committed, and reached its own fsync
+		if n := b.Len(); n != 3 {
+			t.Fatalf("Len() = %d with two Subscribes parked, want 3 (visible before durable)", n)
+		}
+		select {
+		case err := <-acks:
+			t.Fatalf("a Subscribe returned (%v) before its fsync did", err)
+		default:
+		}
+
+		d.mu.Lock()
+		before := d.fsyncs
+		d.mu.Unlock()
+		release()
+		for i := 0; i < 2; i++ {
+			if err := <-acks; err != nil {
+				t.Fatalf("parked Subscribe: %v", err)
+			}
+		}
+		d.mu.Lock()
+		fsyncs := d.fsyncs - before
+		d.mu.Unlock()
+		if fsyncs != 1 {
+			t.Fatalf("two parked Subscribes cost %d fsyncs, want 1", fsyncs)
+		}
+		// What matched while 2 was parked sat in its queue; acknowledged, it
+		// drains.
+		select {
+		case <-got[2]:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the event matched while subscriber 2 was parked never reached its handler")
+		}
+	})
+	t.Run("run loop", func(t *testing.T) {
+		d := newDiskStore()
+		lc, err := proto.NewLiveCluster(proto.Config{MinFanout: 2, MaxFanout: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := filter.MustSpace("price", "qty")
+		b, err := New(space, lc, WithStore(d), WithGateways(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		lc.SetEventHook(notifyHook(space, b))
+		inRange := filter.Range("price", 0, 10)
+		got := map[core.ProcID]chan uint64{1: make(chan uint64, 16), 2: make(chan uint64, 16)}
+		handler := func(id core.ProcID) Handler {
+			return func(e Envelope) error { got[id] <- e.Seq; return nil }
+		}
+		if err := b.SubscribeFunc(1, inRange, handler(1)); err != nil {
+			t.Fatalf("subscribe 1: %v", err)
+		}
+		d.awaitSync(t)
+
+		release := d.park()
+		defer release()
+		acked := make(chan error, 1)
+		go func() { acked <- b.SubscribeFunc(2, inRange, handler(2)) }()
+		d.awaitSync(t) // 2 is registered and parked in its fsync
+
+		const events = 5
+		for i := range events {
+			if err := b.PublishAsync(1, filter.Event{"price": 5, "qty": 1}); err != nil {
+				t.Fatalf("publish %d: %v", i, err)
+			}
+			select {
+			case <-got[1]:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("event %d never reached subscriber 1 while subscriber 2 was parked in its fsync", i)
+			}
+		}
+		select {
+		case err := <-acked:
+			t.Fatalf("Subscribe returned (%v) before its fsync did", err)
+		default:
+		}
+		release()
+		if err := <-acked; err != nil {
 			t.Fatalf("parked Subscribe: %v", err)
 		}
-	}
-	d.mu.Lock()
-	fsyncs := d.fsyncs - before
-	d.mu.Unlock()
-	if fsyncs != 1 {
-		t.Fatalf("two parked Subscribes cost %d fsyncs, want 1", fsyncs)
-	}
-	// What matched while 2 was parked sat in its queue; acknowledged, it
-	// drains.
-	select {
-	case <-got[2]:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("the event matched while subscriber 2 was parked never reached its handler")
-	}
+		for i := range events {
+			select {
+			case <-got[2]:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("event %d, matched while subscriber 2 was parked, never reached its handler", i)
+			}
+		}
+	})
 }
 
 // TestJournalFailureOutcomes pins what each operation leaves behind when

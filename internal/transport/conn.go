@@ -3,44 +3,25 @@ package transport
 import (
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"drtree/internal/simnet"
 	"drtree/internal/wire"
 )
 
-// flushHighWater is the size at which a write buffer is written out
-// even though more frames are ready, so a burst cannot grow it without
-// bound; one write of 32 KiB already amortizes the syscall ~1000x over
-// a Notify frame.
-const flushHighWater = 32 << 10
-
 // Conn is one framed connection: reads are single-consumer, writes go
-// through one reused buffer under an internal mutex, so frames leave in
-// the order they were queued and never interleave. The transport hands
-// a Conn to OnClient for adopted client sessions, and DialClient
-// returns one for the client side.
+// through a wire.ConnWriter, so frames leave in the order they were
+// queued and never interleave. The transport hands a Conn to OnClient
+// for adopted client sessions, and DialClient returns one for the
+// client side.
 type Conn struct {
 	c  net.Conn
 	sr *wire.StreamReader
-
-	wmu          sync.Mutex
-	writeTimeout time.Duration
-	wbuf         []byte // frames queued since the last write
-	werr         error  // first write error; fails every later call
-
-	// Frames queued by QueueMessage that the next write will carry, and
-	// their bytes, reported to onBatch with that write.
-	batchFrames, batchBytes int
-	onBatch                 func(frames, bytes int)
+	w  *wire.ConnWriter
 }
 
 func newConn(c net.Conn, sr *wire.StreamReader, writeTimeout time.Duration) *Conn {
-	if sr == nil {
-		sr = wire.NewStreamReader(c)
-	}
-	return &Conn{c: c, sr: sr, writeTimeout: writeTimeout}
+	return &Conn{c: c, sr: sr, w: wire.NewConnWriter(c, writeTimeout)}
 }
 
 // ReadMessage blocks for the next frame. Not safe for concurrent use;
@@ -50,81 +31,24 @@ func (c *Conn) ReadMessage() (simnet.Message, error) { return c.sr.ReadMessage()
 // WriteMessage queues one message and writes everything queued, under
 // the write deadline. Safe for concurrent use.
 func (c *Conn) WriteMessage(m simnet.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := c.appendLocked(m); err != nil {
-		return err
-	}
-	return c.flushLocked()
+	return c.w.Write(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, m) })
 }
 
 // QueueMessage appends one message to the write buffer without writing
-// it: the caller owes a Flush once it has nothing more to queue. The
-// buffer is written out early when it passes flushHighWater. Safe for
-// concurrent use.
+// it: the caller owes a Flush once it has nothing more to queue (see
+// wire.ConnWriter.Queue). Safe for concurrent use.
 func (c *Conn) QueueMessage(m simnet.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	n, err := c.appendLocked(m)
-	if err != nil {
-		return err
-	}
-	c.batchFrames++
-	c.batchBytes += n
-	if len(c.wbuf) >= flushHighWater {
-		return c.flushLocked()
-	}
-	return nil
+	return c.w.Queue(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, m) })
 }
 
 // Flush writes everything queued in one Write under the write deadline;
 // with nothing queued it is free. Safe for concurrent use.
-func (c *Conn) Flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.flushLocked()
-}
+func (c *Conn) Flush() error { return c.w.Flush() }
 
 // OnBatchWrite registers fn to be told, after each successful write
-// that carried frames queued with QueueMessage, how many and how many
-// bytes of them. fn runs under the connection's write lock; set it
-// before the connection is shared.
-func (c *Conn) OnBatchWrite(fn func(frames, bytes int)) { c.onBatch = fn }
-
-func (c *Conn) appendLocked(m simnet.Message) (int, error) {
-	if c.werr != nil {
-		return 0, c.werr
-	}
-	before := len(c.wbuf)
-	buf, err := wire.AppendFrame(c.wbuf, m)
-	if err != nil {
-		return 0, err
-	}
-	c.wbuf = buf
-	return len(buf) - before, nil
-}
-
-func (c *Conn) flushLocked() error {
-	if c.werr != nil || len(c.wbuf) == 0 {
-		return c.werr
-	}
-	if c.writeTimeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	}
-	_, c.werr = c.c.Write(c.wbuf)
-	if cap(c.wbuf) > 2*flushHighWater {
-		c.wbuf = nil // one oversize frame must not pin its buffer
-	}
-	c.wbuf = c.wbuf[:0]
-	if c.werr == nil && c.batchFrames > 0 && c.onBatch != nil {
-		c.onBatch(c.batchFrames, c.batchBytes)
-	}
-	c.batchFrames, c.batchBytes = 0, 0
-	return c.werr
-}
-
-// SetReadDeadline bounds the next read.
-func (c *Conn) SetReadDeadline(t time.Time) error { return c.c.SetReadDeadline(t) }
+// that carried messages queued with QueueMessage, how many and how many
+// bytes of them. Set it before the connection is shared.
+func (c *Conn) OnBatchWrite(fn func(frames, bytes int)) { c.w.OnBatchWrite(fn) }
 
 // RemoteAddr names the peer.
 func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
@@ -144,7 +68,7 @@ func DialClient(addr string, timeout time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	c := newConn(nc, nil, 5*time.Second)
+	c := newConn(nc, wire.NewStreamReader(nc), 5*time.Second)
 	if err := c.WriteMessage(simnet.Message{Payload: wire.Hello{Node: -1, Proto: wire.ProtoVersion}}); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("transport: client hello: %w", err)

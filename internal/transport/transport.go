@@ -10,10 +10,14 @@
 // keeps one outbound link per remote peer. Each link is a goroutine
 // owning a bounded queue and one TCP connection, lazily dialed and
 // re-dialed with jittered exponential backoff; whatever is queued when
-// the link goroutine looks leaves in one write, and writes carry a
-// deadline so a wedged peer cannot stall the link forever. Connections are
-// unidirectional: i→j traffic flows on the connection i dialed, j→i on
-// the one j dialed, which keeps reconnect logic trivially symmetric.
+// the link goroutine looks leaves through a wire.ConnWriter (the write
+// buffer client sessions use too) in one write per 32 KiB, and writes
+// carry a deadline so a wedged peer cannot stall the link forever. A
+// message that finds its link's queue full is dropped and counted, not
+// bounced: a bounce would tell the protocol a saturated but live peer is
+// dead. Connections are unidirectional: i→j traffic flows on the
+// connection i dialed, j→i on the one j dialed, which keeps reconnect
+// logic trivially symmetric.
 //
 // Inbound connections open with a wire.Hello frame. A non-negative
 // Hello.Node introduces a peer link (frames stream to Deliver); a
@@ -254,14 +258,13 @@ func (t *TCP) Close() error {
 func (t *TCP) runLink(l *link) {
 	defer t.wg.Done()
 	rng := rand.New(rand.NewPCG(uint64(l.peer)*7919, uint64(time.Now().UnixNano())))
-	var conn net.Conn
+	var conn *linkConn
 	var failedDials int
 	defer func() {
 		if conn != nil {
-			conn.Close()
+			conn.c.Close()
 		}
 	}()
-	var wb burst
 	for {
 		select {
 		case <-t.stop:
@@ -297,9 +300,9 @@ func (t *TCP) runLink(l *link) {
 					failedDials = 0
 				}
 			}
-			if err := t.writeBurst(l, conn, m, &wb); err != nil {
+			if err := t.writeBurst(l, conn, m); err != nil {
 				t.cfg.Logf("transport[%d]: write to peer %d: %v", t.cfg.Self, l.peer, err)
-				conn.Close()
+				conn.c.Close()
 				conn = nil
 				t.reconnects.Add(1)
 			}
@@ -307,32 +310,43 @@ func (t *TCP) runLink(l *link) {
 	}
 }
 
-// burst is a link's reused write state: the frames of one write and the
-// messages they carry.
-type burst struct {
-	buf  []byte
-	msgs []simnet.Message
+// linkConn is one dial of a link: the connection, its writer, and the
+// messages the writer holds that no successful write has carried yet —
+// the ones a failed write bounces.
+type linkConn struct {
+	c      net.Conn
+	w      *wire.ConnWriter
+	unsent []simnet.Message
 }
 
-// writeBurst sends m and whatever else is already queued on l — up to
-// the high-water mark — in one Write under the write deadline. Every
+func (t *TCP) newLinkConn(c net.Conn) *linkConn {
+	lc := &linkConn{c: c, w: wire.NewConnWriter(c, t.cfg.WriteTimeout)}
+	lc.w.OnBatchWrite(func(int, int) {
+		t.writes.Add(1)
+		clear(lc.unsent) // the reused slice must not pin payloads
+		lc.unsent = lc.unsent[:0]
+	})
+	return lc
+}
+
+// writeBurst queues m and whatever else is already queued on l, and
+// writes it: one Write, or one per high-water mark's worth. Every
 // message is still checked on its own: one drained behind a partition
-// is suppressed, one that cannot be encoded bounces alone, and when the
-// write fails every message of the burst bounces.
-func (t *TCP) writeBurst(l *link, conn net.Conn, m simnet.Message, b *burst) error {
-	b.buf, b.msgs = b.buf[:0], b.msgs[:0]
-	defer func() { clear(b.msgs) }() // the reused slice must not pin payloads
+// is suppressed, one the writer refuses (it cannot be encoded, or the
+// early write it filled failed) bounces alone and ends the burst, and
+// when a write fails every message it carried bounces.
+func (t *TCP) writeBurst(l *link, lc *linkConn, m simnet.Message) error {
 	for more := true; more; {
 		if l.partitioned.Load() {
 			t.partitioned.Add(1)
-		} else if buf, err := wire.AppendFrame(b.buf, m); err != nil {
-			t.cfg.Logf("transport[%d]: encode for peer %d: %v", t.cfg.Self, l.peer, err)
-			t.bounce(m)
 		} else {
-			b.buf, b.msgs = buf, append(b.msgs, m)
-		}
-		if len(b.buf) >= flushHighWater {
-			break
+			lc.unsent = append(lc.unsent, m)
+			if err := lc.w.Queue(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, m) }); err != nil {
+				t.cfg.Logf("transport[%d]: queue for peer %d: %v", t.cfg.Self, l.peer, err)
+				lc.unsent = lc.unsent[:len(lc.unsent)-1]
+				t.bounce(m)
+				break
+			}
 		}
 		select {
 		case m = <-l.q:
@@ -340,24 +354,19 @@ func (t *TCP) writeBurst(l *link, conn net.Conn, m simnet.Message, b *burst) err
 			more = false
 		}
 	}
-	if len(b.msgs) == 0 {
-		return nil
-	}
-	conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-	if _, err := conn.Write(b.buf); err != nil {
-		for _, m := range b.msgs {
+	if err := lc.w.Flush(); err != nil {
+		for _, m := range lc.unsent {
 			t.bounce(m)
 		}
 		return err
 	}
-	t.writes.Add(1)
 	return nil
 }
 
 // dialPeer makes one connection attempt (with handshake) per call,
 // sleeping the jittered backoff for the current failure streak first so
 // a dead peer cannot trigger a reconnect storm.
-func (t *TCP) dialPeer(l *link, rng *rand.Rand, failedDials *int) (net.Conn, bool) {
+func (t *TCP) dialPeer(l *link, rng *rand.Rand, failedDials *int) (*linkConn, bool) {
 	if *failedDials > 0 {
 		backoff := t.cfg.BackoffBase << min(*failedDials-1, 12)
 		if backoff > t.cfg.BackoffMax {
@@ -377,8 +386,9 @@ func (t *TCP) dialPeer(l *link, rng *rand.Rand, failedDials *int) (net.Conn, boo
 		t.cfg.Logf("transport[%d]: dial peer %d (%s): %v", t.cfg.Self, l.peer, l.addr, err)
 		return nil, false
 	}
-	conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-	if err := wire.WriteMessage(conn, simnet.Message{Payload: wire.Hello{Node: t.cfg.Self, Proto: wire.ProtoVersion}}); err != nil {
+	lc := t.newLinkConn(conn)
+	hello := simnet.Message{Payload: wire.Hello{Node: t.cfg.Self, Proto: wire.ProtoVersion}}
+	if err := lc.w.Write(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, hello) }); err != nil {
 		conn.Close()
 		*failedDials++
 		return nil, false
@@ -386,7 +396,7 @@ func (t *TCP) dialPeer(l *link, rng *rand.Rand, failedDials *int) (net.Conn, boo
 	if *failedDials > 0 {
 		t.reconnects.Add(1)
 	}
-	return conn, true
+	return lc, true
 }
 
 // bounce answers one undeliverable message with the substrate's failure

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -363,7 +362,7 @@ func TestBurstLeavesInOneWrite(t *testing.T) {
 	msgs := burstMessages(12)
 	tp.Send(msgs...)
 	conn := &fakeLinkConn{}
-	if err := tp.writeBurst(l, conn, <-l.q, new(burst)); err != nil {
+	if err := tp.writeBurst(l, tp.newLinkConn(conn), <-l.q); err != nil {
 		t.Fatal(err)
 	}
 	if len(conn.writes) != 1 {
@@ -399,7 +398,7 @@ func TestFailedBurstBouncesEveryFrameOnce(t *testing.T) {
 	msgs := burstMessages(9)
 	tp.Send(msgs...)
 	conn := &fakeLinkConn{fail: errors.New("broken pipe")}
-	if err := tp.writeBurst(l, conn, <-l.q, new(burst)); err == nil {
+	if err := tp.writeBurst(l, tp.newLinkConn(conn), <-l.q); err == nil {
 		t.Fatal("a failed write must be reported so the link redials")
 	}
 	for _, m := range msgs {
@@ -420,7 +419,7 @@ func TestPartitionSetBehindQueuedMessages(t *testing.T) {
 	tp.Send(burstMessages(5)...)
 	tp.Partition(1, true)
 	conn := &fakeLinkConn{}
-	if err := tp.writeBurst(l, conn, <-l.q, new(burst)); err != nil {
+	if err := tp.writeBurst(l, tp.newLinkConn(conn), <-l.q); err != nil {
 		t.Fatal(err)
 	}
 	if s := tp.Stats(); len(conn.writes) != 0 || s.Partitioned != 5 || s.Writes != 0 {
@@ -428,28 +427,30 @@ func TestPartitionSetBehindQueuedMessages(t *testing.T) {
 	}
 }
 
-// TestConnQueueThenFlush: queued frames leave in order in one write
-// with the next flush (or the next WriteMessage), an empty flush is
-// free, and after a write error every call fails fast.
+// TestConnQueueThenFlush: what the binary framer adds to the shared
+// writer (wire.ConnWriter has the buffer's own tests) — queued messages
+// and the WriteMessage behind them leave as wire frames, in order, in
+// one write, the batch hook counting only the queued ones, and a message
+// that cannot be framed is refused without poisoning the connection.
 func TestConnQueueThenFlush(t *testing.T) {
 	fc := &fakeLinkConn{}
 	c := newConn(fc, nil, time.Second)
-	var frames, bytes int
-	c.OnBatchWrite(func(f, b int) { frames, bytes = frames+f, bytes+b })
+	var frames int
+	c.OnBatchWrite(func(f, _ int) { frames += f })
 	msgs := burstMessages(4)
 	for _, m := range msgs[:3] {
 		if err := c.QueueMessage(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(fc.writes) != 0 {
-		t.Fatal("QueueMessage wrote before the flush")
+	if err := c.QueueMessage(simnet.Message{Payload: struct{}{}}); err == nil {
+		t.Fatal("an unregistered payload was queued")
 	}
 	if err := c.WriteMessage(msgs[3]); err != nil { // an ack rides with the queued notifies, after them
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil || len(fc.writes) != 1 {
-		t.Fatalf("flush of an empty buffer: %v, %d writes; want nil and the one write so far", err, len(fc.writes))
+	if len(fc.writes) != 1 || frames != 3 {
+		t.Fatalf("%d writes, batch hook saw %d frames; want one write and the 3 queued frames", len(fc.writes), frames)
 	}
 	data := fc.writes[0]
 	for i, want := range msgs {
@@ -459,25 +460,37 @@ func TestConnQueueThenFlush(t *testing.T) {
 		}
 		data = data[n:]
 	}
-	if frames != 3 || bytes == 0 || bytes >= len(fc.writes[0]) {
-		t.Fatalf("batch hook saw %d frames, %d bytes of a %d-byte write; want the 3 queued frames only", frames, bytes, len(fc.writes[0]))
+	if len(data) != 0 {
+		t.Fatalf("%d trailing bytes", len(data))
 	}
+}
 
-	// A burst past the high-water mark is written out before any flush.
-	big := simnet.Message{Payload: wire.Subscribe{Expr: strings.Repeat("x", flushHighWater)}}
-	if err := c.QueueMessage(big); err != nil || len(fc.writes) != 2 {
-		t.Fatalf("oversize frame: %v, %d writes; want it written through", err, len(fc.writes))
+// TestSendOverflowDropsWithoutBlocking pins what a full link queue does:
+// Send returns at once, the queue keeps the oldest messages, and the
+// rest are dropped and counted — not bounced, since a bounce would tell
+// the protocol that a saturated but live peer is dead.
+func TestSendOverflowDropsWithoutBlocking(t *testing.T) {
+	tp, l := heldLink(func(m simnet.Message) { t.Errorf("an overflow bounced %#v", m) })
+	msgs := make([]simnet.Message, 100)
+	for i := range msgs {
+		msgs[i] = simnet.Message{From: 101, To: 201, Payload: wire.Ack{Ref: uint64(i)}}
 	}
-
-	fc.fail = errors.New("broken pipe")
-	if err := c.WriteMessage(msgs[0]); err == nil {
-		t.Fatal("write error not reported")
+	sent := make(chan struct{})
+	go func() {
+		tp.Send(msgs...)
+		close(sent)
+	}()
+	select {
+	case <-sent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send blocked on a full link queue")
 	}
-	fc.fail = nil
-	if c.QueueMessage(msgs[0]) == nil || c.Flush() == nil || c.WriteMessage(msgs[0]) == nil {
-		t.Fatal("a connection that failed a write must fail every later call")
+	if s := tp.Stats(); len(l.q) != 64 || s.Dropped != 36 || s.Bounced != 0 {
+		t.Fatalf("queue %d, stats = %+v; want 64 queued, Dropped=36, Bounced=0", len(l.q), s)
 	}
-	if len(fc.writes) != 2 {
-		t.Fatalf("%d writes, want none after the error", len(fc.writes))
+	for i := range 64 {
+		if m := <-l.q; m.Payload.(wire.Ack).Ref != uint64(i) {
+			t.Fatalf("queue slot %d holds %#v, want Ack %d", i, m, i)
+		}
 	}
 }

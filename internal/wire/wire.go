@@ -11,7 +11,9 @@
 // set) and the Broker-level subscribe/publish RPCs defined in this
 // package. internal/transport moves frames over TCP; internal/simnet
 // stays the deterministic in-process twin, so a frame's logical content
-// is exactly one simnet.Message.
+// is exactly one simnet.Message. StreamReader and ConnWriter are the
+// read and write sides of a framed socket; ConnWriter takes its framing
+// from the caller, so WebSocket sessions write through it too.
 //
 // Decoding is hardened against adversarial input: every primitive is
 // bounds-checked against the remaining frame bytes before allocating,
@@ -28,6 +30,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"sync"
+	"time"
 
 	"drtree/internal/geom"
 	"drtree/internal/simnet"
@@ -414,4 +419,134 @@ func (s *StreamReader) ReadMessage() (simnet.Message, error) {
 		return simnet.Message{}, err
 	}
 	return decodePayload(s.buf)
+}
+
+// flushHighWater is the size at which a ConnWriter writes its buffer
+// out even though more frames are ready, so a burst cannot grow it
+// without bound; one write of 32 KiB already amortizes the syscall
+// ~1000x over a Notify frame.
+const flushHighWater = 32 << 10
+
+// ConnWriter is the write side of a framed connection, StreamReader's
+// twin: frames are appended to one reused buffer under a mutex, so they
+// leave in the order they were queued and never interleave, and the
+// buffer goes out in one Write under the write deadline. The first
+// write error is sticky: it fails every later call. The framing is the
+// caller's — every call takes an appendFrame that appends one complete
+// frame to the buffer it is given — so binary frames, WebSocket frames
+// and peer links share one buffer discipline. Safe for concurrent use.
+type ConnWriter struct {
+	c net.Conn
+
+	mu      sync.Mutex
+	timeout time.Duration
+	buf     []byte // frames queued since the last write
+	err     error  // first write error
+
+	// Frames queued by Queue that the next write will carry, and their
+	// bytes, reported to onBatch with that write.
+	frames, bytes int
+	onBatch       func(frames, bytes int)
+}
+
+// NewConnWriter returns a writer for c; a positive timeout bounds each
+// write.
+func NewConnWriter(c net.Conn, timeout time.Duration) *ConnWriter {
+	return &ConnWriter{c: c, timeout: timeout}
+}
+
+// Queue appends one frame without writing it: the caller owes a Flush
+// once it has nothing more to queue. The buffer is written out early
+// when it reaches flushHighWater, so a frame larger than that is written
+// through.
+func (w *ConnWriter) Queue(appendFrame func([]byte) ([]byte, error)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	n := len(w.buf)
+	if err := w.appendLocked(appendFrame); err != nil {
+		return err
+	}
+	w.frames++
+	w.bytes += len(w.buf) - n
+	if len(w.buf) >= flushHighWater {
+		return w.flushLocked()
+	}
+	return nil
+}
+
+// Write appends one frame behind everything queued and writes it all.
+func (w *ConnWriter) Write(appendFrame func([]byte) ([]byte, error)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.appendLocked(appendFrame); err != nil {
+		return err
+	}
+	return w.flushLocked()
+}
+
+// WriteIfIdle is Write when no other call is using the writer and
+// nothing otherwise: a best-effort frame (a WebSocket close) must not
+// wait out the deadline of a write stalled on a peer that stopped
+// reading.
+func (w *ConnWriter) WriteIfIdle(appendFrame func([]byte) ([]byte, error)) {
+	if w.mu.TryLock() {
+		defer w.mu.Unlock()
+		if w.appendLocked(appendFrame) == nil {
+			w.flushLocked()
+		}
+	}
+}
+
+// Flush writes everything queued in one Write; with nothing queued it
+// is free.
+func (w *ConnWriter) Flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.flushLocked()
+}
+
+// SetTimeout bounds every later write; zero disables the deadline.
+func (w *ConnWriter) SetTimeout(d time.Duration) {
+	w.mu.Lock()
+	w.timeout = d
+	w.mu.Unlock()
+}
+
+// OnBatchWrite registers fn to be told, after each successful write
+// that carried frames queued with Queue, how many and how many bytes of
+// them. fn runs under the writer's lock; set it before the writer is
+// shared.
+func (w *ConnWriter) OnBatchWrite(fn func(frames, bytes int)) { w.onBatch = fn }
+
+// appendLocked adds one frame; a frame that fails to append leaves the
+// buffer as it was (appending never touches the bytes already queued).
+func (w *ConnWriter) appendLocked(appendFrame func([]byte) ([]byte, error)) error {
+	if w.err != nil {
+		return w.err
+	}
+	buf, err := appendFrame(w.buf)
+	if err != nil {
+		return err
+	}
+	w.buf = buf
+	return nil
+}
+
+func (w *ConnWriter) flushLocked() error {
+	if w.err != nil || len(w.buf) == 0 {
+		return w.err
+	}
+	if w.timeout > 0 {
+		w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+	_, w.err = w.c.Write(w.buf)
+	if cap(w.buf) > 2*flushHighWater {
+		w.buf = nil // one oversize frame must not pin its buffer
+	}
+	w.buf = w.buf[:0]
+	if w.err == nil && w.frames > 0 && w.onBatch != nil {
+		w.onBatch(w.frames, w.bytes)
+	}
+	w.frames, w.bytes = 0, 0
+	return w.err
 }

@@ -52,7 +52,7 @@ type fuzzMessage struct {
 func readAll(t *testing.T, client bool, data []byte) []fuzzMessage {
 	t.Helper()
 	near, far := net.Pipe()
-	c := &Conn{c: near, br: bufio.NewReader(near), client: client}
+	c := newConn(near, bufio.NewReader(near), client)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -116,7 +116,7 @@ func FuzzReadMessage(f *testing.F) {
 		for _, client := range []bool{false, true} {
 			for _, m := range readAll(t, client, data) {
 				rc := &recordConn{}
-				peer := &Conn{c: rc, client: !client}
+				peer := newConn(rc, nil, !client)
 				if err := peer.WriteMessage(m.op, m.payload); err != nil {
 					t.Fatalf("re-encode of an accepted message failed: %v", err)
 				}

@@ -7,10 +7,11 @@
 // repo takes no external dependencies, so the daemon carries its own.
 //
 // Concurrency contract: one goroutine owns the read side (ReadMessage),
-// writes go through one reused buffer under an internal mutex with an
-// optional deadline — the same discipline as transport.Conn (queue,
-// then flush), so frames never interleave and a slow or dead peer fails
-// its own connection without stalling others.
+// writes go through a wire.ConnWriter — the buffered writer of
+// transport.Conn and the peer links too, with this package's framer —
+// so frames never interleave and a slow or dead peer fails its own
+// connection without stalling others. Close does not wait for a write
+// in flight: the close frame is sent only when the write side is idle.
 package ws
 
 import (
@@ -26,8 +27,10 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"drtree/internal/wire"
 )
 
 // Opcodes of the frames this package speaks (RFC 6455 §5.2).
@@ -67,23 +70,15 @@ type Conn struct {
 	// requires unmasked inbound ones; the server side is the inverse.
 	client bool
 
-	wmu          sync.Mutex
-	writeTimeout time.Duration
-	closeSent    bool
-	wbuf         []byte // frames queued since the last write
-	werr         error  // first write error; fails every later call
-
-	// Messages queued by QueueText that the next write will carry, and
-	// their frame bytes, reported to onBatch with that write.
-	batchFrames, batchBytes int
-	onBatch                 func(frames, bytes int)
+	w         *wire.ConnWriter
+	closeSent atomic.Bool // the close frame has had its one attempt
 
 	rbuf []byte // frame scratch, reused across reads
 }
 
-// flushHighWater is the size at which the write buffer is written out
-// even though more frames are ready (see transport.Conn).
-const flushHighWater = 32 << 10
+func newConn(nc net.Conn, br *bufio.Reader, client bool) *Conn {
+	return &Conn{c: nc, br: br, client: client, w: wire.NewConnWriter(nc, 0)}
+}
 
 // Accept upgrades an HTTP request to a WebSocket connection (server
 // side). On error the handshake failure has already been written to w.
@@ -126,7 +121,7 @@ func Accept(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("ws: handshake flush: %w", err)
 	}
-	return &Conn{c: nc, br: brw.Reader}, nil
+	return newConn(nc, brw.Reader, false), nil
 }
 
 // headerHasToken reports whether a comma-separated header contains the
@@ -196,21 +191,14 @@ func Dial(rawURL string, timeout time.Duration) (*Conn, error) {
 		return nil, fmt.Errorf("ws: bad accept key %q", got)
 	}
 	nc.SetDeadline(time.Time{})
-	return &Conn{c: nc, br: br, client: true}, nil
+	return newConn(nc, br, true), nil
 }
 
 // SetWriteTimeout bounds every subsequent frame write; zero disables.
-func (c *Conn) SetWriteTimeout(d time.Duration) {
-	c.wmu.Lock()
-	c.writeTimeout = d
-	c.wmu.Unlock()
-}
+func (c *Conn) SetWriteTimeout(d time.Duration) { c.w.SetTimeout(d) }
 
 // SetReadDeadline bounds the next read.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.c.SetReadDeadline(t) }
-
-// RemoteAddr names the peer.
-func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
 
 // ReadMessage blocks for the next text or binary message, assembling
 // continuation frames and answering control frames internally (ping is
@@ -227,7 +215,7 @@ func (c *Conn) ReadMessage() (op byte, payload []byte, err error) {
 		}
 		switch fop {
 		case OpPing:
-			c.writeFrame(OpPong, p) // best-effort; the read side reports errors
+			c.WriteMessage(OpPong, p) // best-effort; the read side reports errors
 			continue
 		case OpPong:
 			continue
@@ -336,68 +324,33 @@ func (c *Conn) WriteText(p []byte) error { return c.WriteMessage(OpText, p) }
 // writes everything queued, under the configured deadline. Safe for
 // concurrent use.
 func (c *Conn) WriteMessage(op byte, p []byte) error {
-	if len(p) > MaxPayload {
-		return fmt.Errorf("ws: message of %d bytes exceeds cap %d", len(p), MaxPayload)
-	}
-	return c.writeFrame(op, p)
+	return c.w.Write(func(b []byte) ([]byte, error) { return c.appendFrame(b, op, p) })
 }
 
 // QueueText appends one text message to the write buffer without
-// writing it: the caller owes a Flush once it has nothing more to
-// queue. The buffer is written out early when it passes flushHighWater.
-// Safe for concurrent use.
+// writing it: the caller owes a Flush once it has nothing more to queue
+// (see wire.ConnWriter.Queue). Safe for concurrent use.
 func (c *Conn) QueueText(p []byte) error {
-	if len(p) > MaxPayload {
-		return fmt.Errorf("ws: message of %d bytes exceeds cap %d", len(p), MaxPayload)
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	n, err := c.appendFrameLocked(OpText, p)
-	if err != nil {
-		return err
-	}
-	c.batchFrames++
-	c.batchBytes += n
-	if len(c.wbuf) >= flushHighWater {
-		return c.flushLocked()
-	}
-	return nil
+	return c.w.Queue(func(b []byte) ([]byte, error) { return c.appendFrame(b, OpText, p) })
 }
 
 // Flush writes everything queued in one Write under the configured
 // deadline; with nothing queued it is free. Safe for concurrent use.
-func (c *Conn) Flush() error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.flushLocked()
-}
+func (c *Conn) Flush() error { return c.w.Flush() }
 
 // OnBatchWrite registers fn to be told, after each successful write
 // that carried messages queued with QueueText, how many and how many
-// bytes of them. fn runs under the connection's write lock; set it
-// before the connection is shared.
-func (c *Conn) OnBatchWrite(fn func(frames, bytes int)) { c.onBatch = fn }
+// bytes of them. Set it before the connection is shared.
+func (c *Conn) OnBatchWrite(fn func(frames, bytes int)) { c.w.OnBatchWrite(fn) }
 
-func (c *Conn) writeFrame(op byte, p []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.writeFrameLocked(op, p)
-}
-
-func (c *Conn) writeFrameLocked(op byte, p []byte) error {
-	if _, err := c.appendFrameLocked(op, p); err != nil {
-		return err
+// appendFrame appends one unfragmented frame of p to dst: the header,
+// then the payload, masked on the client side. A payload over
+// MaxPayload is refused.
+func (c *Conn) appendFrame(dst []byte, op byte, p []byte) ([]byte, error) {
+	if len(p) > MaxPayload {
+		return dst, fmt.Errorf("ws: message of %d bytes exceeds cap %d", len(p), MaxPayload)
 	}
-	return c.flushLocked()
-}
-
-// appendFrameLocked appends one frame to the write buffer and returns
-// its size.
-func (c *Conn) appendFrameLocked(op byte, p []byte) (int, error) {
-	if c.werr != nil {
-		return 0, c.werr
-	}
-	var hdr [14]byte
+	var hdr [10]byte
 	hdr[0] = 0x80 | op
 	i := 2
 	switch {
@@ -412,60 +365,36 @@ func (c *Conn) appendFrameLocked(op byte, p []byte) (int, error) {
 		binary.BigEndian.PutUint64(hdr[2:10], uint64(len(p)))
 		i = 10
 	}
-	before := len(c.wbuf)
-	if c.client {
-		hdr[1] |= 0x80
-		if _, err := rand.Read(hdr[i : i+4]); err != nil {
-			return 0, fmt.Errorf("ws: mask: %w", err)
-		}
-		mask := hdr[i : i+4]
-		c.wbuf = append(c.wbuf, hdr[:i+4]...)
-		off := len(c.wbuf)
-		c.wbuf = append(c.wbuf, p...)
-		for j := range p {
-			c.wbuf[off+j] ^= mask[j%4]
-		}
-	} else {
-		c.wbuf = append(c.wbuf, hdr[:i]...)
-		c.wbuf = append(c.wbuf, p...)
+	if !c.client {
+		return append(append(dst, hdr[:i]...), p...), nil
 	}
-	return len(c.wbuf) - before, nil
+	var mask [4]byte
+	if _, err := rand.Read(mask[:]); err != nil {
+		return dst, fmt.Errorf("ws: mask: %w", err)
+	}
+	hdr[1] |= 0x80
+	dst = append(append(dst, hdr[:i]...), mask[:]...)
+	off := len(dst)
+	dst = append(dst, p...)
+	for j := range p {
+		dst[off+j] ^= mask[j%4]
+	}
+	return dst, nil
 }
 
-func (c *Conn) flushLocked() error {
-	if c.werr != nil || len(c.wbuf) == 0 {
-		return c.werr
-	}
-	if c.writeTimeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	}
-	_, c.werr = c.c.Write(c.wbuf)
-	if cap(c.wbuf) > 2*flushHighWater {
-		c.wbuf = nil // one oversize message must not pin its buffer
-	}
-	c.wbuf = c.wbuf[:0]
-	if c.werr == nil && c.batchFrames > 0 && c.onBatch != nil {
-		c.onBatch(c.batchFrames, c.batchBytes)
-	}
-	c.batchFrames, c.batchBytes = 0, 0
-	return c.werr
-}
-
-// writeClose sends the close frame once (idempotent, best-effort).
+// writeClose sends the close frame once (1000: normal closure), and
+// only if the write side is idle: a write stalled on a peer that stopped
+// reading must not hold the close back until its deadline.
 func (c *Conn) writeClose() {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.closeSent {
-		return
+	if c.closeSent.CompareAndSwap(false, true) {
+		c.w.WriteIfIdle(func(b []byte) ([]byte, error) { return c.appendFrame(b, OpClose, []byte{0x03, 0xe8}) })
 	}
-	c.closeSent = true
-	// 1000: normal closure.
-	c.writeFrameLocked(OpClose, []byte{0x03, 0xe8})
 }
 
-// Close performs a best-effort closing handshake (close frame, then the
-// TCP close). Safe to call from any goroutine, including to unblock a
-// reader.
+// Close performs a best-effort closing handshake (close frame if the
+// write side is idle, then the TCP close) and returns at once: a write
+// in flight fails instead of holding Close until its deadline. Safe to
+// call from any goroutine, including to unblock a reader or a writer.
 func (c *Conn) Close() error {
 	c.writeClose()
 	return c.c.Close()

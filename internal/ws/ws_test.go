@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -325,53 +326,78 @@ func (c *recordConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestQueueTextThenFlush: queued messages leave in order in one write
-// with the next flush (or the next WriteText, which rides behind them),
-// masked or not; an empty flush is free; a burst past the high-water
-// mark is written out early; after a write error every call fails fast.
+// TestQueueTextThenFlush: what the WebSocket framer adds to the shared
+// writer (wire.ConnWriter has the buffer's own tests) — queued messages
+// and the WriteText behind them leave as frames a peer of the other role
+// reads back, masked or not, in order and in one write, and a message
+// over MaxPayload is refused before it is framed.
 func TestQueueTextThenFlush(t *testing.T) {
 	for _, client := range []bool{false, true} {
 		rc := &recordConn{}
-		c := &Conn{c: rc, client: client, writeTimeout: time.Second}
-		var frames, size int
-		c.OnBatchWrite(func(f, b int) { frames, size = frames+f, size+b })
+		c := newConn(rc, nil, client)
 		for _, s := range []string{"one", "two", "three"} {
 			if err := c.QueueText([]byte(s)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if len(rc.writes) != 0 {
-			t.Fatal("QueueText wrote before the flush")
+		if err := c.QueueText(make([]byte, MaxPayload+1)); err == nil {
+			t.Fatal("an oversize message was queued")
 		}
 		if err := c.WriteText([]byte("ack")); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Flush(); err != nil || len(rc.writes) != 1 {
-			t.Fatalf("flush of an empty buffer: %v, %d writes; want nil and the one write so far", err, len(rc.writes))
+		if len(rc.writes) != 1 {
+			t.Fatalf("client=%v: %d writes, want 1", client, len(rc.writes))
 		}
-		peer := &Conn{c: rc, br: bufio.NewReader(bytes.NewReader(rc.writes[0])), client: !client}
+		peer := newConn(rc, bufio.NewReader(bytes.NewReader(rc.writes[0])), !client)
 		for _, want := range []string{"one", "two", "three", "ack"} {
 			op, p, err := peer.ReadMessage()
 			if err != nil || op != OpText || string(p) != want {
 				t.Fatalf("client=%v: read %q (op %d, %v), want %q", client, p, op, err, want)
 			}
 		}
-		if frames != 3 || size == 0 || size >= len(rc.writes[0]) {
-			t.Fatalf("batch hook saw %d frames, %d bytes of a %d-byte write; want the 3 queued messages only", frames, size, len(rc.writes[0]))
+	}
+}
+
+// stallConn is a pipe end whose peer never reads: a write blocks until
+// its deadline or until the connection is closed. writing is closed when
+// the first write starts.
+type stallConn struct {
+	net.Conn
+	once    sync.Once
+	writing chan struct{}
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	c.once.Do(func() { close(c.writing) })
+	return c.Conn.Write(p)
+}
+
+// TestCloseDoesNotWaitOutStalledWrite: Close while a write is stalled on
+// a client that stopped reading returns at once — it does not queue its
+// close frame behind that write and wait out the write's deadline — and
+// the stalled write fails.
+func TestCloseDoesNotWaitOutStalledWrite(t *testing.T) {
+	server, client := net.Pipe()
+	defer client.Close() // never read
+	sc := &stallConn{Conn: server, writing: make(chan struct{})}
+	c := newConn(sc, nil, false)
+	c.SetWriteTimeout(10 * time.Second)
+	failed := make(chan error, 1)
+	go func() { failed <- c.WriteText([]byte("into a socket nobody reads")) }()
+	<-sc.writing // the write holds the writer until the pipe gives way
+
+	start := time.Now()
+	c.Close()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Close took %v behind a stalled write", took)
+	}
+	select {
+	case err := <-failed:
+		if err == nil {
+			t.Fatal("the stalled write succeeded on a closed connection")
 		}
-		if err := c.QueueText(make([]byte, flushHighWater)); err != nil || len(rc.writes) != 2 {
-			t.Fatalf("oversize message: %v, %d writes; want it written through", err, len(rc.writes))
-		}
-		rc.fail = errors.New("broken pipe")
-		if err := c.WriteText([]byte("x")); err == nil {
-			t.Fatal("write error not reported")
-		}
-		rc.fail = nil
-		if c.QueueText([]byte("x")) == nil || c.Flush() == nil || c.WriteText([]byte("x")) == nil {
-			t.Fatal("a connection that failed a write must fail every later call")
-		}
-		if len(rc.writes) != 2 {
-			t.Fatalf("%d writes, want none after the error", len(rc.writes))
-		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stalled write outlived Close")
 	}
 }
