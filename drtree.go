@@ -282,7 +282,8 @@ type (
 
 // Delivery-layer re-exports: queue-backed subscribers whose consumer
 // code can be arbitrarily slow — or dead — without ever blocking
-// Publish/PublishBatch or other subscribers.
+// Publish/PublishBatch or other subscribers: a full queue sheds its
+// oldest event, and each event reaches its handler at most once.
 type (
 	// Envelope is one event delivered to a queue-backed subscriber
 	// (Broker.SubscribeFunc / Broker.SubscribeChan).
@@ -290,26 +291,11 @@ type (
 	// Handler consumes envelopes on the subscriber's own goroutine.
 	Handler = pubsub.Handler
 	// DeliveryOption configures a queue-backed subscription (see
-	// WithQueueDepth, WithOverflowPolicy, WithAtLeastOnce).
+	// WithQueueDepth).
 	DeliveryOption = pubsub.DeliveryOption
-	// OverflowPolicy selects what a full delivery queue does with new
-	// events (DropOldest, CoalesceByFilter or Block).
-	OverflowPolicy = pubsub.OverflowPolicy
 	// DeliveryStats snapshots one subscriber's delivery-queue counters
 	// (Broker.DeliveryStats / Broker.DeliveryStatsOf).
 	DeliveryStats = pubsub.DeliveryStats
-)
-
-// Overflow policies for WithOverflowPolicy.
-const (
-	// DropOldest sheds the oldest queued event to make room (default).
-	DropOldest = pubsub.DropOldest
-	// CoalesceByFilter keeps only the newest events for the subscriber's
-	// filter under pressure.
-	CoalesceByFilter = pubsub.CoalesceByFilter
-	// Block applies lossless backpressure: the publisher waits for queue
-	// space. The only policy under which a consumer can slow a producer.
-	Block = pubsub.Block
 )
 
 // DefaultQueueDepth is the delivery-queue capacity used when
@@ -324,15 +310,6 @@ var ErrProducerNotRegistered = pubsub.ErrProducerNotRegistered
 // WithQueueDepth sets a subscriber's delivery-queue capacity (default
 // DefaultQueueDepth).
 func WithQueueDepth(n int) DeliveryOption { return pubsub.WithQueueDepth(n) }
-
-// WithOverflowPolicy sets a subscriber's queue overflow policy (default
-// DropOldest).
-func WithOverflowPolicy(p OverflowPolicy) DeliveryOption { return pubsub.WithOverflowPolicy(p) }
-
-// WithAtLeastOnce turns on ack-based delivery for a SubscribeFunc
-// subscriber: an envelope is retried until the handler returns nil, up
-// to maxRedeliver redeliveries.
-func WithAtLeastOnce(maxRedeliver int) DeliveryOption { return pubsub.WithAtLeastOnce(maxRedeliver) }
 
 // NewSpace builds an attribute space over the given names.
 func NewSpace(attrs ...string) (*Space, error) { return filter.NewSpace(attrs...) }

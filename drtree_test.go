@@ -245,7 +245,7 @@ func TestFacadeRectConstructors(t *testing.T) {
 
 // TestFacadeDeliveryLayer exercises the queue-backed subscriber surface
 // through the public API: SubscribeFunc with options, SubscribeChan,
-// overflow policies, delivery stats and the producer sentinel.
+// queue depth, delivery stats and the producer sentinel.
 func TestFacadeDeliveryLayer(t *testing.T) {
 	space, err := drtree.NewSpace("x")
 	if err != nil {
@@ -264,9 +264,7 @@ func TestFacadeDeliveryLayer(t *testing.T) {
 	var delivered atomic.Uint64
 	err = broker.SubscribeFunc(1, drtree.Range("x", 0, 10),
 		func(e drtree.Envelope) error { delivered.Add(1); return nil },
-		drtree.WithQueueDepth(drtree.DefaultQueueDepth),
-		drtree.WithOverflowPolicy(drtree.DropOldest),
-		drtree.WithAtLeastOnce(1))
+		drtree.WithQueueDepth(drtree.DefaultQueueDepth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +291,7 @@ func TestFacadeDeliveryLayer(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	st, ok := broker.DeliveryStatsOf(1)
-	if !ok || st.Delivered != 1 || st.Policy != drtree.DropOldest {
+	if !ok || st.Delivered != 1 || st.Capacity != drtree.DefaultQueueDepth {
 		t.Fatalf("DeliveryStatsOf(1) = %+v, %v", st, ok)
 	}
 	if all := broker.DeliveryStats(); len(all) != 2 {

@@ -1,9 +1,10 @@
 // Consumers: the subscriber delivery layer in action. Three consumer
-// styles share one broker — a slow callback behind a small drop-oldest
-// queue, a coalescing dashboard that only wants the freshest reading,
-// and a channel consumer — while a fast feed publishes hundreds of
-// events. The publisher never waits on any of them; the per-subscriber
-// DeliveryStats show what each queue delivered, shed or coalesced.
+// styles share one broker — a slow callback behind a small queue, a
+// dashboard that only wants the freshest reading, and a channel
+// consumer — while a fast feed publishes hundreds of events. Every
+// queue is drop-oldest: the publisher never waits on any of them, and
+// the per-subscriber DeliveryStats show what each queue delivered or
+// shed.
 package main
 
 import (
@@ -54,7 +55,7 @@ func run() error {
 	}
 
 	// 2: a dashboard that only cares about the latest hot readings —
-	// coalescing keeps the newest events when it lags.
+	// its 4-slot queue keeps the newest events when it lags.
 	var latest atomic.Uint64 // temperature, rounded
 	err = broker.SubscribeFunc(2, drtree.Range("temp", 75, 100),
 		func(e drtree.Envelope) error {
@@ -62,7 +63,7 @@ func run() error {
 			latest.Store(uint64(e.Event["temp"]))
 			return nil
 		},
-		drtree.WithQueueDepth(4), drtree.WithOverflowPolicy(drtree.CoalesceByFilter))
+		drtree.WithQueueDepth(4))
 	if err != nil {
 		return err
 	}
@@ -100,8 +101,8 @@ func run() error {
 	// Let the queues drain what they kept, then inspect the counters.
 	time.Sleep(150 * time.Millisecond)
 	for _, st := range broker.DeliveryStats() {
-		fmt.Printf("subscriber %d [%v]: enqueued=%d delivered=%d dropped=%d coalesced=%d depth=%d\n",
-			st.ID, st.Policy, st.Enqueued, st.Delivered, st.Dropped, st.Coalesced, st.Depth)
+		fmt.Printf("subscriber %d: enqueued=%d delivered=%d dropped=%d depth=%d\n",
+			st.ID, st.Enqueued, st.Delivered, st.Dropped, st.Depth)
 	}
 	fmt.Printf("analytics processed %d readings; dashboard shows %d°\n", analyzed.Load(), latest.Load())
 

@@ -22,7 +22,7 @@ func heldGroup(t *testing.T, idle func()) (g *Group[int], release func()) {
 	})
 	gate := mustQueue(t, Config[int]{Capacity: 1})
 	entered, open := make(chan struct{}), make(chan struct{})
-	g.Add(gate, func(int, int) error {
+	g.Add(gate, func(int) error {
 		close(entered)
 		<-open
 		return nil
@@ -53,11 +53,11 @@ func TestGroupFairness(t *testing.T) {
 	cold := mustQueue(t, Config[int]{Capacity: 4})
 	var hotBeforeCold, hotDelivered atomic.Int64
 	coldSeen := make(chan struct{})
-	g.Add(hot, func(int, int) error {
+	g.Add(hot, func(int) error {
 		hotDelivered.Add(1)
 		return nil
 	})
-	g.Add(cold, func(int, int) error {
+	g.Add(cold, func(int) error {
 		hotBeforeCold.Store(hotDelivered.Load())
 		close(coldSeen)
 		return nil
@@ -103,7 +103,7 @@ func TestGroupIdleOncePerBurst(t *testing.T) {
 	g, release = heldGroup(t, idle)
 	for i := 0; i < 3; i++ {
 		q := mustQueue(t, Config[int]{Capacity: 128})
-		g.Add(q, func(int, int) error {
+		g.Add(q, func(int) error {
 			delivered.Add(1)
 			return nil
 		})
@@ -142,7 +142,7 @@ func TestGroupIdleOncePerBurst(t *testing.T) {
 func TestGroupCloseQueue(t *testing.T) {
 	g, release := heldGroup(t, nil)
 	parked := mustQueue(t, Config[int]{Capacity: 8})
-	g.Add(parked, func(int, int) error {
+	g.Add(parked, func(int) error {
 		t.Error("a queue closed before its turn must not be delivered")
 		return nil
 	})
@@ -161,7 +161,7 @@ func TestGroupCloseQueue(t *testing.T) {
 
 	busy := mustQueue(t, Config[int]{Capacity: 8})
 	entered, finish := make(chan struct{}), make(chan struct{})
-	g.Add(busy, func(v, _ int) error {
+	g.Add(busy, func(v int) error {
 		if v == 0 {
 			close(entered)
 			<-finish
@@ -195,7 +195,7 @@ func TestGroupCloseQueue(t *testing.T) {
 	// The drainer moved on: a third queue of the group still delivers.
 	live := mustQueue(t, Config[int]{Capacity: 8})
 	got := make(chan int, 1)
-	g.Add(live, func(v, _ int) error { got <- v; return nil })
+	g.Add(live, func(v int) error { got <- v; return nil })
 	live.Enqueue(42)
 	select {
 	case v := <-got:
@@ -207,84 +207,40 @@ func TestGroupCloseQueue(t *testing.T) {
 	}
 }
 
-// TestGroupBlockProducerWakes: a producer waiting on a full Block queue
-// is woken by the group drainer freeing a slot.
-func TestGroupBlockProducerWakes(t *testing.T) {
-	g, release := heldGroup(t, nil)
-	q := mustQueue(t, Config[int]{Capacity: 1, Policy: Block})
-	var delivered atomic.Int64
-	g.Add(q, func(int, int) error { delivered.Add(1); return nil })
-	if err := q.Enqueue(1); err != nil {
-		t.Fatal(err)
-	}
-	unblocked := make(chan error, 1)
-	go func() { unblocked <- q.Enqueue(2) }()
-	waitFor(t, "producer blocked", func() bool { return q.Stats().Blocked == 1 })
-	select {
-	case err := <-unblocked:
-		t.Fatalf("Enqueue returned %v while the ring was full under Block", err)
-	default:
-	}
-	release()
-	if err := <-unblocked; err != nil {
-		t.Fatalf("unblocked Enqueue: %v", err)
-	}
-	waitFor(t, "both delivered", func() bool { return delivered.Load() == 2 })
-}
-
-// TestGroupAtLeastOnce: redelivery, exhaustion and ErrClosed keep their
-// per-queue meaning inside a group, beside an at-most-once group-mate.
-func TestGroupAtLeastOnce(t *testing.T) {
-	type msg struct {
-		name string
-		fail int // attempts to fail; -1 answers ErrClosed
-	}
-	gs := NewGroup[msg](nil)
-	defer func() { gs.Close(); <-gs.Done() }()
-
-	acked := mustQueue(t, Config[msg]{Capacity: 8, AtLeastOnce: true, MaxRedeliver: 2})
-	plain := mustQueue(t, Config[msg]{Capacity: 8})
+// TestGroupHandlerErrorNotRetried: a callback error counts as Failed
+// and the message is done — the next one is delivered, nothing is
+// handed over twice.
+func TestGroupHandlerErrorNotRetried(t *testing.T) {
+	g := NewGroup[string](nil)
+	defer func() { g.Close(); <-g.Done() }()
+	q := mustQueue(t, Config[string]{Capacity: 8})
 	var mu sync.Mutex
-	attempts := map[string][]int{}
-	record := func(m msg, attempt int) error {
+	var seen []string
+	g.Add(q, func(m string) error {
 		mu.Lock()
-		attempts[m.name] = append(attempts[m.name], attempt)
+		seen = append(seen, m)
 		mu.Unlock()
-		switch {
-		case m.fail < 0:
-			return ErrClosed
-		case attempt <= m.fail:
+		if m == "nack" {
 			return errors.New("nack")
 		}
 		return nil
-	}
-	gs.Add(acked, record)
-	gs.Add(plain, record)
-	for _, m := range []msg{{"flaky", 1}, {"poison", 99}, {"gone", -1}, {"fine", 0}} {
-		if err := acked.Enqueue(m); err != nil {
+	})
+	for _, m := range []string{"nack", "fine"} {
+		if err := q.Enqueue(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := plain.Enqueue(msg{"plain-nack", 99}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "queues settled", func() bool {
-		a, p := acked.Stats(), plain.Stats()
-		return a.Delivered+a.Dropped == 4 && p.Delivered+p.Failed == 1
+	waitFor(t, "queue settled", func() bool {
+		st := q.Stats()
+		return st.Delivered+st.Failed == 2
 	})
 	mu.Lock()
 	defer mu.Unlock()
-	want := map[string]string{"flaky": "[1 2]", "poison": "[1 2 3]", "gone": "[1]", "fine": "[1]", "plain-nack": "[1]"}
-	for name, w := range want {
-		if got := fmt.Sprint(attempts[name]); got != w {
-			t.Errorf("%s attempts %s, want %s", name, got, w)
-		}
+	if fmt.Sprint(seen) != "[nack fine]" {
+		t.Errorf("handed over %v, want [nack fine]", seen)
 	}
-	if st := acked.Stats(); st.Delivered != 2 || st.Dropped != 2 || st.Redelivered != 3 || st.Failed != 5 {
-		t.Errorf("at-least-once stats: %+v, want 2 delivered, 2 dropped, 3 redelivered, 5 failed", st)
-	}
-	if st := plain.Stats(); st.Failed != 1 || st.Redelivered != 0 {
-		t.Errorf("at-most-once stats: %+v, want 1 failed and no redelivery", st)
+	if st := q.Stats(); st.Delivered != 1 || st.Failed != 1 || st.Dropped != 0 || st.Depth != 0 {
+		t.Errorf("stats: %+v, want 1 delivered, 1 failed, none dropped or left", st)
 	}
 }
 
@@ -298,7 +254,7 @@ func TestGroupCloseLeavesQueues(t *testing.T) {
 	var qs []*Queue[int]
 	for i := 0; i < 4; i++ {
 		q := mustQueue(t, Config[int]{Capacity: 4})
-		g.Add(q, func(int, int) error { return nil })
+		g.Add(q, func(int) error { return nil })
 		qs = append(qs, q)
 	}
 	g.Close()
@@ -348,7 +304,7 @@ func TestGroupConcurrentProducers(t *testing.T) {
 	qs := make([]*Queue[int], queues)
 	for i := range qs {
 		qs[i] = mustQueue(t, Config[int]{Capacity: 16})
-		g.Add(qs[i], func(int, int) error {
+		g.Add(qs[i], func(int) error {
 			inCallback.Add(1)
 			defer inCallback.Add(-1)
 			return nil
@@ -394,28 +350,12 @@ func TestGroupConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestEvictionPreservesOrder: shedding closes the victim's slot without
-// reordering the survivors — at the head (DropOldest), behind an
-// in-flight head, and in mid-ring (a keyed coalesce hit).
+// TestEvictionPreservesOrder: shedding pops the head without
+// reordering the survivors, across the ring's wrap-around, and a
+// message in flight has already left the ring — a full ring of three
+// holds three pending messages beside it.
 func TestEvictionPreservesOrder(t *testing.T) {
-	keyed := mustQueue(t, Config[string]{Capacity: 4, Policy: CoalesceByFilter, KeyOf: func(s string) string { return s[:1] }})
-	for _, s := range []string{"a1", "b1", "a2", "b2", "b3"} { // b3 replaces b1, in mid-ring
-		keyed.Enqueue(s)
-	}
-	var got []string
-	all := make(chan struct{})
-	keyed.Run(func(s string, _ int) error {
-		if got = append(got, s); len(got) == 4 {
-			close(all)
-		}
-		return nil
-	})
-	<-all
-	if fmt.Sprint(got) != "[a1 a2 b2 b3]" {
-		t.Fatalf("keyed eviction delivered %v, want [a1 a2 b2 b3]", got)
-	}
-
-	q := mustQueue(t, Config[int]{Capacity: 3, AtLeastOnce: true})
+	q := mustQueue(t, Config[int]{Capacity: 3})
 	entered, finish := make(chan struct{}), make(chan struct{})
 	var order []int
 	q.Run(func(v, _ int) error {
@@ -428,12 +368,15 @@ func TestEvictionPreservesOrder(t *testing.T) {
 	})
 	q.Enqueue(1)
 	<-entered
-	for v := 2; v <= 4; v++ { // 4 sheds 2: the in-flight head is skipped
+	for v := 2; v <= 6; v++ { // 5 and 6 shed 2 and 3
 		q.Enqueue(v)
 	}
+	if st := q.Stats(); st.Depth != 3 || st.Dropped != 2 {
+		t.Fatalf("ring beside the in-flight message: %+v, want depth 3, 2 shed", st)
+	}
 	close(finish)
-	waitFor(t, "drain", func() bool { return q.Stats().Delivered == 3 })
-	if st := q.Stats(); fmt.Sprint(order) != "[1 3 4]" || st.Dropped != 1 {
-		t.Fatalf("delivered %v with %+v, want [1 3 4] and one drop", order, st)
+	waitFor(t, "drain", func() bool { return q.Stats().Delivered == 4 })
+	if st := q.Stats(); fmt.Sprint(order) != "[1 4 5 6]" || st.Dropped != 2 {
+		t.Fatalf("delivered %v with %+v, want [1 4 5 6] and two drops", order, st)
 	}
 }

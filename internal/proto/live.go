@@ -498,8 +498,9 @@ type LiveStats struct {
 	Dispatched uint64 `json:"dispatched"`
 	EventMsgs  uint64 `json:"event_msgs"`
 	// QueueHighWater is the deepest the FIFO has stood at the start of a
-	// turn: how near its bound, where publishers and links start to wait,
-	// the cluster runs.
+	// turn, the next turn included (it starts with what Stats finds
+	// queued): how near its bound, where publishers and links start to
+	// wait, the cluster runs.
 	QueueHighWater int `json:"queue_high_water"`
 	// BackedOff is the number of actors whose CHECK_* period currently
 	// stands above the base period.
@@ -511,6 +512,10 @@ func (lc *LiveCluster) Stats() LiveStats {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	st := lc.stats
+	// Stats never runs inside a turn (both hold lc.mu), so messages sent
+	// since the last turn are all still queued: count them as the next
+	// turn's starting depth, or Dispatched could stand beside a zero.
+	st.QueueHighWater = max(st.QueueHighWater, len(lc.fifo))
 	for _, a := range lc.actors {
 		if a.period > checkBase {
 			st.BackedOff++

@@ -366,6 +366,29 @@ func TestLiveJoinWakesBackedOffActor(t *testing.T) {
 	}
 }
 
+// TestLiveStatsCountQueuedDepth: a message sent since the last turn is
+// counted in Dispatched and in QueueHighWater alike — Stats never
+// reports messages dispatched out of a FIFO that never held any.
+func TestLiveStatsCountQueuedDepth(t *testing.T) {
+	s := newSteppedLive(t)
+	for id := core.ProcID(1); id <= 2; id++ {
+		if err := s.Join(id, geom.R2(0, 0, 10, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.Dispatched < 1 || st.QueueHighWater < 1 {
+		t.Fatalf("before any turn: %+v, want dispatched >= 1 and queue_high_water >= 1", st)
+	}
+	if q := s.pending(); st.QueueHighWater < q {
+		t.Fatalf("queue_high_water %d below the %d messages queued", st.QueueHighWater, q)
+	}
+	s.step()
+	if after := s.Stats(); after.QueueHighWater < st.QueueHighWater {
+		t.Fatalf("queue_high_water fell from %d to %d", st.QueueHighWater, after.QueueHighWater)
+	}
+}
+
 // TestSteppedLiveIsDeterministic: two stepped clusters given the same
 // joins, filter updates, leave, crash and publishes at the same steps
 // stand in byte-identical protocol states after every step. A turn that

@@ -6,9 +6,8 @@ package pubsub
 // so events matched by classifyBatch are handed to consumer code
 // without the publish path ever waiting on it. Enqueueing happens
 // in Broker.dispatch, strictly after classifyBatch has released every
-// gateway lock: a consumer can at worst slow the one publishing
-// goroutine that opted into the Block policy, never the classify pass
-// or other publishers.
+// gateway lock, and never waits: a full queue sheds its oldest
+// envelope, and every envelope reaches its handler at most once.
 
 import (
 	"cmp"
@@ -21,22 +20,6 @@ import (
 	"drtree/internal/filter"
 )
 
-// OverflowPolicy selects what a subscriber's delivery queue does when it
-// is full (see internal/eventbus).
-type OverflowPolicy = eventbus.Policy
-
-const (
-	// DropOldest discards the oldest queued event to make room (default).
-	DropOldest = eventbus.DropOldest
-	// CoalesceByFilter keeps only the newest events for the subscriber's
-	// filter under pressure: the incoming event replaces the oldest
-	// queued one, counted as coalesced rather than dropped.
-	CoalesceByFilter = eventbus.CoalesceByFilter
-	// Block makes the publisher wait for queue space — opt-in lossless
-	// backpressure that slows that one publishing call down.
-	Block = eventbus.Block
-)
-
 // DefaultQueueDepth is the per-subscriber queue capacity used when
 // WithQueueDepth is not given.
 const DefaultQueueDepth = 256
@@ -44,36 +27,28 @@ const DefaultQueueDepth = 256
 // Envelope is one event delivered to a queue-backed subscriber.
 type Envelope struct {
 	// Seq numbers the subscriber's deliveries from 1 in enqueue order
-	// (gaps appear where the overflow policy shed events).
+	// (gaps appear where a full queue shed events).
 	Seq uint64
-	// Attempt counts the delivery attempts for this envelope: 1 on first
-	// delivery, higher on at-least-once redeliveries.
-	Attempt int
 	// Event is the published event that matched the subscriber's filter.
 	Event filter.Event
 }
 
 // Handler consumes one envelope on the subscriber's drainer goroutine.
-// Under at-least-once delivery a nil return acknowledges the envelope
-// and an error triggers redelivery; otherwise the return value only
-// feeds the Failed counter.
+// Each envelope is handed over once; an error return only feeds the
+// Failed counter.
 type Handler func(Envelope) error
 
 // deliveryConfig is the resolved delivery configuration of one
 // queue-backed subscriber: broker-wide defaults overridden by the
 // call's DeliveryOptions (see options.go for the option constructors).
 type deliveryConfig struct {
-	depth        int
-	policy       OverflowPolicy
-	atLeastOnce  bool
-	maxRedeliver int
+	depth int
 }
 
 // consumer is the delivery side of one queue-backed subscriber.
 type consumer struct {
-	q      *eventbus.Queue[Envelope]
-	policy OverflowPolicy
-	seq    atomic.Uint64
+	q   *eventbus.Queue[Envelope]
+	seq atomic.Uint64
 }
 
 // pending is one delivery owed after a classify pass: collected under
@@ -105,28 +80,19 @@ func (b *Broker) resolveDelivery(opts []DeliveryOption) (deliveryConfig, error) 
 }
 
 func newConsumer(cfg deliveryConfig) (*consumer, error) {
-	q, err := eventbus.New(eventbus.Config[Envelope]{
-		Capacity: cfg.depth,
-		Policy:   cfg.policy,
-		// Each broker subscriber has exactly one filter, so every
-		// envelope in its queue shares the coalescing key: under
-		// pressure CoalesceByFilter keeps the newest events.
-		KeyOf:        func(Envelope) string { return "" },
-		AtLeastOnce:  cfg.atLeastOnce,
-		MaxRedeliver: cfg.maxRedeliver,
-	})
+	q, err := eventbus.New(eventbus.Config[Envelope]{Capacity: cfg.depth})
 	if err != nil {
 		return nil, err
 	}
-	return &consumer{q: q, policy: cfg.policy}, nil
+	return &consumer{q: q}, nil
 }
 
 // SubscribeFunc registers subscriber id with the given filter and a
 // handler invoked on the subscriber's own drainer goroutine for every
 // event that matches. The handler can be arbitrarily slow — or never
 // return — without stalling publishers, other subscribers, or
-// Unsubscribe/Close; the overflow policy decides what happens to events
-// arriving while it lags.
+// Unsubscribe/Close; while it lags, a full queue sheds its oldest
+// events.
 func (b *Broker) SubscribeFunc(id core.ProcID, f filter.Filter, h Handler, opts ...DeliveryOption) error {
 	return b.subscribeFunc(nil, id, f, h, opts)
 }
@@ -164,11 +130,10 @@ func (b *Broker) newFuncConsumer(h Handler, opts []DeliveryOption) (*consumer, e
 // was ready — so handlers that only append to a shared buffer (the
 // subscribers of one client socket) cost one write per burst, not one
 // per event. A lone event is flushed at once: nothing waits for
-// company. Queue capacity, overflow policy, Seq numbering and
-// DeliveryStats stay per subscriber; what the subscribers of an outbox
-// share is fate — a handler or flush that blocks stalls them all (their
-// queues shed per policy meanwhile), never a publisher or another
-// outbox.
+// company. Queue capacity, Seq numbering and DeliveryStats stay per
+// subscriber; what the subscribers of an outbox share is fate — a
+// handler or flush that blocks stalls them all (their queues shed
+// meanwhile), never a publisher or another outbox.
 type Outbox struct {
 	b *Broker
 	g *eventbus.Group[Envelope]
@@ -203,14 +168,10 @@ func (o *Outbox) Close() {
 // startDelivery hands cons's envelopes to h: on ob's drainer, or — ob
 // nil — on one of the consumer's own.
 func startDelivery(ob *Outbox, cons *consumer, h Handler) {
-	deliver := func(e Envelope, attempt int) error {
-		e.Attempt = attempt
-		return h(e)
-	}
 	if ob == nil {
-		cons.q.Run(deliver)
+		cons.q.Run(func(e Envelope, _ int) error { return h(e) })
 	} else {
-		ob.g.Add(cons.q, deliver)
+		ob.g.Add(cons.q, h)
 	}
 }
 
@@ -218,10 +179,8 @@ func startDelivery(ob *Outbox, cons *consumer, h Handler) {
 // returns a channel of matching events. The channel is unbuffered — the
 // subscriber's queue provides the buffering — and is closed when the
 // subscriber is unsubscribed or the broker closes. A receiver that
-// stops reading leaves the drainer blocked on the send (events shed per
-// the overflow policy meanwhile) until then. At-least-once delivery is
-// not available here: a channel receive cannot acknowledge, so
-// WithAtLeastOnce is rejected.
+// stops reading leaves the drainer blocked on the send (the queue sheds
+// its oldest events meanwhile) until then.
 func (b *Broker) SubscribeChan(id core.ProcID, f filter.Filter, opts ...DeliveryOption) (<-chan Envelope, error) {
 	cons, ch, err := b.newChanConsumer(opts)
 	if err != nil {
@@ -236,15 +195,11 @@ func (b *Broker) SubscribeChan(id core.ProcID, f filter.Filter, opts ...Delivery
 }
 
 // newChanConsumer builds the consumer and channel shared by
-// SubscribeChan and AttachChan, rejecting at-least-once (a channel
-// receive cannot acknowledge).
+// SubscribeChan and AttachChan.
 func (b *Broker) newChanConsumer(opts []DeliveryOption) (*consumer, chan Envelope, error) {
 	cfg, err := b.resolveDelivery(opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.atLeastOnce {
-		return nil, nil, fmt.Errorf("pubsub: at-least-once delivery needs an acknowledging handler; use SubscribeFunc")
 	}
 	cons, err := newConsumer(cfg)
 	if err != nil {
@@ -256,8 +211,7 @@ func (b *Broker) newChanConsumer(opts []DeliveryOption) (*consumer, chan Envelop
 // runChanConsumer starts the drainer feeding ch and the closer that
 // ends it when the subscriber goes away.
 func (b *Broker) runChanConsumer(cons *consumer, ch chan Envelope) {
-	cons.q.Run(func(e Envelope, attempt int) error {
-		e.Attempt = attempt
+	cons.q.Run(func(e Envelope, _ int) error {
 		select {
 		case ch <- e:
 			return nil
@@ -351,8 +305,6 @@ func (b *Broker) SubscribeFuncExpr(id core.ProcID, src string, h Handler, opts .
 type DeliveryStats struct {
 	// ID is the subscriber.
 	ID core.ProcID
-	// Policy is the queue's overflow policy.
-	Policy OverflowPolicy
 	eventbus.Stats
 }
 
@@ -367,7 +319,7 @@ func (b *Broker) DeliveryStats() []DeliveryStats {
 			if sub.cons == nil {
 				continue
 			}
-			out = append(out, DeliveryStats{ID: id, Policy: sub.cons.policy, Stats: sub.cons.q.Stats()})
+			out = append(out, DeliveryStats{ID: id, Stats: sub.cons.q.Stats()})
 		}
 		gw.mu.RUnlock()
 	}
@@ -388,5 +340,5 @@ func (b *Broker) DeliveryStatsOf(id core.ProcID) (DeliveryStats, bool) {
 	if !ok || sub.cons == nil {
 		return DeliveryStats{}, false
 	}
-	return DeliveryStats{ID: id, Policy: sub.cons.policy, Stats: sub.cons.q.Stats()}, true
+	return DeliveryStats{ID: id, Stats: sub.cons.q.Stats()}, true
 }

@@ -1,7 +1,6 @@
 package pubsub
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +9,6 @@ import (
 	"drtree/internal/core"
 	"drtree/internal/filter"
 )
-
-var errNope = errors.New("injected handler failure")
 
 // waitUntil polls cond until it holds or a generous deadline expires.
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -63,7 +60,7 @@ func TestSubscribeFuncDelivers(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for i, e := range got {
-		if e.Seq != uint64(i+1) || e.Attempt != 1 {
+		if e.Seq != uint64(i+1) {
 			t.Fatalf("envelope %d: %+v", i, e)
 		}
 	}
@@ -119,14 +116,8 @@ func TestDeliveryOptionValidation(t *testing.T) {
 	if err := b.SubscribeFunc(1, f, h, WithQueueDepth(0)); err == nil {
 		t.Error("zero queue depth must be rejected")
 	}
-	if err := b.SubscribeFunc(1, f, h, WithOverflowPolicy(OverflowPolicy(99))); err == nil {
-		t.Error("unknown overflow policy must be rejected")
-	}
-	if err := b.SubscribeFunc(1, f, h, WithAtLeastOnce(-1)); err == nil {
-		t.Error("negative max redeliveries must be rejected")
-	}
-	if _, err := b.SubscribeChan(1, f, WithAtLeastOnce(0)); err == nil {
-		t.Error("at-least-once over a channel must be rejected")
+	if _, err := b.SubscribeChan(1, f, WithQueueDepth(-1)); err == nil {
+		t.Error("negative queue depth must be rejected")
 	}
 	if err := b.SubscribeFunc(0, f, h); err == nil {
 		t.Error("non-positive subscriber ID must be rejected")
@@ -141,103 +132,6 @@ func TestDeliveryOptionValidation(t *testing.T) {
 	}
 	if _, ok := b.DeliveryStatsOf(7); ok {
 		t.Error("record-only subscriber reported delivery stats")
-	}
-}
-
-// TestAtLeastOnceThroughBroker: a failing handler sees the same
-// envelope again with an incremented attempt counter, and the retries
-// surface in DeliveryStats and the gateway aggregates.
-func TestAtLeastOnceThroughBroker(t *testing.T) {
-	b := newDeliveryBroker(t, 1)
-	var mu sync.Mutex
-	var attempts []int
-	h := func(e Envelope) error {
-		mu.Lock()
-		attempts = append(attempts, e.Attempt)
-		mu.Unlock()
-		if e.Attempt < 3 {
-			return errNope
-		}
-		return nil
-	}
-	if err := b.SubscribeFunc(1, filter.Range("x", 0, 10), h, WithAtLeastOnce(5)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Publish(1, filter.Event{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "acknowledged delivery", func() bool {
-		st, _ := b.DeliveryStatsOf(1)
-		return st.Delivered == 1
-	})
-	mu.Lock()
-	if len(attempts) != 3 || attempts[0] != 1 || attempts[1] != 2 || attempts[2] != 3 {
-		t.Fatalf("attempts = %v, want [1 2 3]", attempts)
-	}
-	mu.Unlock()
-	st, _ := b.DeliveryStatsOf(1)
-	if st.Redelivered != 2 || st.Failed != 2 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	gs := b.GatewayStats()
-	var redelivered uint64
-	for _, g := range gs {
-		redelivered += g.Redelivered
-	}
-	if redelivered != 2 {
-		t.Fatalf("gateway aggregate Redelivered = %d, want 2", redelivered)
-	}
-}
-
-// TestCoalesceThroughBroker: with a blocked handler and a tiny queue,
-// the coalescing policy keeps the newest events and counts the
-// replacements, all without ever blocking the publisher.
-func TestCoalesceThroughBroker(t *testing.T) {
-	b := newDeliveryBroker(t, 1)
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var seqs []uint64
-	first := true
-	h := func(e Envelope) error {
-		mu.Lock()
-		seqs = append(seqs, e.Seq)
-		hold := first
-		first = false
-		mu.Unlock()
-		if hold {
-			entered <- struct{}{}
-			<-release
-		}
-		return nil
-	}
-	err := b.SubscribeFunc(1, filter.Range("x", 0, 10), h,
-		WithQueueDepth(2), WithOverflowPolicy(CoalesceByFilter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Publish(1, filter.Event{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
-	<-entered // envelope 1 is in the handler; the queue is empty
-	for i := 0; i < 4; i++ {
-		if _, err := b.Publish(1, filter.Event{"x": float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	waitUntil(t, "post-coalesce deliveries", func() bool {
-		st, _ := b.DeliveryStatsOf(1)
-		return st.Delivered == 3
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seqs) != 3 || seqs[0] != 1 || seqs[1] != 4 || seqs[2] != 5 {
-		t.Fatalf("delivered seqs %v, want [1 4 5] (newest kept)", seqs)
-	}
-	st, _ := b.DeliveryStatsOf(1)
-	if st.Coalesced != 2 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v, want Coalesced=2 Dropped=0", st)
 	}
 }
 
@@ -399,10 +293,13 @@ func TestOutboxOneFlushPerBurst(t *testing.T) {
 		flushes [][]Envelope // what each flush carried
 		freeze  = make(chan struct{})
 		stuck   = make(chan struct{}, 1) // a frozen flush announces itself
-		frozen  atomic.Bool
+		handed  atomic.Int64             // envelopes handed to h so far
+		// freezeAt arms the flush to block once this many envelopes have
+		// been handed over (0: never).
+		freezeAt atomic.Int64
 	)
 	ob := b.NewOutbox(func() {
-		if frozen.Load() {
+		if n := freezeAt.Load(); n > 0 && handed.Load() >= n {
 			stuck <- struct{}{}
 			<-freeze
 		}
@@ -417,6 +314,7 @@ func TestOutboxOneFlushPerBurst(t *testing.T) {
 		mu.Lock()
 		pending = append(pending, e)
 		mu.Unlock()
+		handed.Add(1)
 		return nil
 	}
 	for id := core.ProcID(1); id <= 3; id++ {
@@ -470,8 +368,11 @@ func TestOutboxOneFlushPerBurst(t *testing.T) {
 		}
 	}
 
-	// A flush that blocks is the outbox's own problem.
-	frozen.Store(true)
+	// A flush that blocks is the outbox's own problem. The publish
+	// enqueues its event to the three subscribers one at a time, and the
+	// drainer may run dry and flush between them: the flush blocks only
+	// once all three envelopes have been handed over.
+	freezeAt.Store(handed.Load() + 3)
 	if _, err := b.Publish(1, filter.Event{"x": 5}); err != nil {
 		t.Fatal(err)
 	}

@@ -158,30 +158,3 @@ func WithQueueDepth(n int) DeliveryOption {
 		return nil
 	})
 }
-
-// WithOverflowPolicy sets the queue's overflow policy (default
-// DropOldest).
-func WithOverflowPolicy(p OverflowPolicy) DeliveryOption {
-	return deliveryOption(func(c *deliveryConfig) error {
-		switch p {
-		case DropOldest, CoalesceByFilter, Block:
-			c.policy = p
-			return nil
-		}
-		return fmt.Errorf("pubsub: unknown overflow policy %v", p)
-	})
-}
-
-// WithAtLeastOnce turns on ack-based delivery: an envelope occupies its
-// queue slot until the handler returns nil, and a failed attempt is
-// retried up to maxRedeliver times before the envelope is dropped.
-func WithAtLeastOnce(maxRedeliver int) DeliveryOption {
-	return deliveryOption(func(c *deliveryConfig) error {
-		if maxRedeliver < 0 {
-			return fmt.Errorf("pubsub: max redeliveries must be >= 0, got %d", maxRedeliver)
-		}
-		c.atLeastOnce = true
-		c.maxRedeliver = maxRedeliver
-		return nil
-	})
-}

@@ -173,7 +173,7 @@ func New(space *filter.Space, eng engine.Engine, opts ...Option) (*Broker, error
 	cfg := brokerConfig{
 		gwBase:        1,
 		snapshotEvery: DefaultSnapshotEvery,
-		delivery:      deliveryConfig{depth: DefaultQueueDepth, policy: DropOldest},
+		delivery:      deliveryConfig{depth: DefaultQueueDepth},
 	}
 	for _, opt := range opts {
 		if err := opt.applyBroker(&cfg); err != nil {
@@ -289,10 +289,8 @@ type GatewayStat struct {
 	// gateway's queue-backed subscribers (zero when none).
 	QueueDepth int
 	// Dropped totals the messages shed by those queues (overflow,
-	// redelivery exhaustion, close).
+	// close).
 	Dropped uint64
-	// Redelivered totals their at-least-once delivery retries.
-	Redelivered uint64
 	// FullReunions counts the O(entries) union recomputations this
 	// gateway performed on the unsubscribe/UpdateFilter shrink path.
 	// Contained filter moves keep it flat (the incremental re-union);
@@ -323,7 +321,6 @@ func (b *Broker) GatewayStats() []GatewayStat {
 			qs := sub.cons.q.Stats()
 			st.QueueDepth += qs.Depth
 			st.Dropped += qs.Dropped
-			st.Redelivered += qs.Redelivered
 		}
 		out[i] = st
 		gw.mu.RUnlock()
@@ -846,10 +843,9 @@ func (b *Broker) PublishBatch(producer core.ProcID, evs []filter.Event) ([]Notif
 		}
 	}
 	pend := b.classifyBatch(notes, evs, points, reached)
-	// Delivery happens strictly after every gateway lock is released:
-	// enqueueing (which under the Block policy may wait on a consumer)
-	// can never stall another publisher's classify pass, and a frozen
-	// consumer under the shedding policies costs the publisher nothing.
+	// Delivery happens strictly after every gateway lock is released,
+	// and enqueueing never waits: a full queue sheds, so a frozen
+	// consumer costs the publisher nothing.
 	b.dispatch(pend)
 	return notes, nil
 }

@@ -419,7 +419,7 @@ func TestBrokerDeliveryDefaultsFromConstructor(t *testing.T) {
 	// A DeliveryOption passed to New becomes the broker-wide default,
 	// overridable per subscription.
 	b, err := newCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4},
-		WithQueueDepth(3), WithOverflowPolicy(CoalesceByFilter))
+		WithQueueDepth(3))
 	if err != nil {
 		t.Fatalf("newCore with delivery defaults: %v", err)
 	}
@@ -432,11 +432,11 @@ func TestBrokerDeliveryDefaultsFromConstructor(t *testing.T) {
 	}
 	st1, _ := b.DeliveryStatsOf(1)
 	st2, _ := b.DeliveryStatsOf(2)
-	if st1.Capacity != 3 || st1.Policy != CoalesceByFilter {
-		t.Fatalf("subscriber 1 stats %+v, want broker defaults depth=3 coalesce", st1)
+	if st1.Capacity != 3 {
+		t.Fatalf("subscriber 1 stats %+v, want broker default depth=3", st1)
 	}
-	if st2.Capacity != 9 || st2.Policy != CoalesceByFilter {
-		t.Fatalf("subscriber 2 stats %+v, want override depth=9, default coalesce", st2)
+	if st2.Capacity != 9 {
+		t.Fatalf("subscriber 2 stats %+v, want override depth=9", st2)
 	}
 	// Invalid combination is rejected at construction.
 	if _, err := newCore(filter.MustSpace("price"), core.Params{MinFanout: 2, MaxFanout: 4},
