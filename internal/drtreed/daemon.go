@@ -399,9 +399,9 @@ func eventFromVectors(attrs []string, values []float64) (filter.Event, error) {
 
 // serveRPC runs one framed binary client session (transport.OnClient):
 // Subscribe/Unsubscribe/Publish/Attach requests each answered with an
-// Ack bearing the request's Ref, and Notify frames pushed as the
-// session's outbox drains. Subscriptions die with the session (see
-// session.close).
+// Ack bearing the request's Ref, in request order, and Notify frames
+// pushed as the session's outbox drains. Subscriptions die with the
+// session (see session.close).
 func (d *Daemon) serveRPC(c *transport.Conn) {
 	c.OnBatchWrite(d.rpcStats.batchWrite)
 	s := d.openSession(c, &d.rpcStats, func(id core.ProcID, e pubsub.Envelope) error {
@@ -413,35 +413,40 @@ func (d *Daemon) serveRPC(c *transport.Conn) {
 		return
 	}
 	defer s.close()
-	for {
+	var out []simnet.Message
+	s.serve(func() (request, error) {
 		m, err := c.ReadMessage()
 		if err != nil {
-			return
+			return request{}, err
 		}
-		var ref uint64
-		switch p := m.Payload.(type) {
-		case wire.Subscribe:
-			ref, err = p.Ref, s.subscribe(core.ProcID(p.ID), p.Expr)
-		case wire.Attach:
-			ref, err = p.Ref, s.attach(core.ProcID(p.ID))
-		case wire.Unsubscribe:
-			ref, err = p.Ref, s.unsubscribe(core.ProcID(p.ID))
-		case wire.Publish:
-			var ev filter.Event
-			if ev, err = eventFromVectors(p.Attrs, p.Values); err == nil {
-				err = d.broker.PublishAsync(core.ProcID(p.Producer), ev)
+		return d.rpcRequest(c, m.Payload)
+	}, c.FrameBuffered, func(acks []ack) error {
+		out = out[:0]
+		for _, a := range acks {
+			w := wire.Ack{Ref: a.ref}
+			if a.err != nil {
+				w.Err = a.err.Error()
 			}
-			ref = p.Ref
-		default:
-			d.cfg.Logf("drtreed: client %s sent unexpected %T, dropping session", c.RemoteAddr(), m.Payload)
-			return
+			out = append(out, simnet.Message{Payload: w})
 		}
-		a := wire.Ack{Ref: ref}
-		if err != nil {
-			a.Err = err.Error()
-		}
-		if c.WriteMessage(simnet.Message{Payload: a}) != nil {
-			return
-		}
+		return c.WriteMessages(out...)
+	})
+}
+
+// rpcRequest decodes one binary request; any other payload ends the
+// session.
+func (d *Daemon) rpcRequest(c *transport.Conn, payload any) (request, error) {
+	switch p := payload.(type) {
+	case wire.Subscribe:
+		return request{op: "subscribe", ref: p.Ref, id: core.ProcID(p.ID), expr: p.Expr}, nil
+	case wire.Attach:
+		return request{op: "attach", ref: p.Ref, id: core.ProcID(p.ID)}, nil
+	case wire.Unsubscribe:
+		return request{op: "unsubscribe", ref: p.Ref, id: core.ProcID(p.ID)}, nil
+	case wire.Publish:
+		ev, err := eventFromVectors(p.Attrs, p.Values)
+		return request{op: "publish", ref: p.Ref, producer: core.ProcID(p.Producer), event: ev, err: err}, nil
 	}
+	d.cfg.Logf("drtreed: client %s sent unexpected %T, dropping session", c.RemoteAddr(), payload)
+	return request{}, fmt.Errorf("drtreed: unexpected %T", payload)
 }

@@ -24,8 +24,9 @@ func startCluster(t *testing.T, n int) []*Daemon {
 
 // startClusterOf boots n daemons of the given gateway-pool size on
 // loopback port-0 listeners and returns them, overlay-listener first so
-// peers know each other's real ports.
-func startClusterOf(t *testing.T, n, gateways int) []*Daemon {
+// peers know each other's real ports. opts follow the defaults given
+// here, and so override them.
+func startClusterOf(t testing.TB, n, gateways int, opts ...Option) []*Daemon {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	peers := make([]string, n)
@@ -43,7 +44,7 @@ func startClusterOf(t *testing.T, n, gateways int) []*Daemon {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := New(
+		d, err := New(append([]Option{
 			WithNode(i),
 			WithPeers(peers...),
 			WithListener(lns[i]),
@@ -51,7 +52,7 @@ func startClusterOf(t *testing.T, n, gateways int) []*Daemon {
 			WithSpace("price", "volume"),
 			WithGateways(gateways),
 			WithLogf(t.Logf),
-		)
+		}, opts...)...)
 		if err != nil {
 			t.Fatalf("daemon %d: %v", i, err)
 		}

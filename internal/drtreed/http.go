@@ -124,7 +124,8 @@ func (d *Daemon) serveStats(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(stats)
 }
 
-// serveWS runs one JSON WebSocket session.
+// serveWS runs one JSON WebSocket session. Every burst is one request:
+// the WebSocket reader exposes no lookahead.
 func (d *Daemon) serveWS(w http.ResponseWriter, r *http.Request) {
 	c, err := ws.Accept(w, r)
 	if err != nil {
@@ -143,37 +144,42 @@ func (d *Daemon) serveWS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.close()
-	for {
+	s.serve(func() (request, error) {
 		_, payload, err := c.ReadMessage()
 		if err != nil {
-			return
+			return request{}, err
 		}
-		var req wsRequest
-		if err = json.Unmarshal(payload, &req); err != nil {
-			err = fmt.Errorf("bad request: %w", err)
-		} else if req.V != 0 && req.V != WSProtoVersion {
-			err = fmt.Errorf("unsupported protocol version %d (this daemon speaks %d)", req.V, WSProtoVersion)
-		} else {
-			switch req.Op {
-			case "subscribe":
-				err = s.subscribe(core.ProcID(req.ID), req.Filter)
-			case "attach":
-				err = s.attach(core.ProcID(req.ID))
-			case "unsubscribe":
-				err = s.unsubscribe(core.ProcID(req.ID))
-			case "publish":
-				err = d.broker.PublishAsync(core.ProcID(req.Producer), filter.Event(req.Event))
-			default:
-				err = fmt.Errorf("unknown op %q", req.Op)
+		return wsDecode(payload), nil
+	}, nil, func(acks []ack) error {
+		for _, a := range acks {
+			if err := c.WriteText(wsAck(a)); err != nil {
+				return err
 			}
 		}
-		rep := wsReply{V: WSProtoVersion, Op: "ok"}
-		if err != nil {
-			rep.Op, rep.Error = "error", err.Error()
-		}
-		buf, err := json.Marshal(rep)
-		if err != nil || c.WriteText(buf) != nil {
-			return
-		}
+		return nil
+	})
+}
+
+// wsDecode reads one WebSocket request; one it cannot read is answered
+// with why.
+func wsDecode(payload []byte) request {
+	var req wsRequest
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return request{err: fmt.Errorf("bad request: %w", err)}
 	}
+	if req.V != 0 && req.V != WSProtoVersion {
+		return request{err: fmt.Errorf("unsupported protocol version %d (this daemon speaks %d)", req.V, WSProtoVersion)}
+	}
+	return request{op: req.Op, id: core.ProcID(req.ID), expr: req.Filter,
+		producer: core.ProcID(req.Producer), event: filter.Event(req.Event)}
+}
+
+// wsAck encodes one request's reply: "ok", or "error" with the reason.
+func wsAck(a ack) []byte {
+	rep := wsReply{V: WSProtoVersion, Op: "ok"}
+	if a.err != nil {
+		rep.Op, rep.Error = "error", a.err.Error()
+	}
+	buf, _ := json.Marshal(rep) // strings and ints: cannot fail
+	return buf
 }

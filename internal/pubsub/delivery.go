@@ -94,21 +94,14 @@ func newConsumer(cfg deliveryConfig) (*consumer, error) {
 // Unsubscribe/Close; while it lags, a full queue sheds its oldest
 // events.
 func (b *Broker) SubscribeFunc(id core.ProcID, f filter.Filter, h Handler, opts ...DeliveryOption) error {
-	return b.subscribeFunc(nil, id, f, h, opts)
-}
-
-// subscribeFunc is SubscribeFunc with the drainer chosen: ob's, or one
-// of the subscriber's own when ob is nil.
-func (b *Broker) subscribeFunc(ob *Outbox, id core.ProcID, f filter.Filter, h Handler, opts []DeliveryOption) error {
 	cons, err := b.newFuncConsumer(h, opts)
 	if err != nil {
 		return err
 	}
-	if err := b.subscribe(id, f, cons); err != nil {
+	if err := b.subscribe(id, f, cons, nil, h); err != nil {
 		cons.q.Close()
 		return err
 	}
-	startDelivery(ob, cons, h)
 	return nil
 }
 
@@ -145,10 +138,20 @@ func (b *Broker) NewOutbox(flush func()) *Outbox {
 	return &Outbox{b: b, g: eventbus.NewGroup[Envelope](flush)}
 }
 
-// SubscribeFunc is Broker.SubscribeFunc with the handler invoked on the
-// outbox's goroutine.
-func (o *Outbox) SubscribeFunc(id core.ProcID, f filter.Filter, h Handler, opts ...DeliveryOption) error {
-	return o.b.subscribeFunc(o, id, f, h, opts)
+// SubscribeFunc applies Broker.SubscribeFunc to bt, ahead of its sync,
+// with the handler invoked on the outbox's goroutine. Deliveries start
+// once bt.Sync has made the registration durable; if that fails the
+// registration is taken back (see Batch.Sync).
+func (o *Outbox) SubscribeFunc(bt *Batch, id core.ProcID, f filter.Filter, h Handler, opts ...DeliveryOption) error {
+	cons, err := o.b.newFuncConsumer(h, opts)
+	if err != nil {
+		return err
+	}
+	if err := bt.subscribe(id, f, cons, o, h); err != nil {
+		cons.q.Close()
+		return err
+	}
+	return nil
 }
 
 // AttachFunc is Broker.AttachFunc with the handler invoked on the
@@ -186,11 +189,11 @@ func (b *Broker) SubscribeChan(id core.ProcID, f filter.Filter, opts ...Delivery
 	if err != nil {
 		return nil, err
 	}
-	if err := b.subscribe(id, f, cons); err != nil {
+	if err := b.subscribe(id, f, cons, nil, chanHandler(cons, ch)); err != nil {
 		cons.q.Close()
 		return nil, err
 	}
-	b.runChanConsumer(cons, ch)
+	closeWhenDone(cons, ch)
 	return ch, nil
 }
 
@@ -208,17 +211,20 @@ func (b *Broker) newChanConsumer(opts []DeliveryOption) (*consumer, chan Envelop
 	return cons, make(chan Envelope), nil
 }
 
-// runChanConsumer starts the drainer feeding ch and the closer that
-// ends it when the subscriber goes away.
-func (b *Broker) runChanConsumer(cons *consumer, ch chan Envelope) {
-	cons.q.Run(func(e Envelope, _ int) error {
+// chanHandler is the handler that feeds ch from cons's drainer.
+func chanHandler(cons *consumer, ch chan Envelope) Handler {
+	return func(e Envelope) error {
 		select {
 		case ch <- e:
 			return nil
 		case <-cons.q.Stopping():
 			return eventbus.ErrClosed
 		}
-	})
+	}
+}
+
+// closeWhenDone closes ch when the subscriber goes away.
+func closeWhenDone(cons *consumer, ch chan Envelope) {
 	go func() {
 		<-cons.q.Done()
 		close(ch)
@@ -286,7 +292,8 @@ func (b *Broker) AttachChan(id core.ProcID, opts ...DeliveryOption) (<-chan Enve
 		cons.q.Close()
 		return nil, err
 	}
-	b.runChanConsumer(cons, ch)
+	startDelivery(nil, cons, chanHandler(cons, ch))
+	closeWhenDone(cons, ch)
 	return ch, nil
 }
 

@@ -317,13 +317,17 @@ func TestOutboxOneFlushPerBurst(t *testing.T) {
 		handed.Add(1)
 		return nil
 	}
+	bt := b.NewBatch()
 	for id := core.ProcID(1); id <= 3; id++ {
-		if err := ob.SubscribeFunc(id, all, h, WithQueueDepth(4)); err != nil {
+		if err := ob.SubscribeFunc(bt, id, all, h, WithQueueDepth(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ob.SubscribeFunc(3, all, h); err == nil {
+	if err := ob.SubscribeFunc(bt, 3, all, h); err == nil {
 		t.Fatal("duplicate id must be refused through an outbox too")
+	}
+	if err := bt.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	if err := ob.AttachFunc(9, h); err == nil {
 		t.Fatal("attach of an unknown id must be refused through an outbox too")

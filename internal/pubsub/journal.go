@@ -12,7 +12,11 @@ package pubsub
 // failed Write leaves nothing changed; for Unsubscribe after it, the
 // engine having already let the gateway go. It is made durable
 // (Store.Sync, the fsync) only after that lock, and the pool lock, have
-// been released, and the public call returns only after that. So:
+// been released, and the public call returns only after that. The two
+// halves are Batch: operations applied to one are written as they go
+// and made durable together by one Batch.Sync; the public calls are a
+// Batch of one, and a client session batches a read burst
+// (internal/drtreed). So:
 //
 //   - No gateway or pool lock is ever held across a disk wait. Matching
 //     (NotifyGateway, Publish) takes gateway locks shared and used to
@@ -24,17 +28,20 @@ package pubsub
 //     fold in Recover only needs per-subscriber order, and a subscriber
 //     has one gateway at a time — moves are journaled under poolMu,
 //     which excludes every other writer.)
-//   - A call that returned nil is durable.
-//   - A registration is visible to matching for the length of one fsync
-//     before it is durable. A crash in that window forgets a Subscribe
-//     that was never acknowledged, and resurrects an Unsubscribe that
-//     was never acknowledged (a ghost: false positives, never a false
-//     negative). A crash loses a suffix of the log, never a middle.
-//   - When Sync fails: Subscribe takes the registration back through the
-//     normal remove path and returns the error; Unsubscribe and Fail
-//     stand (the engine has let go) and return it, meaning "durability
-//     is behind"; UpdateFilter keeps the new filter in memory and
-//     returns it under the same contract.
+//   - A call that returned nil is durable; so is every operation of a
+//     Batch whose Sync returned nil.
+//   - A registration is visible to matching for the length of one burst
+//     — the batch's applies and one fsync — before it is durable. A
+//     crash in that window forgets a Subscribe that was never
+//     acknowledged, and resurrects an Unsubscribe that was never
+//     acknowledged (a ghost: false positives, never a false negative).
+//     A crash loses a suffix of the log, never a middle.
+//   - When Sync fails, Batch.Sync alone decides the outcome, and every
+//     operation of the batch is owed the error: Subscribe takes the
+//     registration back through the normal remove path; Unsubscribe and
+//     Fail stand (the engine has let go), meaning "durability is
+//     behind"; UpdateFilter keeps the new filter in memory under the
+//     same contract.
 //
 // Checkpoint follows the same rule: the blob is encoded and the log
 // position it describes is read under the locks, the file is written
@@ -177,6 +184,118 @@ func (b *Broker) journalSync(seq uint64) error {
 	}
 	if err := b.store.Sync(seq); err != nil {
 		return fmt.Errorf("pubsub: journal sync: %w", err)
+	}
+	return nil
+}
+
+// Batch is a run of subscription operations applied ahead of their
+// sync: each one commits in memory and writes its journal record as it
+// is applied, and is visible to matching from then on; Sync then makes
+// the whole run durable with one Store.Sync, for the highest record the
+// run wrote. Subscribe, Unsubscribe, UpdateFilter and Fail are a Batch
+// of one; a client session batches the requests its reader already
+// holds (internal/drtreed). Not safe for concurrent use; reusable once
+// Sync has returned.
+type Batch struct {
+	b    *Broker
+	seq  uint64     // highest journal record the run wrote; 0: none
+	subs []batchSub // the run's Subscribes, in order, owed a start or a rollback
+}
+
+// batchSub is one Subscribe of a Batch: its queue, if it has one, is
+// drained from the Sync on, by h on ob (see startDelivery).
+type batchSub struct {
+	id   core.ProcID
+	cons *consumer
+	ob   *Outbox
+	h    Handler
+}
+
+// NewBatch starts an empty run of operations on b.
+func (b *Broker) NewBatch() *Batch { return &Batch{b: b} }
+
+// Owed reports whether the run has written a journal record, that is
+// whether Sync has a disk to wait for. Always false on a memory-only
+// broker.
+func (bt *Batch) Owed() bool { return bt.seq != 0 }
+
+// wrote notes an applied operation's highest journal record.
+func (bt *Batch) wrote(seq uint64) { bt.seq = max(bt.seq, seq) }
+
+// subscribe applies one Subscribe ahead of its sync. A subscription
+// with a queue whose record needs no sync (a memory-only broker) starts
+// delivering at once; any other waits for Sync.
+func (bt *Batch) subscribe(id core.ProcID, f filter.Filter, cons *consumer, ob *Outbox, h Handler) error {
+	seq, err := bt.b.subscribeAt(id, f, cons, true, -1)
+	if err != nil {
+		return err
+	}
+	if seq == 0 {
+		if cons != nil {
+			startDelivery(ob, cons, h)
+		}
+		return nil
+	}
+	bt.wrote(seq)
+	bt.subs = append(bt.subs, batchSub{id: id, cons: cons, ob: ob, h: h})
+	return nil
+}
+
+// remove applies one departure (leave is the engine's Leave or Crash)
+// ahead of its sync.
+func (bt *Batch) remove(id core.ProcID, leave func(core.ProcID) error) error {
+	seq, err := bt.b.removeUnsynced(id, leave, nil)
+	bt.wrote(seq)
+	return err
+}
+
+// Unsubscribe applies Broker.Unsubscribe ahead of its sync.
+func (bt *Batch) Unsubscribe(id core.ProcID) error { return bt.remove(id, bt.b.eng.Leave) }
+
+// updateFilter applies Broker.UpdateFilter ahead of its sync.
+func (bt *Batch) updateFilter(id core.ProcID, f filter.Filter) error {
+	rect, err := bt.b.space.Rect(f)
+	if err != nil {
+		return fmt.Errorf("pubsub: compiling filter: %w", err)
+	}
+	seq, err := bt.b.updateFilterUnsynced(id, f, rect)
+	bt.wrote(seq)
+	return err
+}
+
+// Sync returns once every record the run wrote is durable, and empties
+// the run. It holds no gateway or pool lock across the disk wait. On
+// success each queue-backed Subscribe of the run starts delivering. On
+// failure the error is owed to every operation the run applied, and
+// this is the one place the outcome is decided: each Subscribe is taken
+// back, latest first, through the normal remove path, its queue closed
+// (not durable, so not acknowledged); each Unsubscribe, Fail and
+// UpdateFilter stands (the engine has let go, the new filter is in
+// force) and the error says durability is behind.
+func (bt *Batch) Sync() error {
+	seq, subs := bt.seq, bt.subs
+	bt.seq, bt.subs = 0, bt.subs[:0]
+	defer clear(subs)
+	if err := bt.b.journalSync(seq); err != nil {
+		for i := len(subs) - 1; i >= 0; i-- {
+			s := subs[i]
+			// Best-effort: if the engine refuses the departure the
+			// subscriber stays, as after any refused Unsubscribe, and
+			// the caller has the sync error either way. A queue-backed
+			// Subscribe takes back only the registration this run made:
+			// an ID the run also unsubscribed may since be someone
+			// else's.
+			_, _ = bt.b.removeUnsynced(s.id, bt.b.eng.Leave, s.cons)
+			if s.cons != nil {
+				s.cons.q.Close()
+			}
+		}
+		return err
+	}
+	for _, s := range subs {
+		if s.cons != nil {
+			startDelivery(s.ob, s.cons, s.h)
+		}
 	}
 	return nil
 }

@@ -2,8 +2,11 @@ package pubsub
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,7 +109,8 @@ func (d *diskStore) crash(t *testing.T) *state.Mem {
 			t.Fatalf("diskStore.crash does not model snapshots")
 		}
 		if n++; n <= durable {
-			return after.Append(e.Data)
+			_, err := after.Write(e.Data)
+			return err
 		}
 		return nil
 	})
@@ -273,7 +277,9 @@ func TestSubscribeDoesNotHoldGatewayAcrossSync(t *testing.T) {
 // rolls a Subscribe back (not durable, so not acknowledged); an
 // Unsubscribe stands either way (the engine has let go) and an
 // UpdateFilter whose Sync failed keeps the new filter — both return the
-// error to say durability is behind.
+// error to say durability is behind. A Batch whose one Sync fails owes
+// that error to every operation in it, under the same rule per
+// operation.
 func TestJournalFailureOutcomes(t *testing.T) {
 	boom := errors.New("disk on fire")
 	low, high := filter.Range("price", 0, 10), filter.Range("price", 20, 30)
@@ -305,6 +311,21 @@ func TestJournalFailureOutcomes(t *testing.T) {
 		{name: "update/sync fails: new filter stands", syncErr: boom,
 			op:      func(b *Broker) error { return b.UpdateFilter(1, high) },
 			wantLen: 2, wantLow: []core.ProcID{2}, wantHigh: []core.ProcID{1}},
+		{name: "batch/sync fails: subscribes rolled back, unsubscribe stands", syncErr: boom,
+			op: func(b *Broker) error {
+				bt := b.NewBatch()
+				for _, err := range []error{
+					bt.subscribe(3, high, nil, nil, nil),
+					bt.Unsubscribe(1),
+					bt.subscribe(4, high, nil, nil, nil),
+				} {
+					if err != nil {
+						return fmt.Errorf("applying ahead of the sync: %v", err)
+					}
+				}
+				return bt.Sync()
+			},
+			wantLen: 1, wantLow: []core.ProcID{2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := newDiskStore()
@@ -403,5 +424,158 @@ func TestCrashBeforeSyncLosesOnlyUnacked(t *testing.T) {
 	}
 	if len(got) != 5 {
 		t.Errorf("recovered %d subscribers %v, want 5", len(got), got)
+	}
+}
+
+// TestBatchOneSyncPerRun: operations applied to one Batch cost one
+// fsync between them, are visible to matching before it, and a
+// queue-backed Subscribe among them delivers only once it is durable.
+func TestBatchOneSyncPerRun(t *testing.T) {
+	d := newDiskStore()
+	b := newDurableBroker(t, d, WithGateways(2))
+	defer b.Close()
+	all := filter.Range("price", 0, 100)
+	if err := b.Subscribe(1, all); err != nil {
+		t.Fatal(err)
+	}
+	d.awaitSync(t)
+	ob := b.NewOutbox(nil)
+	defer ob.Close()
+	got := make(chan uint64, 8)
+	bt := b.NewBatch()
+	if err := ob.SubscribeFunc(bt, 2, all, func(e Envelope) error { got <- e.Seq; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.subscribe(3, all, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.Unsubscribe(1); err != nil {
+		t.Fatal(err)
+	}
+	if !bt.Owed() {
+		t.Fatal("a run that journaled three records owes no sync")
+	}
+	if n := b.NotifyGateway(b.GatewayOf(2), filter.Event{"price": 5, "qty": 0}); n != 1 {
+		t.Fatalf("NotifyGateway matched %d of subscriber 2's gateway ahead of the sync, want 1", n)
+	}
+	select {
+	case seq := <-got:
+		t.Fatalf("subscriber 2 was delivered event %d before its run was synced", seq)
+	case <-time.After(20 * time.Millisecond):
+	}
+	d.mu.Lock()
+	before := d.fsyncs
+	d.mu.Unlock()
+	if err := bt.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	fsyncs := d.fsyncs - before
+	d.mu.Unlock()
+	if fsyncs != 1 || bt.Owed() {
+		t.Fatalf("a run of three operations cost %d fsyncs (owed after: %v), want 1", fsyncs, bt.Owed())
+	}
+	select {
+	case <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the event matched ahead of the sync never reached subscriber 2")
+	}
+}
+
+// TestBatchSyncFailureTakesBackResubscribe: Subscribe(X), Unsubscribe(X),
+// Subscribe(X) in one run whose Sync fails leaves X unregistered and
+// both of its queues closed; neither handler ever ran.
+func TestBatchSyncFailureTakesBackResubscribe(t *testing.T) {
+	boom := errors.New("disk on fire")
+	d := newDiskStore()
+	b := newDurableBroker(t, d, WithGateways(1))
+	defer b.Close()
+	ob := b.NewOutbox(nil)
+	defer ob.Close()
+	const x = core.ProcID(7)
+	f := filter.Range("price", 0, 10)
+	var ran atomic.Int64
+	h := func(Envelope) error { ran.Add(1); return nil }
+	queueOf := func() *consumer {
+		t.Helper()
+		gw := b.owner(x)
+		if gw == nil {
+			t.Fatalf("subscriber %d not registered ahead of the sync", x)
+		}
+		gw.mu.RLock()
+		defer gw.mu.RUnlock()
+		return gw.subs[x].cons
+	}
+	d.fail(nil, boom)
+	bt := b.NewBatch()
+	if err := ob.SubscribeFunc(bt, x, f, h); err != nil {
+		t.Fatal(err)
+	}
+	first := queueOf()
+	if err := bt.Unsubscribe(x); err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.SubscribeFunc(bt, x, f, h); err != nil {
+		t.Fatal(err)
+	}
+	second := queueOf()
+	b.NotifyGateway(b.GatewayOf(x), filter.Event{"price": 5, "qty": 0})
+	if err := bt.Sync(); !errors.Is(err, boom) {
+		t.Fatalf("Sync returned %v, want the store's error", err)
+	}
+	d.fail(nil, nil)
+	if b.owner(x) != nil || b.Len() != 0 {
+		t.Fatalf("subscriber %d still registered (Len %d) after its run's sync failed", x, b.Len())
+	}
+	for i, c := range []*consumer{first, second} {
+		select {
+		case <-c.q.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("queue %d of subscriber %d never closed", i+1, x)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("handlers ran %d times for a registration that was never durable", n)
+	}
+}
+
+// TestCrashBeforeBatchSyncRecoversPriorSet: a crash after a run's
+// Writes and before its Sync recovers exactly the set from before the
+// run — Subscribe forgotten, Unsubscribe resurrected, UpdateFilter
+// undone.
+func TestCrashBeforeBatchSyncRecoversPriorSet(t *testing.T) {
+	d := newDiskStore()
+	b := newDurableBroker(t, d)
+	f := func(id core.ProcID) filter.Filter { return filter.Range("price", float64(id), float64(id)+10) }
+	for id := core.ProcID(1); id <= 4; id++ {
+		if err := b.Subscribe(id, f(id)); err != nil {
+			t.Fatalf("subscribe %d: %v", id, err)
+		}
+	}
+	want := subscriberSet(b)
+	bt := b.NewBatch()
+	for _, err := range []error{
+		bt.subscribe(5, f(5), nil, nil, nil),
+		bt.Unsubscribe(2),
+		bt.updateFilter(3, f(30)),
+		bt.subscribe(6, f(6), nil, nil, nil),
+	} {
+		if err != nil {
+			t.Fatalf("applying ahead of the sync: %v", err)
+		}
+	}
+	after := d.crash(t)
+	if err := bt.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+
+	b2 := newDurableBroker(t, after)
+	defer b2.Close()
+	if _, err := b2.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got := subscriberSet(b2); !maps.Equal(got, want) {
+		t.Fatalf("recovered %v, want the set before the run %v", got, want)
 	}
 }

@@ -353,28 +353,20 @@ func (b *Broker) engUpdateFilter(gw *gateway, f geom.Rect) error {
 // broker the registration is durable when Subscribe returns nil; it
 // takes part in matching from one fsync earlier (journal.go).
 func (b *Broker) Subscribe(id core.ProcID, f filter.Filter) error {
-	return b.subscribe(id, f, nil)
+	return b.subscribe(id, f, nil, nil, nil)
 }
 
-// subscribe is the shared registration path: Subscribe passes a nil
-// consumer (record-only), SubscribeFunc/SubscribeChan pass the
-// subscriber's delivery queue. The registration is written and committed
-// under the locks and synced after them; one that cannot be made durable
-// is not acknowledged, so it is taken back the way any subscriber leaves
-// (closing cons's queue with it) and the sync error returned.
-func (b *Broker) subscribe(id core.ProcID, f filter.Filter, cons *consumer) error {
-	seq, err := b.subscribeAt(id, f, cons, true, -1)
-	if err != nil {
+// subscribe is Subscribe, SubscribeFunc and SubscribeChan: a Batch of
+// one Subscribe. Subscribe passes a nil consumer (record-only), the
+// others the subscriber's delivery queue and what drains it. A
+// registration that cannot be made durable is taken back (Batch.Sync)
+// and the sync error returned.
+func (b *Broker) subscribe(id core.ProcID, f filter.Filter, cons *consumer, ob *Outbox, h Handler) error {
+	bt := Batch{b: b}
+	if err := bt.subscribe(id, f, cons, ob, h); err != nil {
 		return err
 	}
-	if err := b.journalSync(seq); err != nil {
-		// Best-effort: if the engine refuses the departure the subscriber
-		// stays, as after any refused Unsubscribe; the caller has the
-		// sync error either way.
-		_, _ = b.removeUnsynced(id, b.eng.Leave)
-		return err
-	}
-	return nil
+	return bt.Sync()
 }
 
 // subscribeAt is the one registration path, up to, not including, the
@@ -473,15 +465,15 @@ func (b *Broker) SubscribeExpr(id core.ProcID, src string) error {
 // state untouched, so there is no rollback path — in particular no
 // fallible match-index re-insert whose own failure used to leave the
 // rectangle missing from the index while the subscription stayed
-// registered (a permanent false negative). The departure is synced once
-// the locks are released; if that fails it stands — the engine has let
-// go — and the error says durability is behind.
+// registered (a permanent false negative). The departure is a Batch of
+// one: synced once the locks are released; if that fails it stands —
+// the engine has let go — and the error says durability is behind.
 func (b *Broker) remove(id core.ProcID, leave func(core.ProcID) error) error {
-	seq, err := b.removeUnsynced(id, leave)
-	if err != nil {
+	bt := Batch{b: b}
+	if err := bt.remove(id, leave); err != nil {
 		return err
 	}
-	return b.journalSync(seq)
+	return bt.Sync()
 }
 
 // removeUnsynced is the one removal path, remove up to, not including,
@@ -489,7 +481,9 @@ func (b *Broker) remove(id core.ProcID, leave func(core.ProcID) error) error {
 // (an emptied gateway retires while the pool is above its floor, an
 // underfull one drains into its peers; neither happens when min == max),
 // and returns the highest journal sequence number the departure wrote.
-func (b *Broker) removeUnsynced(id core.ProcID, leave func(core.ProcID) error) (uint64, error) {
+// With only non-nil, id is removed only while only is its queue (a
+// Batch taking back its own registration).
+func (b *Broker) removeUnsynced(id core.ProcID, leave func(core.ProcID) error, only *consumer) (uint64, error) {
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	gw := b.assign[id]
@@ -497,6 +491,10 @@ func (b *Broker) removeUnsynced(id core.ProcID, leave func(core.ProcID) error) (
 		return 0, fmt.Errorf("pubsub: subscriber %d not registered", id)
 	}
 	gw.mu.Lock()
+	if only != nil && gw.subs[id].cons != only {
+		gw.mu.Unlock()
+		return 0, fmt.Errorf("pubsub: subscriber %d not registered by this batch", id)
+	}
 	removed, err := b.removeLocked(gw, id, leave)
 	gw.mu.Unlock()
 	if removed {
@@ -616,15 +614,11 @@ func (b *Broker) Unsubscribe(id core.ProcID) error {
 // UpdateFilter returns nil; if only the sync fails the new filter stays
 // in force in memory and the error says durability is behind.
 func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
-	rect, err := b.space.Rect(f)
-	if err != nil {
-		return fmt.Errorf("pubsub: compiling filter: %w", err)
-	}
-	seq, err := b.updateFilterUnsynced(id, f, rect)
-	if err != nil {
+	bt := Batch{b: b}
+	if err := bt.updateFilter(id, f); err != nil {
 		return err
 	}
-	return b.journalSync(seq)
+	return bt.Sync()
 }
 
 // updateFilterUnsynced is UpdateFilter up to, not including, the sync:

@@ -57,7 +57,7 @@ func FuzzReplay(f *testing.F) {
 			}
 		}
 		// The opened store must be writable regardless of input shape.
-		if err := w.Append([]byte("probe")); err != nil {
+		if err := appendRec(w, []byte("probe")); err != nil {
 			t.Fatalf("Append after open: %v", err)
 		}
 		w.Close()

@@ -38,12 +38,6 @@ func (m *Mem) Write(rec []byte) (uint64, error) {
 // Sync returns at once: a record in memory is as durable as Mem gets.
 func (m *Mem) Sync(uint64) error { return nil }
 
-// Append is Write then Sync.
-func (m *Mem) Append(rec []byte) error {
-	_, err := m.Write(rec)
-	return err
-}
-
 // Written returns the sequence number of the last record written.
 func (m *Mem) Written() uint64 {
 	m.mu.Lock()

@@ -225,7 +225,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	want := testRecords(10)
 	for _, r := range want {
-		if err := w.Append(r); err != nil {
+		if err := appendRec(w, r); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 				}
 			}
 			// The store must accept new appends after repair.
-			if err := w2.Append([]byte("post-repair")); err != nil {
+			if err := appendRec(w2, []byte("post-repair")); err != nil {
 				t.Fatalf("Append after repair: %v", err)
 			}
 			w2.Close()
@@ -297,7 +297,7 @@ func TestWALFutureFormatRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenWAL: %v", err)
 	}
-	w.Append([]byte("x"))
+	appendRec(w, []byte("x"))
 	w.Close()
 	path := filepath.Join(dir, logName)
 	buf, err := os.ReadFile(path)
@@ -329,7 +329,7 @@ func TestWALClosedErrors(t *testing.T) {
 		t.Fatalf("OpenWAL: %v", err)
 	}
 	w.Close()
-	if err := w.Append([]byte("x")); !errors.Is(err, ErrClosed) {
+	if err := appendRec(w, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append on closed: %v", err)
 	}
 	if err := snapshotAll(w, []byte("x")); !errors.Is(err, ErrClosed) {
@@ -351,7 +351,7 @@ func TestWALSnapshotSurvivesCrashMidInstall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenWAL: %v", err)
 	}
-	w.Append([]byte("r1"))
+	appendRec(w, []byte("r1"))
 	if err := snapshotAll(w, []byte("good")); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -378,7 +378,7 @@ func TestWALCompactShrinksLog(t *testing.T) {
 	}
 	defer w.Close()
 	for _, r := range testRecords(100) {
-		w.Append(r)
+		appendRec(w, r)
 	}
 	before, _ := os.Stat(filepath.Join(dir, logName))
 	if err := snapshotAll(w, []byte("covered")); err != nil {
@@ -392,7 +392,7 @@ func TestWALCompactShrinksLog(t *testing.T) {
 		t.Fatalf("compact did not shrink log: %d -> %d bytes", before.Size(), after.Size())
 	}
 	// Appends after compaction land in the rewritten file.
-	if err := w.Append([]byte("post-compact")); err != nil {
+	if err := appendRec(w, []byte("post-compact")); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	snap, hasSnap, recs := collect(t, w)

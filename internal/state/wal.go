@@ -242,7 +242,9 @@ func (w *WAL) Write(rec []byte) (uint64, error) {
 	return seq, nil
 }
 
-// Append durably adds one record: Write, then Sync.
+// Append durably adds one record: Write, then Sync. Nothing in the
+// module calls it — the broker writes and syncs through Store — but the
+// socket benchmark's raw-append probe does (bench/replay.go).
 func (w *WAL) Append(rec []byte) error {
 	seq, err := w.Write(rec)
 	if err != nil {
@@ -361,8 +363,8 @@ func (w *WAL) Snapshot(stateBlob []byte, covered uint64) error {
 }
 
 // Replay streams the snapshot (if any) followed by every log record it
-// does not cover, in append order. Must not run concurrently with
-// Append/Snapshot/Compact.
+// does not cover, in write order. Must not run concurrently with
+// Write/Snapshot/Compact.
 func (w *WAL) Replay(fn func(Entry) error) error {
 	w.mu.Lock()
 	if w.closed {
@@ -387,7 +389,8 @@ func (w *WAL) Replay(fn func(Entry) error) error {
 }
 
 // Compact rewrites wal.log keeping only records the snapshot does not
-// cover. Must not run concurrently with Append.
+// cover. It takes w.mu, as Write does, and holds it across the rewrite,
+// its fsyncs and the rename: a Write waits out the whole compaction.
 func (w *WAL) Compact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -28,10 +28,27 @@ func newConn(c net.Conn, sr *wire.StreamReader, writeTimeout time.Duration) *Con
 // one goroutine owns the read side.
 func (c *Conn) ReadMessage() (simnet.Message, error) { return c.sr.ReadMessage() }
 
+// FrameBuffered reports whether a whole frame is already buffered, so
+// that the next ReadMessage returns without waiting on the peer. Read
+// side only, like ReadMessage.
+func (c *Conn) FrameBuffered() bool { return c.sr.FrameBuffered() }
+
 // WriteMessage queues one message and writes everything queued, under
 // the write deadline. Safe for concurrent use.
-func (c *Conn) WriteMessage(m simnet.Message) error {
-	return c.w.Write(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, m) })
+func (c *Conn) WriteMessage(m simnet.Message) error { return c.WriteMessages(m) }
+
+// WriteMessages queues ms, in order, and writes everything queued in
+// one write under the write deadline. Safe for concurrent use.
+func (c *Conn) WriteMessages(ms ...simnet.Message) error {
+	return c.w.Write(func(b []byte) ([]byte, error) {
+		var err error
+		for _, m := range ms {
+			if b, err = wire.AppendFrame(b, m); err != nil {
+				return nil, err
+			}
+		}
+		return b, nil
+	})
 }
 
 // QueueMessage appends one message to the write buffer without writing

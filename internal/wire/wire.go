@@ -397,6 +397,18 @@ type StreamReader struct {
 // buffer bypass it.
 func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: bufio.NewReader(r)} }
 
+// FrameBuffered reports whether a whole frame is already buffered, so
+// that the next ReadMessage returns without waiting on the stream. A
+// frame split across reads, or larger than the buffer, is not.
+func (s *StreamReader) FrameBuffered() bool {
+	n := s.r.Buffered()
+	if n < lenSize {
+		return false
+	}
+	hdr, _ := s.r.Peek(lenSize)
+	return uint64(binary.BigEndian.Uint32(hdr)) <= uint64(n-lenSize)
+}
+
 // ReadMessage reads and decodes the next frame. It returns io.EOF on a
 // clean end of stream and io.ErrUnexpectedEOF when the stream dies
 // mid-frame.

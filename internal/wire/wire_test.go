@@ -132,6 +132,38 @@ func TestStreamReaderMidFrameCut(t *testing.T) {
 	}
 }
 
+// TestStreamReaderFrameBuffered: a frame counts as buffered only when
+// all of it is, so a frame cut anywhere, its length prefix included,
+// does not promise a ReadMessage that returns without waiting.
+func TestStreamReaderFrameBuffered(t *testing.T) {
+	var whole []byte
+	for ref := uint64(1); ref <= 3; ref++ {
+		var err error
+		if whole, err = AppendFrame(whole, simnet.Message{Payload: Subscribe{Ref: ref, ID: 2, Expr: "x in [0, 1]"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	third := len(whole) / 3
+	for cut := 2 * third; cut <= len(whole); cut++ {
+		sr := NewStreamReader(bytes.NewReader(whole[:cut]))
+		if sr.FrameBuffered() {
+			t.Fatalf("cut %d: a frame is buffered before the first read", cut)
+		}
+		if _, err := sr.ReadMessage(); err != nil {
+			t.Fatal(err)
+		}
+		if !sr.FrameBuffered() {
+			t.Fatalf("cut %d: the whole second frame is not reported buffered", cut)
+		}
+		if _, err := sr.ReadMessage(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sr.FrameBuffered(), cut == len(whole); got != want {
+			t.Fatalf("cut %d of %d: third frame buffered = %v, want %v", cut, len(whole), got, want)
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	valid, err := EncodeFrame(simnet.Message{From: 1, To: 2, Payload: Ack{Ref: 3, Err: "x"}})
 	if err != nil {
