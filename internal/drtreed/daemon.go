@@ -20,7 +20,13 @@
 // live runtime's event hook, which hands each gateway receipt to that
 // gateway's notifier goroutine; its NotifyGateway call queues each match
 // in the subscriber's session outbox, which frames it into the client
-// socket's wire.ConnWriter.
+// socket's wire.ConnWriter. From the match to that buffer a delivery
+// allocates nothing: NotifyGateway matches in pooled scratch, and each
+// session frames its deliveries — a binary Notify through
+// wire.AppendNotify, a WebSocket "event" reply encoded by hand to
+// json.Marshal's bytes — in storage it owns, since its outbox runs every
+// handler and flush on one goroutine. Event values are finite: a
+// publish carrying NaN or an infinity is refused with an error ack.
 package drtreed
 
 import (
@@ -374,17 +380,6 @@ func (d *Daemon) Close() error {
 	return err
 }
 
-// eventVectors flattens a pub/sub event into the space's dimension
-// order for the wire (Notify frames, JSON replies use the map form).
-func (d *Daemon) eventVectors(e filter.Event) (attrs []string, values []float64) {
-	attrs = d.space.Attrs()
-	values = make([]float64, len(attrs))
-	for i, a := range attrs {
-		values[i] = e[a]
-	}
-	return attrs, values
-}
-
 // eventFromVectors rebuilds a pub/sub event from parallel vectors.
 func eventFromVectors(attrs []string, values []float64) (filter.Event, error) {
 	if len(attrs) != len(values) {
@@ -404,11 +399,7 @@ func eventFromVectors(attrs []string, values []float64) (filter.Event, error) {
 // session (see session.close).
 func (d *Daemon) serveRPC(c *transport.Conn) {
 	c.OnBatchWrite(d.rpcStats.batchWrite)
-	s := d.openSession(c, &d.rpcStats, func(id core.ProcID, e pubsub.Envelope) error {
-		attrs, values := d.eventVectors(e.Event)
-		n := wire.Notify{Subscriber: int64(id), Seq: e.Seq, Attrs: attrs, Values: values}
-		return c.QueueMessage(simnet.Message{Payload: n})
-	}, c.Flush)
+	s := d.openSession(c, &d.rpcStats, newRPCNotifier(c.ConnWriter, d.space).notify, c.Flush)
 	if s == nil {
 		return
 	}
@@ -430,6 +421,31 @@ func (d *Daemon) serveRPC(c *transport.Conn) {
 			out = append(out, simnet.Message{Payload: w})
 		}
 		return c.WriteMessages(out...)
+	})
+}
+
+// rpcNotifier frames one RPC session's deliveries as Notify frames
+// into its connection's write buffer. Handlers and the flush of an
+// outbox all run on its one goroutine, so one values slice serves every
+// delivery of the session, and a delivery allocates nothing.
+type rpcNotifier struct {
+	w      *wire.ConnWriter
+	attrs  []string // the space's, in dimension order
+	values []float64
+}
+
+func newRPCNotifier(w *wire.ConnWriter, space *filter.Space) *rpcNotifier {
+	attrs := space.Attrs()
+	return &rpcNotifier{w: w, attrs: attrs, values: make([]float64, len(attrs))}
+}
+
+// notify queues one delivery's Notify frame.
+func (n *rpcNotifier) notify(id core.ProcID, e pubsub.Envelope) error {
+	for i, a := range n.attrs {
+		n.values[i] = e.Event[a]
+	}
+	return n.w.Queue(func(b []byte) ([]byte, error) {
+		return wire.AppendNotify(b, int64(id), e.Seq, n.attrs, n.values)
 	})
 }
 

@@ -28,9 +28,13 @@ package drtreed
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
+	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 
 	"drtree/internal/core"
 	"drtree/internal/filter"
@@ -133,13 +137,8 @@ func (d *Daemon) serveWS(w http.ResponseWriter, r *http.Request) {
 	}
 	c.SetWriteTimeout(sessionWriteTimeout)
 	c.OnBatchWrite(d.wsStats.batchWrite)
-	s := d.openSession(c, &d.wsStats, func(id core.ProcID, e pubsub.Envelope) error {
-		buf, err := json.Marshal(wsReply{V: WSProtoVersion, Op: "event", ID: int64(id), Seq: e.Seq, Event: e.Event})
-		if err != nil {
-			return err
-		}
-		return c.QueueText(buf)
-	}, c.Flush)
+	n := &wsNotifier{c: c}
+	s := d.openSession(c, &d.wsStats, n.notify, c.Flush)
 	if s == nil {
 		return
 	}
@@ -158,6 +157,119 @@ func (d *Daemon) serveWS(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	})
+}
+
+// wsNotifier queues one WebSocket session's deliveries as "event"
+// replies. Like rpcNotifier it runs only on the session outbox's
+// goroutine, so one reply buffer serves the session.
+type wsNotifier struct {
+	c   *ws.Conn
+	enc wsEventEncoder
+	buf []byte
+}
+
+// notify queues one delivery's "event" reply.
+func (n *wsNotifier) notify(id core.ProcID, e pubsub.Envelope) error {
+	buf, err := n.enc.appendEvent(n.buf[:0], int64(id), e.Seq, e.Event)
+	n.buf = buf
+	if err != nil {
+		return err
+	}
+	return n.c.QueueText(buf)
+}
+
+// wsEventEncoder appends "event" replies by hand: the bytes are exactly
+// json.Marshal(wsReply{V: WSProtoVersion, Op: "event", ID: id, Seq:
+// seq, Event: ev}), error included, without reflection or a fresh
+// buffer. It keeps the last event's attribute names, sorted as
+// encoding/json sorts map keys, with their JSON forms; events over one
+// attribute set, as every event of a daemon's space is, encode with no
+// allocation.
+type wsEventEncoder struct {
+	keys   []string
+	quoted [][]byte // json.Marshal(keys[i])
+}
+
+func (enc *wsEventEncoder) appendEvent(dst []byte, id int64, seq uint64, ev filter.Event) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, WSProtoVersion, 10)
+	dst = append(dst, `,"op":"event"`...)
+	if id != 0 {
+		dst = append(dst, `,"id":`...)
+		dst = strconv.AppendInt(dst, id, 10)
+	}
+	if seq != 0 {
+		dst = append(dst, `,"seq":`...)
+		dst = strconv.AppendUint(dst, seq, 10)
+	}
+	if len(ev) > 0 {
+		// The names are settled before any value is written: the error
+		// for a non-finite value must name the first one in key order.
+		if !enc.knows(ev) {
+			enc.learn(ev)
+		}
+		dst = append(dst, `,"event":{`...)
+		for i, k := range enc.keys {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(append(dst, enc.quoted[i]...), ':')
+			var err error
+			if dst, err = appendJSONFloat(dst, ev[k]); err != nil {
+				return dst[:start], err
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
+}
+
+// knows reports whether ev's attribute names are exactly the learnt ones.
+func (enc *wsEventEncoder) knows(ev filter.Event) bool {
+	if len(ev) != len(enc.keys) {
+		return false
+	}
+	for _, k := range enc.keys {
+		if _, ok := ev[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// learn takes ev's attribute names as the ones to encode.
+func (enc *wsEventEncoder) learn(ev filter.Event) {
+	enc.keys = enc.keys[:0]
+	for k := range ev {
+		enc.keys = append(enc.keys, k)
+	}
+	slices.Sort(enc.keys)
+	enc.quoted = enc.quoted[:0]
+	for _, k := range enc.keys {
+		q, _ := json.Marshal(k) // a string: cannot fail
+		enc.quoted = append(enc.quoted, q)
+	}
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' outside [1e-6, 1e21) with a one-digit
+// negative exponent unpadded. NaN and ±Inf are refused with the error
+// json.Marshal returns for them.
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // wsDecode reads one WebSocket request; one it cannot read is answered

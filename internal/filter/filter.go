@@ -279,17 +279,29 @@ func (s *Space) Rect(f Filter) (geom.Rect, error) {
 }
 
 // Point compiles event e into a point of s. Every attribute of the space
-// must be defined by the event.
+// must be defined by the event, with a finite value: NaN lies in no
+// rectangle and an infinity has no JSON form, so neither could reach
+// every subscriber it matches.
 func (s *Space) Point(e Event) (geom.Point, error) {
-	p := make(geom.Point, len(s.names))
-	for i, name := range s.names {
+	return s.AppendPoint(make(geom.Point, 0, len(s.names)), e)
+}
+
+// AppendPoint is Point into dst's storage: it appends e's coordinates to
+// dst, so a caller that reuses dst compiles events without allocating.
+// On error dst is returned unextended.
+func (s *Space) AppendPoint(dst geom.Point, e Event) (geom.Point, error) {
+	n := len(dst)
+	for _, name := range s.names {
 		v, ok := e[name]
 		if !ok {
-			return nil, fmt.Errorf("filter: event %v does not define attribute %q", e, name)
+			return dst[:n], fmt.Errorf("filter: event %v does not define attribute %q", e, name)
 		}
-		p[i] = v
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return dst[:n], fmt.Errorf("filter: event attribute %q is %v, want a finite value", name, v)
+		}
+		dst = append(dst, v)
 	}
-	return p, nil
+	return dst, nil
 }
 
 // Event is the inverse of Point: it rebuilds the attribute map of a
@@ -304,6 +316,47 @@ func (s *Space) Event(p geom.Point) (Event, error) {
 		e[name] = p[i]
 	}
 	return e, nil
+}
+
+// PointFilter is a Filter compiled against a Space: each predicate
+// names its attribute by dimension, so it is tested on a point of the
+// space with no attribute lookup. For every event e that Space.Point
+// compiles to p, f.Match(p) equals the source filter's Match(e).
+type PointFilter struct {
+	preds []dimPredicate
+}
+
+// dimPredicate is one predicate with its attribute resolved to a
+// dimension of the space.
+type dimPredicate struct {
+	dim int
+	op  Op
+	v   float64
+}
+
+// PointFilter compiles f for matching on points of s. It returns an
+// error if f constrains an attribute outside the space.
+func (s *Space) PointFilter(f Filter) (PointFilter, error) {
+	preds := make([]dimPredicate, len(f.preds))
+	for i, p := range f.preds {
+		dim, ok := s.index[p.Attr]
+		if !ok {
+			return PointFilter{}, fmt.Errorf("filter: attribute %q not in space %v", p.Attr, s.names)
+		}
+		preds[i] = dimPredicate{dim: dim, op: p.Op, v: p.Value}
+	}
+	return PointFilter{preds: preds}, nil
+}
+
+// Match reports whether point p of the filter's space satisfies every
+// predicate, with Filter.Match's exact operator semantics.
+func (f PointFilter) Match(p geom.Point) bool {
+	for _, pr := range f.preds {
+		if !pr.op.eval(p[pr.dim], pr.v) {
+			return false
+		}
+	}
+	return true
 }
 
 // Contains reports subscription containment f ⊒ g within space s: every

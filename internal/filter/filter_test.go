@@ -157,6 +157,66 @@ func TestSpacePoint(t *testing.T) {
 	if _, err := s.Point(Event{"x": 3}); err == nil {
 		t.Error("event missing a space attribute must error")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := s.Point(Event{"x": 3, "y": v}); err == nil {
+			t.Errorf("event value %v must error: it lies in no rectangle or has no JSON form", v)
+		}
+	}
+}
+
+// TestSpaceAppendPoint: AppendPoint extends the caller's storage, leaves
+// it unextended on error, and allocates nothing once it has room.
+func TestSpaceAppendPoint(t *testing.T) {
+	s := MustSpace("x", "y")
+	dst := geom.Point{7}
+	p, err := s.AppendPoint(dst, Event{"x": 3, "y": 4})
+	if err != nil || !p.Equal(geom.Point{7, 3, 4}) {
+		t.Fatalf("AppendPoint = %v, %v; want [7 3 4]", p, err)
+	}
+	if p, err := s.AppendPoint(dst, Event{"x": 3, "y": math.NaN()}); err == nil || !p.Equal(dst) {
+		t.Fatalf("AppendPoint of NaN = %v, %v; want an error and %v", p, err, dst)
+	}
+	ev, buf := Event{"x": 1, "y": 2}, make(geom.Point, 0, 2)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = s.AppendPoint(buf[:0], ev) }); allocs != 0 {
+		t.Fatalf("AppendPoint into room made %v allocations, want 0", allocs)
+	}
+}
+
+// TestPointFilterAgreesWithMatch: a filter compiled against the space
+// matches a point exactly when the source filter matches the event the
+// point came from, strict and non-strict operators and both boundaries
+// included.
+func TestPointFilterAgreesWithMatch(t *testing.T) {
+	s := MustSpace("x", "y", "z")
+	if _, err := s.PointFilter(MustParse("w > 1")); err == nil {
+		t.Error("an attribute outside the space must error")
+	}
+	rng := rand.New(rand.NewPCG(38, 4))
+	ops := []Op{OpEq, OpLt, OpGt, OpLe, OpGe}
+	for range 300 {
+		var preds []Predicate
+		for range 1 + rng.IntN(4) {
+			preds = append(preds, Predicate{Attr: s.names[rng.IntN(3)], Op: ops[rng.IntN(len(ops))], Value: float64(rng.IntN(5))})
+		}
+		f := New(preds...)
+		pf, err := s.PointFilter(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 20 {
+			e := Event{"x": float64(rng.IntN(5)), "y": float64(rng.IntN(5)), "z": float64(rng.IntN(5)), "extra": 1}
+			p, err := s.Point(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pf.Match(p) != f.Match(e) {
+				t.Fatalf("filter %v on %v: PointFilter %v, Match %v", f, e, pf.Match(p), f.Match(e))
+			}
+		}
+	}
+	if pf, _ := s.PointFilter(Filter{}); !pf.Match(geom.Point{1, 2, 3}) {
+		t.Error("the empty conjunction must match every point")
+	}
 }
 
 func TestSpaceContains(t *testing.T) {

@@ -7,6 +7,7 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -102,6 +103,32 @@ func TestNotifyGatewayDelivers(t *testing.T) {
 	}
 }
 
+// TestPublishRefusesNonFinite: an event with a NaN or infinite value
+// is refused whole by Publish and PublishBatch — NaN lies in no
+// rectangle, and an infinity cannot be encoded for a WebSocket client —
+// and nothing of a refused batch is delivered.
+func TestPublishRefusesNonFinite(t *testing.T) {
+	b := newBroker(t)
+	ch, err := b.SubscribeChan(1, filter.MustParse("price > 5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := b.Publish(1, filter.Event{"price": v, "qty": 1}); err == nil {
+			t.Errorf("Publish accepted price %v", v)
+		}
+		if _, err := b.PublishBatch(1, []filter.Event{{"price": 6, "qty": 1}, {"price": 7, "qty": v}}); err == nil {
+			t.Errorf("PublishBatch accepted qty %v", v)
+		}
+	}
+	if _, err := b.Publish(1, filter.Event{"price": 8, "qty": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if e := <-ch; e.Event["price"] != 8 {
+		t.Fatalf("first delivery %v, want the finite price 8", e.Event)
+	}
+}
+
 func TestPublishAsyncRequiresCapability(t *testing.T) {
 	b := newBroker(t) // sequential engine: no AsyncPublisher
 	if err := b.SubscribeExpr(1, "price in [0, 10]"); err != nil {
@@ -165,7 +192,11 @@ func TestPublishAsyncEndToEnd(t *testing.T) {
 		t.Fatal("async publish never reached the subscriber")
 	}
 
-	// A non-matching event must not arrive.
+	// A non-finite value is refused, and a non-matching event must not
+	// arrive.
+	if err := b.PublishAsync(1, filter.Event{"price": math.Inf(1), "qty": 2}); err == nil {
+		t.Fatal("PublishAsync accepted an infinite value")
+	}
 	if err := b.PublishAsync(1, filter.Event{"price": 400, "qty": 400}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,5 +268,40 @@ func TestPublishAsyncVersusGrowingSubscribe(t *testing.T) {
 	}
 	if err := b.Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNotifyGatewayAllocatesNothing pins the matching half of the
+// delivery edge: once its pooled scratch has grown to the gateway's
+// fan-out, NotifyGateway allocates nothing per call, with one matching
+// queue-backed subscriber or 64 spread over as many match entries.
+func TestNotifyGatewayAllocatesNothing(t *testing.T) {
+	// One P: sync.Pool keeps what is put back per P, so a call that
+	// migrated to another P since the last one would miss the scratch.
+	// The pin is about what a call allocates, not where the pool put it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, subs := range []int{1, 64} {
+		t.Run(fmt.Sprint(subs), func(t *testing.T) {
+			b, err := newCore(filter.MustSpace("price", "qty"), core.Params{MinFanout: 2, MaxFanout: 4}, WithGateways(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			for id := 1; id <= subs; id++ {
+				f := filter.Range("price", float64(-id), 100).And(filter.Range("qty", 0, 10))
+				if err := b.SubscribeFunc(core.ProcID(id), f, func(Envelope) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gw, ev := b.GatewayOf(1), filter.Event{"price": 15, "qty": 3}
+			allocs := testing.AllocsPerRun(1000, func() {
+				if n := b.NotifyGateway(gw, ev); n != subs {
+					t.Fatalf("NotifyGateway matched %d, want %d", n, subs)
+				}
+			})
+			if allocs != 0 && !raceEnabled {
+				t.Fatalf("NotifyGateway to %d subscribers made %v allocations, want 0", subs, allocs)
+			}
+		})
 	}
 }

@@ -320,9 +320,11 @@ func (b *Broker) splitGatewayLocked(src *gateway) (*gateway, error) {
 		delete(src.entries, k)
 		src.index.Delete(e.rect, e)
 		dst.entries[k] = e
-		for id, se := range e.subs {
+		for id := range e.subs {
+			sub := src.subs[id]
 			delete(src.subs, id)
-			dst.subs[id] = subscription{f: se.f, key: k, cons: se.cons}
+			sub.key = k
+			dst.subs[id] = sub
 			b.assign[id] = dst
 			if err := b.journalAssign(id, dst.off); err != nil && jerr == nil {
 				jerr = err
@@ -465,8 +467,10 @@ func (b *Broker) moveEntryLocked(src, tgt *gateway, key string, e *matchEntry) b
 	delete(src.entries, key)
 	src.index.Delete(e.rect, e)
 	for id, se := range e.subs {
+		sub := src.subs[id]
 		delete(src.subs, id)
-		tgt.subs[id] = subscription{f: se.f, key: key, cons: se.cons}
+		sub.key = key
+		tgt.subs[id] = sub
 		b.assign[id] = tgt
 		_ = b.journalAssign(id, tgt.off)
 		if existing != nil {

@@ -71,9 +71,11 @@ type matchEntry struct {
 }
 
 // entrySub is one subscriber sharing a match entry: its exact predicate
-// filter and its delivery queue (nil for record-only subscribers).
+// filter, compiled once against the space so an event is matched on its
+// point, and its delivery queue (nil for record-only subscribers). The
+// source filter is the subscription's.
 type entrySub struct {
-	f    filter.Filter
+	pf   filter.PointFilter
 	cons *consumer
 }
 
@@ -83,7 +85,7 @@ type entrySub struct {
 type matchIndex interface {
 	Insert(r geom.Rect, data any) error
 	Delete(r geom.Rect, data any) (bool, error)
-	VisitCount(p geom.Point) (matches []any, visited int)
+	VisitAppend(p geom.Point, dst []any) (matches []any, visited int)
 }
 
 // gateway is one overlay process aggregating many local subscriptions.
@@ -387,6 +389,7 @@ func (b *Broker) subscribeAt(id core.ProcID, f filter.Filter, cons *consumer, jo
 	if err != nil {
 		return 0, fmt.Errorf("pubsub: compiling filter: %w", err)
 	}
+	pf, _ := b.space.PointFilter(f) // Rect has checked f's attributes against the space
 	b.poolMu.Lock()
 	defer b.poolMu.Unlock()
 	if b.assign[id] != nil {
@@ -433,7 +436,7 @@ func (b *Broker) subscribeAt(id core.ProcID, f filter.Filter, cons *consumer, jo
 		gw.unionCommitAdd(rect)
 		b.routeReplace(gw, gw.union)
 	}
-	gw.entries[key].subs[id] = entrySub{f: f, cons: cons}
+	gw.entries[key].subs[id] = entrySub{pf: pf, cons: cons}
 	gw.subs[id] = subscription{f: f, key: key, cons: cons}
 	b.assign[id] = gw
 	b.unmarkIdleLocked(gw)
@@ -624,6 +627,7 @@ func (b *Broker) UpdateFilter(id core.ProcID, f filter.Filter) error {
 // updateFilterUnsynced is UpdateFilter up to, not including, the sync:
 // it returns the sequence number of the journal record it wrote.
 func (b *Broker) updateFilterUnsynced(id core.ProcID, f filter.Filter, rect geom.Rect) (uint64, error) {
+	pf, _ := b.space.PointFilter(f) // rect was compiled from f, which checked its attributes
 	// A shared pool lock keeps the owning gateway stable against
 	// concurrent removals, drains and splits while letting filter moves
 	// (the continuous-motion hot path) proceed in parallel.
@@ -645,7 +649,7 @@ func (b *Broker) updateFilterUnsynced(id core.ProcID, f filter.Filter, rect geom
 			return 0, err
 		}
 		e := gw.entries[sub.key]
-		e.subs[id] = entrySub{f: f, cons: sub.cons}
+		e.subs[id] = entrySub{pf: pf, cons: sub.cons}
 		gw.subs[id] = subscription{f: f, key: sub.key, cons: sub.cons}
 		return seq, nil
 	}
@@ -694,7 +698,7 @@ func (b *Broker) updateFilterUnsynced(id core.ProcID, f filter.Filter, rect geom
 		gw.entries[newKey] = newE
 		gw.unionCommitAdd(rect)
 	}
-	newE.subs[id] = entrySub{f: f, cons: sub.cons}
+	newE.subs[id] = entrySub{pf: pf, cons: sub.cons}
 	gw.subs[id] = subscription{f: f, key: newKey, cons: sub.cons}
 	b.routeReplace(gw, gw.union)
 	return seq, nil
@@ -897,6 +901,8 @@ func producerErr(producer core.ProcID, err error) error {
 // subscribers, or 0 when gwProc is not one of this broker's gateways.
 // Safe to call concurrently with every other broker operation; like the
 // publish path it enqueues only after the gateway lock is released.
+// Once its pooled scratch has grown to the gateway's fan-out, a call
+// allocates nothing, however many subscribers match.
 func (b *Broker) NotifyGateway(gwProc core.ProcID, ev filter.Event) int {
 	b.poolMu.RLock()
 	gw := b.byProc[gwProc]
@@ -904,30 +910,47 @@ func (b *Broker) NotifyGateway(gwProc core.ProcID, ev filter.Event) int {
 	if gw == nil {
 		return 0
 	}
-	p, err := b.space.Point(ev)
+	sc := notifyScratchPool.Get().(*notifyScratch)
+	defer notifyScratchPool.Put(sc)
+	p, err := b.space.AppendPoint(sc.point[:0], ev)
+	sc.point = p
 	if err != nil {
 		return 0
 	}
 	matched := 0
-	var pend []pending
 	gw.mu.RLock()
-	matches, _ := gw.index.VisitCount(p)
-	for _, m := range matches {
+	sc.matches, _ = gw.index.VisitAppend(p, sc.matches[:0])
+	for _, m := range sc.matches {
 		e := m.(*matchEntry)
 		for _, se := range e.subs {
-			if !se.f.Match(ev) {
+			if !se.pf.Match(p) {
 				continue
 			}
 			matched++
 			if se.cons != nil {
-				pend = append(pend, pending{cons: se.cons, ev: ev})
+				sc.pend = append(sc.pend, pending{cons: se.cons, ev: ev})
 			}
 		}
 	}
 	gw.mu.RUnlock()
-	b.dispatch(pend)
+	b.dispatch(sc.pend)
+	// The pooled scratch must not pin entries, consumers or events.
+	clear(sc.matches)
+	clear(sc.pend)
+	sc.pend = sc.pend[:0]
 	return matched
 }
+
+// notifyScratch is one NotifyGateway call's working storage. Calls run
+// concurrently (one notifier per gateway, and any caller besides), so
+// it is pooled rather than kept on the gateway.
+type notifyScratch struct {
+	point   geom.Point
+	matches []any
+	pend    []pending
+}
+
+var notifyScratchPool = sync.Pool{New: func() any { return new(notifyScratch) }}
 
 // GatewayOf returns the overlay process ID of the gateway owning
 // subscriber id, or core.NoProc when id is not registered (in a hash
@@ -982,7 +1005,7 @@ func (b *Broker) classifyBatch(notes []Notification, evs []filter.Event, points 
 			continue
 		}
 		for _, k := range perGw[gw] {
-			matches, visited := gw.index.VisitCount(points[k])
+			matches, visited := gw.index.VisitAppend(points[k], nil)
 			notes[k].ScanVisited += visited
 			if len(matches) == 0 {
 				continue
@@ -991,7 +1014,7 @@ func (b *Broker) classifyBatch(notes []Notification, evs []filter.Event, points 
 			for _, m := range matches {
 				e := m.(*matchEntry)
 				for id, se := range e.subs {
-					interested := se.f.Match(evs[k])
+					interested := se.pf.Match(points[k])
 					if interested {
 						notes[k].Interested = append(notes[k].Interested, id)
 					}

@@ -367,24 +367,33 @@ func (t *Tree) search(n *node, pred func(geom.Rect) bool, out *[]any) {
 }
 
 // VisitCount searches like SearchPoint but also reports the number of
-// nodes visited, for cost accounting in benchmarks.
+// nodes visited, for cost accounting in benchmarks. It is
+// VisitAppend(p, nil).
 func (t *Tree) VisitCount(p geom.Point) (matches []any, visited int) {
-	var walk func(n *node)
-	walk = func(n *node) {
-		visited++
-		for _, e := range n.entries {
-			if !e.rect.ContainsPoint(p) {
-				continue
-			}
-			if n.leaf {
-				matches = append(matches, e.data)
-			} else {
-				walk(e.child)
-			}
+	return t.VisitAppend(p, nil)
+}
+
+// VisitAppend appends the data of every entry whose rectangle contains
+// p to dst and reports the nodes visited: VisitCount into storage the
+// caller reuses, so a per-event probe allocates nothing once dst has
+// grown to its working size.
+func (t *Tree) VisitAppend(p geom.Point, dst []any) (matches []any, visited int) {
+	return t.root.visitAppend(p, dst, 0)
+}
+
+func (n *node) visitAppend(p geom.Point, dst []any, visited int) ([]any, int) {
+	visited++
+	for _, e := range n.entries {
+		if !e.rect.ContainsPoint(p) {
+			continue
+		}
+		if n.leaf {
+			dst = append(dst, e.data)
+		} else {
+			dst, visited = e.child.visitAppend(p, dst, visited)
 		}
 	}
-	walk(t.root)
-	return matches, visited
+	return dst, visited
 }
 
 // VisitFunc searches like VisitCount but hands each match to fn

@@ -230,6 +230,33 @@ func TestVisitCount(t *testing.T) {
 	}
 }
 
+// TestVisitAppendReusesStorage: VisitAppend appends after what dst
+// holds, agrees with VisitCount, and allocates nothing once dst has room.
+func TestVisitAppendReusesStorage(t *testing.T) {
+	tr := MustNew(2, 4, split.Quadratic{})
+	for i := 0; i < 100; i++ {
+		x := float64(i % 10)
+		if err := tr.Insert(geom.R2(x, 0, x+5, 5), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := geom.Point{7, 2}
+	want, wantVisited := tr.VisitCount(p)
+	got, visited := tr.VisitAppend(p, []any{"kept"})
+	if visited != wantVisited || len(got) != 1+len(want) || got[0] != "kept" {
+		t.Fatalf("VisitAppend = %d matches after the kept one, %d visited; VisitCount %d, %d", len(got)-1, visited, len(want), wantVisited)
+	}
+	for i, m := range want {
+		if got[1+i] != m {
+			t.Fatalf("match %d: VisitAppend %v, VisitCount %v", i, got[1+i], m)
+		}
+	}
+	buf := make([]any, 0, len(want))
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = tr.VisitAppend(p, buf[:0]) }); allocs != 0 {
+		t.Fatalf("VisitAppend into room made %v allocations, want 0", allocs)
+	}
+}
+
 // TestVisitFuncMatchesVisitCount certifies the allocation-free visitor
 // against the slice-returning walk: same matches, same node count.
 func TestVisitFuncMatchesVisitCount(t *testing.T) {

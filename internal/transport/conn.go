@@ -10,18 +10,18 @@ import (
 )
 
 // Conn is one framed connection: reads are single-consumer, writes go
-// through a wire.ConnWriter, so frames leave in the order they were
-// queued and never interleave. The transport hands a Conn to OnClient
-// for adopted client sessions, and DialClient returns one for the
-// client side.
+// through the embedded wire.ConnWriter (Queue, Write, Flush,
+// OnBatchWrite), so frames leave in the order they were queued and
+// never interleave. The transport hands a Conn to OnClient for adopted
+// client sessions, and DialClient returns one for the client side.
 type Conn struct {
 	c  net.Conn
 	sr *wire.StreamReader
-	w  *wire.ConnWriter
+	*wire.ConnWriter
 }
 
 func newConn(c net.Conn, sr *wire.StreamReader, writeTimeout time.Duration) *Conn {
-	return &Conn{c: c, sr: sr, w: wire.NewConnWriter(c, writeTimeout)}
+	return &Conn{c: c, sr: sr, ConnWriter: wire.NewConnWriter(c, writeTimeout)}
 }
 
 // ReadMessage blocks for the next frame. Not safe for concurrent use;
@@ -40,7 +40,7 @@ func (c *Conn) WriteMessage(m simnet.Message) error { return c.WriteMessages(m) 
 // WriteMessages queues ms, in order, and writes everything queued in
 // one write under the write deadline. Safe for concurrent use.
 func (c *Conn) WriteMessages(ms ...simnet.Message) error {
-	return c.w.Write(func(b []byte) ([]byte, error) {
+	return c.Write(func(b []byte) ([]byte, error) {
 		var err error
 		for _, m := range ms {
 			if b, err = wire.AppendFrame(b, m); err != nil {
@@ -50,22 +50,6 @@ func (c *Conn) WriteMessages(ms ...simnet.Message) error {
 		return b, nil
 	})
 }
-
-// QueueMessage appends one message to the write buffer without writing
-// it: the caller owes a Flush once it has nothing more to queue (see
-// wire.ConnWriter.Queue). Safe for concurrent use.
-func (c *Conn) QueueMessage(m simnet.Message) error {
-	return c.w.Queue(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, m) })
-}
-
-// Flush writes everything queued in one Write under the write deadline;
-// with nothing queued it is free. Safe for concurrent use.
-func (c *Conn) Flush() error { return c.w.Flush() }
-
-// OnBatchWrite registers fn to be told, after each successful write
-// that carried messages queued with QueueMessage, how many and how many
-// bytes of them. Set it before the connection is shared.
-func (c *Conn) OnBatchWrite(fn func(frames, bytes int)) { c.w.OnBatchWrite(fn) }
 
 // RemoteAddr names the peer.
 func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }

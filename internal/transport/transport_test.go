@@ -438,12 +438,15 @@ func TestConnQueueThenFlush(t *testing.T) {
 	var frames int
 	c.OnBatchWrite(func(f, _ int) { frames += f })
 	msgs := burstMessages(4)
+	queue := func(m simnet.Message) error {
+		return c.Queue(func(b []byte) ([]byte, error) { return wire.AppendFrame(b, m) })
+	}
 	for _, m := range msgs[:3] {
-		if err := c.QueueMessage(m); err != nil {
+		if err := queue(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.QueueMessage(simnet.Message{Payload: struct{}{}}); err == nil {
+	if err := queue(simnet.Message{Payload: struct{}{}}); err == nil {
 		t.Fatal("an unregistered payload was queued")
 	}
 	if err := c.WriteMessage(msgs[3]); err != nil { // an ack rides with the queued notifies, after them

@@ -89,6 +89,25 @@ func encAttrs(w *Writer, attrs []string, values []float64) {
 	}
 }
 
+// encNotify writes a Notify body.
+func encNotify(w *Writer, sub int64, seq uint64, attrs []string, values []float64) {
+	w.Varint(sub)
+	w.Uvarint(seq)
+	encAttrs(w, attrs, values)
+}
+
+// AppendNotify appends to dst the frame AppendFrame writes for
+// Notify{sub, seq, attrs, values} (From = To = 0), byte for byte,
+// without boxing the payload or looking its kind up: a delivery path
+// that reuses dst and the two slices encodes a Notify with no
+// allocation. The decoder is the registered one.
+func AppendNotify(dst []byte, sub int64, seq uint64, attrs []string, values []float64) ([]byte, error) {
+	start := len(dst)
+	w := Writer{buf: appendHeader(dst, KindNotify, 0, 0)}
+	encNotify(&w, sub, seq, attrs, values)
+	return endFrame(w.buf, start)
+}
+
 func decAttrs(r *Reader) ([]string, []float64) {
 	n := r.Uvarint()
 	if r.err != nil || n == 0 {
@@ -161,9 +180,7 @@ func init() {
 	Register(KindNotify, Notify{},
 		func(w *Writer, p any) error {
 			m := p.(Notify)
-			w.Varint(m.Subscriber)
-			w.Uvarint(m.Seq)
-			encAttrs(w, m.Attrs, m.Values)
+			encNotify(w, m.Subscriber, m.Seq, m.Attrs, m.Values)
 			return nil
 		},
 		func(r *Reader) any {

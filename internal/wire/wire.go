@@ -299,16 +299,24 @@ func AppendFrame(dst []byte, m simnet.Message) ([]byte, error) {
 		return dst, err
 	}
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix backfilled below
-	w := Writer{buf: dst}
-	w.Byte(Version)
-	w.Byte(kind)
-	w.Varint(int64(m.From))
-	w.Varint(int64(m.To))
+	w := Writer{buf: appendHeader(dst, kind, m.From, m.To)}
 	if err := ent.enc(&w, m.Payload); err != nil {
 		return dst[:start], err
 	}
-	dst = w.buf
+	return endFrame(w.buf, start)
+}
+
+// appendHeader starts a frame: a zero length prefix (endFrame fills it
+// in), the version, the kind and the addresses.
+func appendHeader(dst []byte, kind byte, from, to simnet.NodeID) []byte {
+	dst = append(dst, 0, 0, 0, 0, Version, kind)
+	dst = binary.AppendVarint(dst, int64(from))
+	return binary.AppendVarint(dst, int64(to))
+}
+
+// endFrame backfills the length prefix of the frame that starts at
+// dst[start:], or drops the frame when it exceeds MaxFrame.
+func endFrame(dst []byte, start int) ([]byte, error) {
 	n := len(dst) - start - lenSize
 	if n > MaxFrame {
 		return dst[:start], fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)

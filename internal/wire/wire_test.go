@@ -82,6 +82,38 @@ func TestAppendFrameConcatenates(t *testing.T) {
 // slices it: everything in one read (several frames per read — the
 // reader buffers), one byte per read (a frame spans many reads), and
 // through a caller-supplied bufio.Reader.
+// TestAppendNotifyMatchesAppendFrame: the registry-free Notify encoder
+// writes the bytes AppendFrame writes for the same wire.Notify, behind
+// what dst already holds, and the registered decoder reads them back.
+func TestAppendNotifyMatchesAppendFrame(t *testing.T) {
+	for _, n := range []Notify{
+		{Subscriber: 8, Seq: 12, Attrs: []string{"p"}, Values: []float64{0.25}},
+		{Subscriber: -1 << 40, Seq: 1<<64 - 1, Attrs: []string{"price", "vølume", ""}, Values: []float64{-0.0, 1e300, -7}},
+		{Subscriber: 0, Seq: 0},
+	} {
+		want, err := EncodeFrame(simnet.Message{Payload: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendNotify([]byte("head"), n.Subscriber, n.Seq, n.Attrs, n.Values)
+		if err != nil || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
+			t.Fatalf("%+v: AppendNotify = %x, %v; want head + %x", n, got, err, want)
+		}
+		m, size, err := DecodeFrame(got[4:])
+		if err != nil || size != len(want) || !reflect.DeepEqual(m.Payload, n) {
+			t.Fatalf("%+v decoded as %#v (%d bytes), %v", n, m.Payload, size, err)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	attrs, values := []string{"x", "y"}, []float64{1, 2}
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = AppendNotify(buf[:0], 3, 4, attrs, values) }); allocs != 0 {
+		t.Fatalf("AppendNotify into room made %v allocations, want 0", allocs)
+	}
+	if _, err := AppendNotify(nil, 1, 1, []string{string(make([]byte, MaxFrame))}, []float64{1}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("an oversize Notify: %v, want ErrFrameTooLarge", err)
+	}
+}
+
 func TestStreamReader(t *testing.T) {
 	msgs := rpcMessages()
 	var stream bytes.Buffer
