@@ -286,7 +286,9 @@ type (
 // oldest event, and each event reaches its handler at most once.
 type (
 	// Envelope is one event delivered to a queue-backed subscriber
-	// (Broker.SubscribeFunc / Broker.SubscribeChan).
+	// (Broker.SubscribeFunc / Broker.SubscribeChan), as a point of the
+	// broker's space: e.Point[i] is the value of space.Attrs()[i]. The
+	// point is shared by every envelope of the event, so it is read-only.
 	Envelope = pubsub.Envelope
 	// Handler consumes envelopes on the subscriber's own goroutine.
 	Handler = pubsub.Handler

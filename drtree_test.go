@@ -277,7 +277,7 @@ func TestFacadeDeliveryLayer(t *testing.T) {
 	}
 	select {
 	case e := <-ch:
-		if e.Seq != 1 || e.Event["x"] != 5.0 {
+		if e.Seq != 1 || e.Point[0] != 5.0 {
 			t.Fatalf("channel envelope %+v", e)
 		}
 	case <-time.After(10 * time.Second):
@@ -367,7 +367,7 @@ func TestFacadeDurableBroker(t *testing.T) {
 	}
 	select {
 	case e := <-ch:
-		if e.Event["x"] != 7 {
+		if e.Point[0] != 7 {
 			t.Fatalf("delivered %+v", e)
 		}
 	case <-time.After(5 * time.Second):

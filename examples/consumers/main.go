@@ -60,7 +60,7 @@ func run() error {
 	err = broker.SubscribeFunc(2, drtree.Range("temp", 75, 100),
 		func(e drtree.Envelope) error {
 			time.Sleep(500 * time.Microsecond)
-			latest.Store(uint64(e.Event["temp"]))
+			latest.Store(uint64(e.Point[0])) // e.Point[i] is space.Attrs()[i]: temp
 			return nil
 		},
 		drtree.WithQueueDepth(4))

@@ -17,12 +17,14 @@
 //
 // Publishing is fire-and-forget (pubsub.PublishAsync): no daemon can
 // take a cluster-wide receipt census, so deliveries surface through the
-// live runtime's event hook, which hands each gateway receipt to that
-// gateway's notifier goroutine; its NotifyGateway call queues each match
-// in the subscriber's session outbox, which frames it into the client
-// socket's wire.ConnWriter. From the match to that buffer a delivery
-// allocates nothing: NotifyGateway matches in pooled scratch, and each
-// session frames its deliveries — a binary Notify through
+// live runtime's event hook, which hands each gateway receipt's point
+// to that gateway's notifier goroutine; its NotifyPoint call queues the
+// point itself, shared read-only by every match, in each matching
+// subscriber's session outbox, which frames it into the client socket's
+// wire.ConnWriter. The event stays the overlay's point from receipt to
+// socket (an envelope's Point[i] is the space's Attrs()[i]), and a
+// delivery allocates nothing: NotifyPoint matches in pooled scratch, and
+// each session frames its deliveries — a binary Notify through
 // wire.AppendNotify, a WebSocket "event" reply encoded by hand to
 // json.Marshal's bytes — in storage it owns, since its outbox runs every
 // handler and flush on one goroutine. Event values are finite: a
@@ -312,7 +314,7 @@ func (d *Daemon) onOverlayDeliver(p core.ProcID, _ int64, ev geom.Point, matched
 // in the order the overlay delivered them, one goroutine per gateway:
 // the run loop hands a matched receipt over and moves on, and the four
 // gateways match side by side. No gateway lock is held across an fsync
-// (pubsub/journal.go), so the loop could call NotifyGateway itself, but
+// (pubsub/journal.go), so the loop could call NotifyPoint itself, but
 // ten alternated bench pairs measured that costing churn-durable-3d
 // capacity_events_s 4778 -> 4322 events/s (parent IQR 452) and five
 // costing steady-3d notify_p50_us 223 -> 261 us (EXPERIMENTS.md, "One
@@ -322,9 +324,7 @@ func (d *Daemon) onOverlayDeliver(p core.ProcID, _ int64, ev geom.Point, matched
 func (d *Daemon) notifier(p core.ProcID, q <-chan geom.Point) {
 	defer d.closeWG.Done()
 	for ev := range q {
-		if e, err := d.space.Event(ev); err == nil {
-			d.broker.NotifyGateway(p, e)
-		}
+		d.broker.NotifyPoint(p, ev)
 	}
 }
 
@@ -425,27 +425,22 @@ func (d *Daemon) serveRPC(c *transport.Conn) {
 }
 
 // rpcNotifier frames one RPC session's deliveries as Notify frames
-// into its connection's write buffer. Handlers and the flush of an
-// outbox all run on its one goroutine, so one values slice serves every
-// delivery of the session, and a delivery allocates nothing.
+// into its connection's write buffer: the envelope's point is the
+// frame's values, in the space's dimension order, so a delivery
+// allocates nothing.
 type rpcNotifier struct {
-	w      *wire.ConnWriter
-	attrs  []string // the space's, in dimension order
-	values []float64
+	w     *wire.ConnWriter
+	attrs []string // the space's, in dimension order
 }
 
 func newRPCNotifier(w *wire.ConnWriter, space *filter.Space) *rpcNotifier {
-	attrs := space.Attrs()
-	return &rpcNotifier{w: w, attrs: attrs, values: make([]float64, len(attrs))}
+	return &rpcNotifier{w: w, attrs: space.Attrs()}
 }
 
 // notify queues one delivery's Notify frame.
 func (n *rpcNotifier) notify(id core.ProcID, e pubsub.Envelope) error {
-	for i, a := range n.attrs {
-		n.values[i] = e.Event[a]
-	}
 	return n.w.Queue(func(b []byte) ([]byte, error) {
-		return wire.AppendNotify(b, int64(id), e.Seq, n.attrs, n.values)
+		return wire.AppendNotify(b, int64(id), e.Seq, n.attrs, e.Point)
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"drtree/internal/filter"
+	"drtree/internal/geom"
 	"drtree/internal/pubsub"
 	"drtree/internal/simnet"
 	"drtree/internal/wire"
@@ -26,10 +27,11 @@ func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 // delivery allocates nothing — a Notify frame queued into the
 // connection's writer and flushed, or a WebSocket "event" reply.
 func TestDeliveryEncodersAllocateNothing(t *testing.T) {
-	env := pubsub.Envelope{Seq: 7, Event: filter.Event{"price": 15.25, "volume": 1e-7}}
+	space := filter.MustSpace("price", "volume")
+	env := pubsub.Envelope{Seq: 7, Point: geom.Point{15.25, 1e-7}}
 	t.Run("rpc", func(t *testing.T) {
 		w := wire.NewConnWriter(discardConn{}, 0)
-		n := newRPCNotifier(w, filter.MustSpace("price", "volume"))
+		n := newRPCNotifier(w, space)
 		allocs := testing.AllocsPerRun(1000, func() {
 			if err := n.notify(42, env); err != nil {
 				t.Fatal(err)
@@ -43,11 +45,11 @@ func TestDeliveryEncodersAllocateNothing(t *testing.T) {
 		}
 	})
 	t.Run("ws", func(t *testing.T) {
-		var enc wsEventEncoder
+		enc := newWSEventEncoder(space)
 		var buf []byte
 		allocs := testing.AllocsPerRun(1000, func() {
 			var err error
-			if buf, err = enc.appendEvent(buf[:0], 42, env.Seq, env.Event); err != nil {
+			if buf, err = enc.appendEvent(buf[:0], 42, env.Seq, env.Point); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -64,7 +66,7 @@ func TestRPCNotifierFramesNotify(t *testing.T) {
 	var out bytes.Buffer
 	w := wire.NewConnWriter(writerConn{w: &out}, 0)
 	n := newRPCNotifier(w, filter.MustSpace("price", "volume"))
-	if err := n.notify(42, pubsub.Envelope{Seq: 7, Event: filter.Event{"price": 15.25, "volume": -3}}); err != nil {
+	if err := n.notify(42, pubsub.Envelope{Seq: 7, Point: geom.Point{15.25, -3}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -88,14 +90,19 @@ type writerConn struct {
 
 func (c writerConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 
-// checkWSEventEncode holds the hand-written encoder to json.Marshal of
-// the reply it stands for: the same bytes, or an error exactly when
+// checkWSEventEncode holds the encoder of space to json.Marshal of the
+// reply it stands for, whose event maps each attribute of the space to
+// its coordinate of p: the same bytes, or an error exactly when
 // json.Marshal errs, with the same text.
-func checkWSEventEncode(t *testing.T, enc *wsEventEncoder, id int64, seq uint64, ev filter.Event) {
+func checkWSEventEncode(t *testing.T, space *filter.Space, id int64, seq uint64, p geom.Point) {
 	t.Helper()
+	ev := make(map[string]float64, len(p))
+	for i, a := range space.Attrs() {
+		ev[a] = p[i]
+	}
 	want, werr := json.Marshal(wsReply{V: WSProtoVersion, Op: "event", ID: id, Seq: seq, Event: ev})
 	prefix := []byte("prefix")
-	got, gerr := enc.appendEvent(prefix, id, seq, ev)
+	got, gerr := newWSEventEncoder(space).appendEvent(prefix, id, seq, p)
 	switch {
 	case (werr == nil) != (gerr == nil):
 		t.Fatalf("id %d seq %d event %v: encoder error %v, json.Marshal error %v", id, seq, ev, gerr, werr)
@@ -112,39 +119,37 @@ func checkWSEventEncode(t *testing.T, enc *wsEventEncoder, id int64, seq uint64,
 }
 
 // TestWSEventEncoderMatchesJSON pins the WebSocket delivery byte for
-// byte against json.Marshal: omitted zero id and seq, sorted keys,
-// encoding/json's float forms, an attribute set that changes under the
-// encoder, and the refusal of non-finite values.
+// byte against json.Marshal: omitted zero id and seq, keys sorted
+// whatever the space's dimension order, encoding/json's float forms,
+// and the refusal of non-finite values.
 func TestWSEventEncoderMatchesJSON(t *testing.T) {
-	var enc wsEventEncoder
 	for _, c := range []struct {
-		id  int64
-		seq uint64
-		ev  filter.Event
+		id    int64
+		seq   uint64
+		attrs []string
+		p     geom.Point
 	}{
-		{7, 1, filter.Event{"price": 15, "qty": 2}},
-		{0, 0, filter.Event{"price": 15}},
-		{-3, math.MaxUint64, nil},
-		{1, 2, filter.Event{}},
-		{math.MinInt64, 9, filter.Event{"z": 1e21, "a": 1e-6, "m": 9.99e-7, "<&>": -0.0}},
-		{4, 4, filter.Event{"b": 5e-324, "a": math.MaxFloat64, "c": 1e-9}},
-		{4, 4, filter.Event{"q": 1, "r": 2, "s": 3}}, // same size, other names
-		{5, 5, filter.Event{"price": math.NaN()}},
-		{5, 5, filter.Event{"a": 1, "b": math.Inf(-1)}},
-		// Same size, one name shared, two bad values: the error names
-		// the first in key order, as json.Marshal's does.
-		{6, 6, filter.Event{"price": 1, "x": 2}},
-		{6, 6, filter.Event{"price": math.NaN(), "0": math.Inf(1)}},
-		{5, 5, filter.Event{"bad\xff\u2028key": 3}},
+		{7, 1, []string{"price", "qty"}, geom.Point{15, 2}},
+		{0, 0, []string{"price"}, geom.Point{15}},
+		{math.MinInt64, 9, []string{"z", "a", "m", "<&>"}, geom.Point{1e21, 1e-6, 9.99e-7, -0.0}},
+		{4, 4, []string{"b", "a", "c"}, geom.Point{5e-324, math.MaxFloat64, 1e-9}},
+		{4, 4, []string{"q", "r", "s"}, geom.Point{1, 2, 3}},
+		{5, 5, []string{"price"}, geom.Point{math.NaN()}},
+		{5, 5, []string{"a", "b"}, geom.Point{1, math.Inf(-1)}},
+		// Two bad values: the error names the first in key order, as
+		// json.Marshal's does, not the first dimension.
+		{6, 6, []string{"price", "x"}, geom.Point{1, 2}},
+		{6, 6, []string{"price", "0"}, geom.Point{math.NaN(), math.Inf(1)}},
+		{5, 5, []string{"bad\xff\u2028key"}, geom.Point{3}},
 	} {
-		checkWSEventEncode(t, &enc, c.id, c.seq, c.ev)
+		checkWSEventEncode(t, filter.MustSpace(c.attrs...), c.id, c.seq, c.p)
 	}
 }
 
 // FuzzWSEventEncode holds the WebSocket event encoder to json.Marshal
-// on arbitrary ids, sequence numbers, values and attribute names; one
-// encoder serves every input, so its cached attribute set keeps
-// changing under it.
+// on arbitrary ids, sequence numbers, values and attribute names: each
+// input's encoder is built from the space of its two names, and only a
+// pair NewSpace refuses is skipped.
 func FuzzWSEventEncode(f *testing.F) {
 	for _, v := range []float64{math.Copysign(0, -1), 1e-7, 1e21, 5e-324, math.MaxFloat64, 0, 1, -42, 1 << 53, 123456789} {
 		f.Add(int64(1), uint64(1), v, v, "volume")
@@ -153,10 +158,13 @@ func FuzzWSEventEncode(f *testing.F) {
 	for range 8 {
 		f.Add(rng.Int64(), rng.Uint64(), math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64()), "x")
 	}
-	f.Add(int64(0), uint64(0), math.NaN(), math.Inf(1), "price")
-	var enc wsEventEncoder
+	f.Add(int64(0), uint64(0), math.NaN(), math.Inf(1), "0")
 	f.Fuzz(func(t *testing.T, id int64, seq uint64, price, other float64, name string) {
-		checkWSEventEncode(t, &enc, id, seq, filter.Event{"price": price, name: other})
+		space, err := filter.NewSpace("price", name)
+		if err != nil {
+			return
+		}
+		checkWSEventEncode(t, space, id, seq, geom.Point{price, other})
 	})
 }
 

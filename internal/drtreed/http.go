@@ -26,6 +26,7 @@ package drtreed
 // restart).
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -38,6 +39,7 @@ import (
 
 	"drtree/internal/core"
 	"drtree/internal/filter"
+	"drtree/internal/geom"
 	"drtree/internal/proto"
 	"drtree/internal/pubsub"
 	"drtree/internal/state"
@@ -137,7 +139,7 @@ func (d *Daemon) serveWS(w http.ResponseWriter, r *http.Request) {
 	}
 	c.SetWriteTimeout(sessionWriteTimeout)
 	c.OnBatchWrite(d.wsStats.batchWrite)
-	n := &wsNotifier{c: c}
+	n := &wsNotifier{c: c, enc: newWSEventEncoder(d.space)}
 	s := d.openSession(c, &d.wsStats, n.notify, c.Flush)
 	if s == nil {
 		return
@@ -164,13 +166,13 @@ func (d *Daemon) serveWS(w http.ResponseWriter, r *http.Request) {
 // goroutine, so one reply buffer serves the session.
 type wsNotifier struct {
 	c   *ws.Conn
-	enc wsEventEncoder
+	enc *wsEventEncoder
 	buf []byte
 }
 
 // notify queues one delivery's "event" reply.
 func (n *wsNotifier) notify(id core.ProcID, e pubsub.Envelope) error {
-	buf, err := n.enc.appendEvent(n.buf[:0], int64(id), e.Seq, e.Event)
+	buf, err := n.enc.appendEvent(n.buf[:0], int64(id), e.Seq, e.Point)
 	n.buf = buf
 	if err != nil {
 		return err
@@ -178,19 +180,33 @@ func (n *wsNotifier) notify(id core.ProcID, e pubsub.Envelope) error {
 	return n.c.QueueText(buf)
 }
 
-// wsEventEncoder appends "event" replies by hand: the bytes are exactly
-// json.Marshal(wsReply{V: WSProtoVersion, Op: "event", ID: id, Seq:
-// seq, Event: ev}), error included, without reflection or a fresh
-// buffer. It keeps the last event's attribute names, sorted as
-// encoding/json sorts map keys, with their JSON forms; events over one
-// attribute set, as every event of a daemon's space is, encode with no
-// allocation.
+// wsEventEncoder appends "event" replies for points of one space by
+// hand: the bytes are exactly json.Marshal(wsReply{V: WSProtoVersion,
+// Op: "event", ID: id, Seq: seq, Event: ev}), error included, where ev
+// maps each attribute of the space to its coordinate of the point —
+// without reflection, a map or a fresh buffer.
 type wsEventEncoder struct {
-	keys   []string
-	quoted [][]byte // json.Marshal(keys[i])
+	keys []wsEventKey // sorted by name, as encoding/json sorts map keys
 }
 
-func (enc *wsEventEncoder) appendEvent(dst []byte, id int64, seq uint64, ev filter.Event) ([]byte, error) {
+// wsEventKey is one attribute of the encoder's space.
+type wsEventKey struct {
+	name   string
+	dim    int
+	quoted []byte // json.Marshal(name)
+}
+
+func newWSEventEncoder(space *filter.Space) *wsEventEncoder {
+	enc := new(wsEventEncoder)
+	for dim, name := range space.Attrs() {
+		q, _ := json.Marshal(name) // a string: cannot fail
+		enc.keys = append(enc.keys, wsEventKey{name: name, dim: dim, quoted: q})
+	}
+	slices.SortFunc(enc.keys, func(a, b wsEventKey) int { return cmp.Compare(a.name, b.name) })
+	return enc
+}
+
+func (enc *wsEventEncoder) appendEvent(dst []byte, id int64, seq uint64, p geom.Point) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `{"v":`...)
 	dst = strconv.AppendInt(dst, WSProtoVersion, 10)
@@ -203,53 +219,21 @@ func (enc *wsEventEncoder) appendEvent(dst []byte, id int64, seq uint64, ev filt
 		dst = append(dst, `,"seq":`...)
 		dst = strconv.AppendUint(dst, seq, 10)
 	}
-	if len(ev) > 0 {
-		// The names are settled before any value is written: the error
-		// for a non-finite value must name the first one in key order.
-		if !enc.knows(ev) {
-			enc.learn(ev)
+	// A space has at least one attribute, so the event is never empty.
+	// Values are written in key order: the error for a non-finite value
+	// names the first one in that order, as json.Marshal's does.
+	dst = append(dst, `,"event":{`...)
+	for i, k := range enc.keys {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		dst = append(dst, `,"event":{`...)
-		for i, k := range enc.keys {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(append(dst, enc.quoted[i]...), ':')
-			var err error
-			if dst, err = appendJSONFloat(dst, ev[k]); err != nil {
-				return dst[:start], err
-			}
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, '}'), nil
-}
-
-// knows reports whether ev's attribute names are exactly the learnt ones.
-func (enc *wsEventEncoder) knows(ev filter.Event) bool {
-	if len(ev) != len(enc.keys) {
-		return false
-	}
-	for _, k := range enc.keys {
-		if _, ok := ev[k]; !ok {
-			return false
+		dst = append(append(dst, k.quoted...), ':')
+		var err error
+		if dst, err = appendJSONFloat(dst, p[k.dim]); err != nil {
+			return dst[:start], err
 		}
 	}
-	return true
-}
-
-// learn takes ev's attribute names as the ones to encode.
-func (enc *wsEventEncoder) learn(ev filter.Event) {
-	enc.keys = enc.keys[:0]
-	for k := range ev {
-		enc.keys = append(enc.keys, k)
-	}
-	slices.Sort(enc.keys)
-	enc.quoted = enc.quoted[:0]
-	for _, k := range enc.keys {
-		q, _ := json.Marshal(k) // a string: cannot fail
-		enc.quoted = append(enc.quoted, q)
-	}
+	return append(dst, '}', '}'), nil
 }
 
 // appendJSONFloat appends f as encoding/json writes a float64: the

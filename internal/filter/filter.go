@@ -283,39 +283,18 @@ func (s *Space) Rect(f Filter) (geom.Rect, error) {
 // rectangle and an infinity has no JSON form, so neither could reach
 // every subscriber it matches.
 func (s *Space) Point(e Event) (geom.Point, error) {
-	return s.AppendPoint(make(geom.Point, 0, len(s.names)), e)
-}
-
-// AppendPoint is Point into dst's storage: it appends e's coordinates to
-// dst, so a caller that reuses dst compiles events without allocating.
-// On error dst is returned unextended.
-func (s *Space) AppendPoint(dst geom.Point, e Event) (geom.Point, error) {
-	n := len(dst)
-	for _, name := range s.names {
+	p := make(geom.Point, len(s.names))
+	for i, name := range s.names {
 		v, ok := e[name]
 		if !ok {
-			return dst[:n], fmt.Errorf("filter: event %v does not define attribute %q", e, name)
+			return nil, fmt.Errorf("filter: event %v does not define attribute %q", e, name)
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return dst[:n], fmt.Errorf("filter: event attribute %q is %v, want a finite value", name, v)
+			return nil, fmt.Errorf("filter: event attribute %q is %v, want a finite value", name, v)
 		}
-		dst = append(dst, v)
+		p[i] = v
 	}
-	return dst, nil
-}
-
-// Event is the inverse of Point: it rebuilds the attribute map of a
-// point of s. Callers that observe events as raw overlay points (the
-// network daemon's delivery hook) use it to recover the pub/sub view.
-func (s *Space) Event(p geom.Point) (Event, error) {
-	if len(p) != len(s.names) {
-		return nil, fmt.Errorf("filter: point has %d dims, space %v has %d", len(p), s.names, len(s.names))
-	}
-	e := make(Event, len(s.names))
-	for i, name := range s.names {
-		e[name] = p[i]
-	}
-	return e, nil
+	return p, nil
 }
 
 // PointFilter is a Filter compiled against a Space: each predicate

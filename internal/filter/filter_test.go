@@ -164,24 +164,6 @@ func TestSpacePoint(t *testing.T) {
 	}
 }
 
-// TestSpaceAppendPoint: AppendPoint extends the caller's storage, leaves
-// it unextended on error, and allocates nothing once it has room.
-func TestSpaceAppendPoint(t *testing.T) {
-	s := MustSpace("x", "y")
-	dst := geom.Point{7}
-	p, err := s.AppendPoint(dst, Event{"x": 3, "y": 4})
-	if err != nil || !p.Equal(geom.Point{7, 3, 4}) {
-		t.Fatalf("AppendPoint = %v, %v; want [7 3 4]", p, err)
-	}
-	if p, err := s.AppendPoint(dst, Event{"x": 3, "y": math.NaN()}); err == nil || !p.Equal(dst) {
-		t.Fatalf("AppendPoint of NaN = %v, %v; want an error and %v", p, err, dst)
-	}
-	ev, buf := Event{"x": 1, "y": 2}, make(geom.Point, 0, 2)
-	if allocs := testing.AllocsPerRun(100, func() { buf, _ = s.AppendPoint(buf[:0], ev) }); allocs != 0 {
-		t.Fatalf("AppendPoint into room made %v allocations, want 0", allocs)
-	}
-}
-
 // TestPointFilterAgreesWithMatch: a filter compiled against the space
 // matches a point exactly when the source filter matches the event the
 // point came from, strict and non-strict operators and both boundaries

@@ -36,7 +36,9 @@ var _ Substrate = (*simnet.Network)(nil)
 
 // EventHook observes the first receipt of an event by a local process:
 // proc delivered event eventID at point ev, and matched reports whether
-// the process's own filter contains it. Hooks run on the cluster's loop
+// the process's own filter contains it. The point is the overlay's own:
+// other receipts of the event may share it, and whatever the hook hands
+// it to may keep it, so it is read-only. Hooks run on the cluster's loop
 // goroutine, outside the cluster lock, after the turn that delivered the
 // event — never on the stack of a caller of the cluster — so they may
 // take any lock and call back into the cluster or the broker, except

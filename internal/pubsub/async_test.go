@@ -1,7 +1,7 @@
 package pubsub
 
 // Tests for the daemon-facing surface: gateway base renumbering, the
-// push-side NotifyGateway entry point, and fire-and-forget publishing
+// push-side NotifyPoint entry point, and fire-and-forget publishing
 // over an engine with the AsyncPublisher capability.
 
 import (
@@ -80,8 +80,8 @@ func TestNotifyGatewayDelivers(t *testing.T) {
 	}
 	select {
 	case e := <-ch:
-		if e.Event["price"] != 15 {
-			t.Fatalf("delivered %v", e.Event)
+		if e.Point[0] != 15 {
+			t.Fatalf("delivered %v", e.Point)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("queue-backed subscriber never received the notified event")
@@ -96,6 +96,22 @@ func TestNotifyGatewayDelivers(t *testing.T) {
 	}
 	if n := b.NotifyGateway(b.GatewayOf(1), filter.Event{"price": 15}); n != 0 {
 		t.Fatalf("NotifyGateway with a partial event = %d, want 0", n)
+	}
+	// A point from the overlay can come from a peer: one with the wrong
+	// dimension count, or a non-finite coordinate, is not a point of the
+	// space, through either entry.
+	for _, p := range []geom.Point{nil, {15}, {15, 3, 1}} {
+		if n := b.NotifyPoint(b.GatewayOf(1), p); n != 0 {
+			t.Fatalf("NotifyPoint(%v) = %d, want 0", p, n)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if n := b.NotifyPoint(b.GatewayOf(1), geom.Point{15, v}); n != 0 {
+			t.Fatalf("NotifyPoint with qty %v = %d, want 0", v, n)
+		}
+		if n := b.NotifyGateway(b.GatewayOf(1), filter.Event{"price": v, "qty": 3}); n != 0 {
+			t.Fatalf("NotifyGateway with price %v = %d, want 0", v, n)
+		}
 	}
 	// Non-matching event: classified, nobody interested.
 	if n := b.NotifyGateway(b.GatewayOf(1), filter.Event{"price": 999, "qty": 999}); n != 0 {
@@ -124,8 +140,8 @@ func TestPublishRefusesNonFinite(t *testing.T) {
 	if _, err := b.Publish(1, filter.Event{"price": 8, "qty": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if e := <-ch; e.Event["price"] != 8 {
-		t.Fatalf("first delivery %v, want the finite price 8", e.Event)
+	if e := <-ch; e.Point[0] != 8 {
+		t.Fatalf("first delivery %v, want the finite price 8", e.Point)
 	}
 }
 
@@ -139,21 +155,55 @@ func TestPublishAsyncRequiresCapability(t *testing.T) {
 	}
 }
 
-// notifyHook bridges a live cluster's event hook to NotifyGateway, as
-// drtreed's hook does: NotifyGateway runs on the cluster's run loop.
-func notifyHook(space *filter.Space, b *Broker) proto.EventHook {
+// notifyHook bridges a live cluster's event hook to NotifyPoint, as
+// drtreed's hook does: NotifyPoint runs on the cluster's run loop.
+func notifyHook(b *Broker) proto.EventHook {
 	return func(proc core.ProcID, _ int64, ev geom.Point, matched bool) {
-		if !matched {
-			return
+		if matched {
+			b.NotifyPoint(proc, ev)
 		}
-		if e, err := space.Event(ev); err == nil {
-			b.NotifyGateway(proc, e)
+	}
+}
+
+// TestNotifyEnvelopesOwnTheirPoints pins that an envelope keeps its
+// event's values: two consecutive notifications, through NotifyPoint
+// and through the NotifyGateway wrapper, queued before either is read,
+// arrive with their own points. It fails if a point is taken from
+// pooled scratch, which the next call overwrites.
+func TestNotifyEnvelopesOwnTheirPoints(t *testing.T) {
+	b := newBroker(t)
+	ch, err := b.SubscribeChan(1, filter.MustParse("price in [10, 20]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := b.GatewayOf(1)
+	for _, notify := range []struct {
+		name string
+		send func(price, qty float64) int
+	}{
+		{"NotifyPoint", func(price, qty float64) int { return b.NotifyPoint(gw, geom.Point{price, qty}) }},
+		{"NotifyGateway", func(price, qty float64) int {
+			return b.NotifyGateway(gw, filter.Event{"price": price, "qty": qty})
+		}},
+	} {
+		if n1, n2 := notify.send(11, 1), notify.send(12, 2); n1 != 1 || n2 != 1 {
+			t.Fatalf("%s matched %d and %d, want 1 each", notify.name, n1, n2)
+		}
+		for _, want := range []geom.Point{{11, 1}, {12, 2}} {
+			select {
+			case e := <-ch:
+				if !e.Point.Equal(want) {
+					t.Fatalf("%s delivered %v, want %v", notify.name, e.Point, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: no delivery of %v", notify.name, want)
+			}
 		}
 	}
 }
 
 // TestPublishAsyncEndToEnd wires the live runtime's event hook to
-// NotifyGateway — exactly the daemon's bridge — and checks an async
+// NotifyPoint — exactly the daemon's bridge — and checks an async
 // publish reaches a queue-backed subscriber with no synchronous census.
 func TestPublishAsyncEndToEnd(t *testing.T) {
 	lc, err := proto.NewLiveCluster(proto.Config{MinFanout: 2, MaxFanout: 4})
@@ -166,7 +216,7 @@ func TestPublishAsyncEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	lc.SetEventHook(notifyHook(space, b))
+	lc.SetEventHook(notifyHook(b))
 
 	if err := b.PublishAsync(1, filter.Event{"price": 1, "qty": 1}); !errors.Is(err, ErrProducerNotRegistered) {
 		t.Fatalf("unregistered producer: err = %v", err)
@@ -185,8 +235,8 @@ func TestPublishAsyncEndToEnd(t *testing.T) {
 	}
 	select {
 	case e := <-ch:
-		if e.Event["price"] != 15 || e.Event["qty"] != 2 {
-			t.Fatalf("delivered %v", e.Event)
+		if e.Point[0] != 15 || e.Point[1] != 2 {
+			t.Fatalf("delivered %v", e.Point)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("async publish never reached the subscriber")
@@ -202,14 +252,14 @@ func TestPublishAsyncEndToEnd(t *testing.T) {
 	}
 	select {
 	case e := <-ch:
-		t.Fatalf("unexpected delivery %v", e.Event)
+		t.Fatalf("unexpected delivery %v", e.Point)
 	case <-time.After(300 * time.Millisecond):
 	}
 }
 
 // TestPublishAsyncVersusGrowingSubscribe: an async publisher and a
 // subscriber whose filters keep widening the gateway's union must not
-// deadlock. The event hook calls NotifyGateway itself (notifyHook): it
+// deadlock. The event hook calls NotifyPoint itself (notifyHook): it
 // takes the gateway's read lock, while a union-growing Subscribe holds that
 // gateway's lock and wants the engine mutex — so the hook may never run
 // on the stack of a publisher that holds the engine mutex, and
@@ -224,7 +274,7 @@ func TestPublishAsyncVersusGrowingSubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc.SetEventHook(notifyHook(space, b))
+	lc.SetEventHook(notifyHook(b))
 	if err := b.SubscribeExpr(1, "price in [0, 10]"); err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +321,11 @@ func TestPublishAsyncVersusGrowingSubscribe(t *testing.T) {
 	}
 }
 
-// TestNotifyGatewayAllocatesNothing pins the matching half of the
+// TestNotifyPointAllocatesNothing pins the matching half of the
 // delivery edge: once its pooled scratch has grown to the gateway's
-// fan-out, NotifyGateway allocates nothing per call, with one matching
+// fan-out, NotifyPoint allocates nothing per call, with one matching
 // queue-backed subscriber or 64 spread over as many match entries.
-func TestNotifyGatewayAllocatesNothing(t *testing.T) {
+func TestNotifyPointAllocatesNothing(t *testing.T) {
 	// One P: sync.Pool keeps what is put back per P, so a call that
 	// migrated to another P since the last one would miss the scratch.
 	// The pin is about what a call allocates, not where the pool put it.
@@ -293,14 +343,14 @@ func TestNotifyGatewayAllocatesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			gw, ev := b.GatewayOf(1), filter.Event{"price": 15, "qty": 3}
+			gw, p := b.GatewayOf(1), geom.Point{15, 3}
 			allocs := testing.AllocsPerRun(1000, func() {
-				if n := b.NotifyGateway(gw, ev); n != subs {
-					t.Fatalf("NotifyGateway matched %d, want %d", n, subs)
+				if n := b.NotifyPoint(gw, p); n != subs {
+					t.Fatalf("NotifyPoint matched %d, want %d", n, subs)
 				}
 			})
 			if allocs != 0 && !raceEnabled {
-				t.Fatalf("NotifyGateway to %d subscribers made %v allocations, want 0", subs, allocs)
+				t.Fatalf("NotifyPoint to %d subscribers made %v allocations, want 0", subs, allocs)
 			}
 		})
 	}

@@ -18,6 +18,7 @@ import (
 	"drtree/internal/core"
 	"drtree/internal/eventbus"
 	"drtree/internal/filter"
+	"drtree/internal/geom"
 )
 
 // DefaultQueueDepth is the per-subscriber queue capacity used when
@@ -29,8 +30,11 @@ type Envelope struct {
 	// Seq numbers the subscriber's deliveries from 1 in enqueue order
 	// (gaps appear where a full queue shed events).
 	Seq uint64
-	// Event is the published event that matched the subscriber's filter.
-	Event filter.Event
+	// Point is the published event that matched the subscriber's
+	// filter, as a point of the broker's space: Point[i] is the value of
+	// attribute Space.Attrs()[i]. Every envelope of one event shares the
+	// point, so it is read-only.
+	Point geom.Point
 }
 
 // Handler consumes one envelope on the subscriber's drainer goroutine.
@@ -54,8 +58,8 @@ type consumer struct {
 // pending is one delivery owed after a classify pass: collected under
 // the gateway read locks, enqueued after they are all released.
 type pending struct {
-	cons *consumer
-	ev   filter.Event
+	cons  *consumer
+	point geom.Point
 }
 
 // dispatch enqueues the deliveries a classify pass produced. An
@@ -63,7 +67,7 @@ type pending struct {
 // publish — the event is simply not owed anymore.
 func (b *Broker) dispatch(pend []pending) {
 	for _, p := range pend {
-		_ = p.cons.q.Enqueue(Envelope{Seq: p.cons.seq.Add(1), Event: p.ev})
+		_ = p.cons.q.Enqueue(Envelope{Seq: p.cons.seq.Add(1), Point: p.point})
 	}
 }
 

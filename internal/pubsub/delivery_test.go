@@ -64,7 +64,7 @@ func TestSubscribeFuncDelivers(t *testing.T) {
 			t.Fatalf("envelope %d: %+v", i, e)
 		}
 	}
-	if got[0].Event["x"] != 5.0 || got[1].Event["x"] != 7.0 {
+	if got[0].Point[0] != 5.0 || got[1].Point[0] != 7.0 {
 		t.Fatalf("delivered events %v", got)
 	}
 	st, ok := b.DeliveryStatsOf(1)
@@ -86,7 +86,7 @@ func TestSubscribeChanDelivers(t *testing.T) {
 	}
 	select {
 	case e := <-ch:
-		if e.Seq != 1 || e.Event["x"] != 3.0 {
+		if e.Seq != 1 || e.Point[0] != 3.0 {
 			t.Fatalf("envelope %+v", e)
 		}
 	case <-time.After(10 * time.Second):

@@ -19,7 +19,7 @@ package pubsub
 // (internal/drtreed). So:
 //
 //   - No gateway or pool lock is ever held across a disk wait. Matching
-//     (NotifyGateway, Publish) takes gateway locks shared and used to
+//     (NotifyPoint, Publish) takes gateway locks shared and used to
 //     stand behind every fsync of a subscriber joining or leaving.
 //   - The order of records in the log is the order of commits, per
 //     gateway: Write is what fixes a record's place in the log, and a
@@ -335,7 +335,7 @@ func (b *Broker) checkpointAsync() {
 // prefix describe exactly the same history. The locks are released
 // before the store is touched: writing the snapshot is a temp file, two
 // fsyncs and a rename, and a Subscribe queued behind those read locks
-// would park every later NotifyGateway behind itself for all of it.
+// would park every later NotifyPoint behind itself for all of it.
 // Records written meanwhile are above the cut and stay in the log. No-op
 // on a memory-only broker.
 func (b *Broker) Checkpoint() error {

@@ -224,7 +224,7 @@ func TestSubscribeDoesNotHoldGatewayAcrossSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer b.Close()
-		lc.SetEventHook(notifyHook(space, b))
+		lc.SetEventHook(notifyHook(b))
 		inRange := filter.Range("price", 0, 10)
 		got := map[core.ProcID]chan uint64{1: make(chan uint64, 16), 2: make(chan uint64, 16)}
 		handler := func(id core.ProcID) Handler {

@@ -22,7 +22,7 @@ package pubsub
 // gateway lock may be held while taking the engine mutex, never the
 // reverse. PublishAsync holds neither around the engine:
 // AsyncPublisher.InjectEvent is safe for concurrent use, and the
-// engine's event hook (NotifyGateway, a pool and a gateway read lock)
+// engine's event hook (NotifyPoint, a pool and a gateway read lock)
 // runs on the engine's own goroutine, never on the stack of a call made
 // under the engine mutex — so nothing under it ever waits for a pool or
 // gateway lock. None of these locks is held across the store's Sync,

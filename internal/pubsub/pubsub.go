@@ -840,7 +840,7 @@ func (b *Broker) PublishBatch(producer core.ProcID, evs []filter.Event) ([]Notif
 			reached[i][id] = true
 		}
 	}
-	pend := b.classifyBatch(notes, evs, points, reached)
+	pend := b.classifyBatch(notes, points, reached)
 	// Delivery happens strictly after every gateway lock is released,
 	// and enqueueing never waits: a full queue sheds, so a frozen
 	// consumer costs the publisher nothing.
@@ -852,7 +852,7 @@ func (b *Broker) PublishBatch(producer core.ProcID, evs []filter.Event) ([]Notif
 // gateway and returns as soon as the event is in flight, without the
 // receipt census Publish blocks for. It requires an engine with the
 // engine.AsyncPublisher capability (the live cluster). Deliveries reach
-// queue-backed subscribers through NotifyGateway, which the hosting
+// queue-backed subscribers through NotifyPoint, which the hosting
 // daemon bridges to the runtime's event hook — PublishAsync itself
 // performs no matching, so there is no double delivery.
 func (b *Broker) PublishAsync(producer core.ProcID, ev filter.Event) error {
@@ -870,7 +870,7 @@ func (b *Broker) PublishAsync(producer core.ProcID, ev filter.Event) error {
 	}
 	// Not under engMu: InjectEvent is safe for concurrent use and may
 	// wait for room in the engine's queue, which drains through event
-	// hooks that take gateway locks (NotifyGateway).
+	// hooks that take gateway locks (NotifyPoint).
 	if err := ap.InjectEvent(pgw.procID, p); err != nil {
 		return producerErr(producer, err)
 	}
@@ -891,32 +891,35 @@ func producerErr(producer core.ProcID, err error) error {
 	return err
 }
 
-// NotifyGateway delivers an event that arrived at gateway process
-// gwProc from outside the synchronous publish path — the hosting
-// daemon's overlay runtime observed the gateway receiving it (event
-// hook) and hands it over here. The gateway's match index classifies
-// the event and every local queue-backed subscriber whose predicate
-// matches gets it enqueued; record-only subscribers are counted as
-// matched but have no queue to fill. Returns the number of matching
-// subscribers, or 0 when gwProc is not one of this broker's gateways.
-// Safe to call concurrently with every other broker operation; like the
-// publish path it enqueues only after the gateway lock is released.
-// Once its pooled scratch has grown to the gateway's fan-out, a call
-// allocates nothing, however many subscribers match.
-func (b *Broker) NotifyGateway(gwProc core.ProcID, ev filter.Event) int {
+// NotifyPoint delivers an event that arrived at gateway process gwProc
+// from outside the synchronous publish path — the hosting daemon's
+// overlay runtime observed the gateway receiving it (event hook) and
+// hands its point over here. The gateway's match index classifies the
+// point and every local queue-backed subscriber whose predicate matches
+// gets it enqueued; record-only subscribers are counted as matched but
+// have no queue to fill. The envelopes share p, which must not change
+// afterwards. Returns the number of matching subscribers, or 0 when
+// gwProc is not one of this broker's gateways or p, which may come from
+// a peer, is not a point of the space: a wrong dimension count, or a
+// NaN or infinite coordinate. Safe to call concurrently with every
+// other broker operation; like the publish path it enqueues only after
+// the gateway lock is released. Once its pooled scratch has grown to
+// the gateway's fan-out, a call allocates nothing, however many
+// subscribers match.
+func (b *Broker) NotifyPoint(gwProc core.ProcID, p geom.Point) int {
 	b.poolMu.RLock()
 	gw := b.byProc[gwProc]
 	b.poolMu.RUnlock()
-	if gw == nil {
+	if gw == nil || len(p) != b.space.Dims() {
 		return 0
+	}
+	for _, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0
+		}
 	}
 	sc := notifyScratchPool.Get().(*notifyScratch)
 	defer notifyScratchPool.Put(sc)
-	p, err := b.space.AppendPoint(sc.point[:0], ev)
-	sc.point = p
-	if err != nil {
-		return 0
-	}
 	matched := 0
 	gw.mu.RLock()
 	sc.matches, _ = gw.index.VisitAppend(p, sc.matches[:0])
@@ -928,24 +931,34 @@ func (b *Broker) NotifyGateway(gwProc core.ProcID, ev filter.Event) int {
 			}
 			matched++
 			if se.cons != nil {
-				sc.pend = append(sc.pend, pending{cons: se.cons, ev: ev})
+				sc.pend = append(sc.pend, pending{cons: se.cons, point: p})
 			}
 		}
 	}
 	gw.mu.RUnlock()
 	b.dispatch(sc.pend)
-	// The pooled scratch must not pin entries, consumers or events.
+	// The pooled scratch must not pin entries, consumers or points.
 	clear(sc.matches)
 	clear(sc.pend)
 	sc.pend = sc.pend[:0]
 	return matched
 }
 
-// notifyScratch is one NotifyGateway call's working storage. Calls run
+// NotifyGateway is NotifyPoint for an attribute map, compiled into a
+// fresh point (the envelopes keep it); it is kept only for the
+// benchmark's in-process probe.
+func (b *Broker) NotifyGateway(gwProc core.ProcID, ev filter.Event) int {
+	p, err := b.space.Point(ev)
+	if err != nil {
+		return 0
+	}
+	return b.NotifyPoint(gwProc, p)
+}
+
+// notifyScratch is one NotifyPoint call's working storage. Calls run
 // concurrently (one notifier per gateway, and any caller besides), so
 // it is pooled rather than kept on the gateway.
 type notifyScratch struct {
-	point   geom.Point
 	matches []any
 	pend    []pending
 }
@@ -972,7 +985,7 @@ func (b *Broker) GatewayOf(id core.ProcID) core.ProcID {
 // engine delivered event k to. It returns the deliveries owed to
 // queue-backed subscribers (received and interested); the caller
 // enqueues them after all gateway locks are released.
-func (b *Broker) classifyBatch(notes []Notification, evs []filter.Event, points []geom.Point, reached []map[core.ProcID]bool) []pending {
+func (b *Broker) classifyBatch(notes []Notification, points []geom.Point, reached []map[core.ProcID]bool) []pending {
 	var pend []pending
 	// Level one: route. Gateways are collected from the route hits
 	// themselves (not a pool snapshot), so a gateway split off while
@@ -1024,7 +1037,7 @@ func (b *Broker) classifyBatch(notes []Notification, evs []filter.Event, points 
 						if !interested {
 							notes[k].FalsePositives = append(notes[k].FalsePositives, id)
 						} else if se.cons != nil {
-							pend = append(pend, pending{cons: se.cons, ev: evs[k]})
+							pend = append(pend, pending{cons: se.cons, point: points[k]})
 						}
 					case interested:
 						notes[k].FalseNegatives = append(notes[k].FalseNegatives, id)

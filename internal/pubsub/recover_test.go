@@ -386,8 +386,8 @@ func TestBrokerAttachAfterRecover(t *testing.T) {
 	}
 	select {
 	case e := <-ch:
-		if e.Event["price"] != 15 {
-			t.Fatalf("delivered %v", e.Event)
+		if e.Point[0] != 15 {
+			t.Fatalf("delivered %v", e.Point)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("no delivery to re-attached subscriber")
@@ -474,8 +474,8 @@ func TestUpdateFilterMemoryOnly(t *testing.T) {
 	}
 	select {
 	case e := <-ch:
-		if e.Event["price"] != 55 {
-			t.Fatalf("delivered %v", e.Event)
+		if e.Point[0] != 55 {
+			t.Fatalf("delivered %v", e.Point)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("no delivery after filter update")
