@@ -172,7 +172,7 @@ func measureProto() ([]row, error) {
 		if st := cl.Stabilize(); !st.Converged {
 			return nil, fmt.Errorf("population %d did not stabilize: %v", n, cl.CheckLegal())
 		}
-		ids := cl.IDs()
+		ids := cl.ProcIDs()
 		var rounds, msgs int
 		for k := 0; k < events; k++ {
 			ev := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}

@@ -52,7 +52,7 @@ func run() error {
 	fmt.Printf("\noverlay over the wire protocol:\n%s\n", cl.Describe())
 
 	// Publish an event end to end.
-	ids := cl.IDs()
+	ids := cl.ProcIDs()
 	ev := geom.Point{250, 250}
 	res, err := cl.Publish(ids[0], ev)
 	if err != nil {
@@ -67,7 +67,7 @@ func run() error {
 
 	// Crash an interior process, then the root; the CHECK_* timers repair.
 	var interior core.ProcID
-	for _, id := range cl.IDs() {
+	for _, id := range cl.ProcIDs() {
 		if top := cl.Node(id).Top(); top >= 1 && top < 3 {
 			interior = id
 			break

@@ -236,7 +236,7 @@ func (t *Tree) fixCoverUp(id ProcID, h int) {
 func (t *Tree) hopsToRoot(contact ProcID) (int, error) {
 	p := t.procs[contact]
 	if p == nil {
-		return 0, fmt.Errorf("core: contact process %d not found", contact)
+		return 0, NotMemberf("core: contact process %d not found", contact)
 	}
 	hops := 0
 	cur, h := contact, p.Top

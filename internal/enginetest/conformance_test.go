@@ -1,11 +1,14 @@
 package enginetest
 
 import (
+	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"drtree/internal/core"
 	"drtree/internal/engine"
+	"drtree/internal/geom"
 	"drtree/internal/proto"
 )
 
@@ -55,5 +58,59 @@ func TestCrossEngineTranscripts(t *testing.T) {
 		if err := ref.Equal(got); err != nil {
 			t.Errorf("core vs %s: %v", name, err)
 		}
+	}
+}
+
+// TestJoinRefusals certifies that every engine refuses the same joins,
+// in core.Tree's terms, and that a refused join leaves no trace: the
+// members stabilize to a legal configuration of themselves alone.
+func TestJoinRefusals(t *testing.T) {
+	unit := geom.R2(0, 0, 1, 1)
+	cases := []struct {
+		name      string
+		join      func(engine.Engine) error
+		notMember bool
+	}{
+		{"id 0", func(e engine.Engine) error { return e.Join(0, unit) }, false},
+		{"empty filter", func(e engine.Engine) error { return e.Join(9, geom.Rect{}) }, false},
+		{"duplicate id", func(e engine.Engine) error { return e.Join(2, unit) }, false},
+		{"unknown contact", func(e engine.Engine) error { return e.JoinFrom(42, 9, unit) }, true},
+		{"3-D filter on a 2-D overlay", func(e engine.Engine) error {
+			return e.Join(9, geom.MustRect([]float64{0, 0, 0}, []float64{1, 1, 1}))
+		}, false},
+	}
+	members := []core.ProcID{1, 2, 3}
+	for name, mk := range factories {
+		t.Run(name, func(t *testing.T) {
+			e := mk(t)
+			defer e.Close()
+			for _, id := range members {
+				x := float64(id) * 10
+				if err := e.Join(id, geom.R2(x, 0, x+15, 20)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := e.Stabilize(); !st.Converged {
+				t.Fatalf("members did not converge: %v", e.CheckLegal())
+			}
+			for _, c := range cases {
+				err := c.join(e)
+				switch {
+				case err == nil:
+					t.Errorf("%s: join accepted", c.name)
+				case c.notMember && !errors.Is(err, core.ErrNotMember):
+					t.Errorf("%s: %v does not wrap core.ErrNotMember", c.name, err)
+				}
+			}
+			if st := e.Stabilize(); !st.Converged {
+				t.Fatalf("no convergence after the refusals: %v", e.CheckLegal())
+			}
+			if err := e.CheckLegal(); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.ProcIDs(); !slices.Equal(got, members) {
+				t.Fatalf("ProcIDs = %v, want %v", got, members)
+			}
+		})
 	}
 }

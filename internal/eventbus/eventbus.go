@@ -6,11 +6,11 @@
 // that feed one sink anyway (the subscribers of one client socket)
 // share a Group and its fate.
 //
-// A Queue is a fixed-capacity ring buffer with one delivery contract:
-// Enqueue never waits — a full ring sheds its oldest message, in O(1),
-// to make room — and every message is handed to the consumer callback
-// at most once, on the drainer goroutine of the queue's group. A
-// message is done the moment it is handed over: a callback error is
+// A Queue is a bounded ring buffer with one delivery contract: Enqueue
+// never waits — a ring at its capacity sheds its oldest message, in
+// O(1), to make room — and every message is handed to the consumer
+// callback at most once, on the drainer goroutine of the queue's group.
+// A message is done the moment it is handed over: a callback error is
 // counted, never retried.
 //
 // A callback that never returns pins its drainer goroutine (goroutines
@@ -33,13 +33,14 @@ var ErrClosed = errors.New("eventbus: queue closed")
 // Config configures a Queue. T is unused by the fields; it is what New
 // infers the queue's element type from.
 type Config[T any] struct {
-	// Capacity is the ring size (required, >= 1).
+	// Capacity is the most messages the ring holds (required, >= 1).
+	// The ring starts empty and doubles as it fills, up to Capacity.
 	Capacity int
 }
 
 // Stats is a point-in-time snapshot of a queue's counters.
 type Stats struct {
-	// Capacity is the fixed ring size.
+	// Capacity is the most messages the ring holds.
 	Capacity int
 	// Depth is the number of messages currently held.
 	Depth int
@@ -82,7 +83,6 @@ func New[T any](cfg Config[T]) (*Queue[T], error) {
 		return nil, fmt.Errorf("eventbus: capacity must be >= 1, got %d", cfg.Capacity)
 	}
 	q := &Queue[T]{
-		buf:  make([]T, cfg.Capacity),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -109,18 +109,21 @@ func (q *Queue[T]) Stats() Stats {
 	return st
 }
 
-// Enqueue offers a message to the queue; a full ring first sheds its
-// oldest message. It never waits on the consumer and returns ErrClosed
-// after Close. A shed message is accounted in Stats, never an error.
+// Enqueue offers a message to the queue; a ring at its capacity first
+// sheds its oldest message. It never waits on the consumer and returns
+// ErrClosed after Close. A shed message is accounted in Stats, never an
+// error.
 func (q *Queue[T]) Enqueue(v T) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
-	if q.n == len(q.buf) {
+	if q.n == q.st.Capacity {
 		q.st.Dropped++
 		q.popHead()
+	} else if q.n == len(q.buf) {
+		q.grow()
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = v
 	q.n++
@@ -139,6 +142,19 @@ func (q *Queue[T]) announce() {
 		q.listed = true
 		q.g.push(q)
 	}
+}
+
+// minRing is the ring's first size, so that a filling ring does not
+// double its way up from one slot.
+const minRing = 8
+
+// grow doubles a full ring, up to the capacity, re-linearized from head.
+// The caller holds q.mu.
+func (q *Queue[T]) grow() {
+	buf := make([]T, min(max(2*len(q.buf), minRing), q.st.Capacity))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // popHead removes and returns the oldest message. The caller holds
@@ -196,8 +212,10 @@ func (q *Queue[T]) serve(budget int) (more bool) {
 // finalize sheds the backlog of a closed queue — nobody is left to
 // consume it — and releases Done. Idempotent. The caller holds q.mu.
 func (q *Queue[T]) finalize() {
-	if q.buf == nil {
+	select {
+	case <-q.done:
 		return
+	default:
 	}
 	q.st.Dropped += uint64(q.n)
 	q.n = 0

@@ -31,35 +31,50 @@ func TestConfigValidation(t *testing.T) {
 // TestDropOldestKeepsNewest: overflowing a ring sheds from the front,
 // so the consumer sees the newest messages in order, each exactly once.
 func TestDropOldestKeepsNewest(t *testing.T) {
-	q, err := New(Config[int]{Capacity: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 6; i++ {
-		if err := q.Enqueue(i); err != nil {
+	for _, c := range []struct{ capacity, n int }{
+		{4, 6},
+		{100, 250}, // grows 8, 16, ..., 100, then sheds
+		{256, 3},
+	} {
+		q, err := New(Config[int]{Capacity: c.capacity})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := q.Stats()
-	if st.Enqueued != 6 || st.Dropped != 2 || st.Depth != 4 || st.HighWater != 4 {
-		t.Fatalf("stats after overflow: %+v", st)
-	}
-	var mu sync.Mutex
-	var got []int
-	q.Run(func(v, attempt int) error {
-		mu.Lock()
-		got = append(got, v)
-		mu.Unlock()
-		if attempt != 1 {
-			t.Errorf("attempt = %d, Run always passes 1", attempt)
+		for i := 1; i <= c.n; i++ {
+			if err := q.Enqueue(i); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return nil
-	})
-	waitFor(t, "4 deliveries", func() bool { return q.Stats().Delivered == 4 })
-	mu.Lock()
-	defer mu.Unlock()
-	if fmt.Sprint(got) != "[3 4 5 6]" {
-		t.Fatalf("delivered %v, want the newest four in order", got)
+		depth := min(c.n, c.capacity)
+		st := q.Stats()
+		if st.Enqueued != uint64(c.n) || st.Dropped != uint64(c.n-depth) || st.Depth != depth || st.HighWater != depth || st.Capacity != c.capacity {
+			t.Fatalf("%+v: stats after %d enqueues: %+v", c, c.n, st)
+		}
+		if depth < c.capacity && len(q.buf) == c.capacity {
+			t.Fatalf("%+v: a ring holding %d messages allocated all %d slots", c, depth, c.capacity)
+		}
+		var mu sync.Mutex
+		var got []int
+		q.Run(func(v, attempt int) error {
+			mu.Lock()
+			got = append(got, v)
+			mu.Unlock()
+			if attempt != 1 {
+				t.Errorf("attempt = %d, Run always passes 1", attempt)
+			}
+			return nil
+		})
+		waitFor(t, "deliveries", func() bool { return q.Stats().Delivered == uint64(depth) })
+		var want []int
+		for v := c.n - depth + 1; v <= c.n; v++ {
+			want = append(want, v)
+		}
+		mu.Lock()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%+v: delivered %v, want the newest %d in order", c, got, depth)
+		}
+		mu.Unlock()
+		q.Close()
 	}
 }
 

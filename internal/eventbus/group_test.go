@@ -355,28 +355,39 @@ func TestGroupConcurrentProducers(t *testing.T) {
 // message in flight has already left the ring — a full ring of three
 // holds three pending messages beside it.
 func TestEvictionPreservesOrder(t *testing.T) {
-	q := mustQueue(t, Config[int]{Capacity: 3})
-	entered, finish := make(chan struct{}), make(chan struct{})
-	var order []int
-	q.Run(func(v, _ int) error {
-		if v == 1 {
-			close(entered)
-			<-finish
+	// {3, 6} fills the first ring and sheds; {32, 40} leaves the first
+	// ring full with its head at 1 (message 1 was popped), so it grows
+	// across the wrap (8 to 16 to 32) before it sheds.
+	for _, c := range []struct{ capacity, n int }{{3, 6}, {32, 40}} {
+		q := mustQueue(t, Config[int]{Capacity: c.capacity})
+		entered, finish := make(chan struct{}), make(chan struct{})
+		var order []int
+		q.Run(func(v, _ int) error {
+			if v == 1 {
+				close(entered)
+				<-finish
+			}
+			order = append(order, v)
+			return nil
+		})
+		q.Enqueue(1)
+		<-entered
+		for v := 2; v <= c.n; v++ { // the newest capacity stay
+			q.Enqueue(v)
 		}
-		order = append(order, v)
-		return nil
-	})
-	q.Enqueue(1)
-	<-entered
-	for v := 2; v <= 6; v++ { // 5 and 6 shed 2 and 3
-		q.Enqueue(v)
-	}
-	if st := q.Stats(); st.Depth != 3 || st.Dropped != 2 {
-		t.Fatalf("ring beside the in-flight message: %+v, want depth 3, 2 shed", st)
-	}
-	close(finish)
-	waitFor(t, "drain", func() bool { return q.Stats().Delivered == 4 })
-	if st := q.Stats(); fmt.Sprint(order) != "[1 4 5 6]" || st.Dropped != 2 {
-		t.Fatalf("delivered %v with %+v, want [1 4 5 6] and two drops", order, st)
+		shed := uint64(c.n - 1 - c.capacity)
+		if st := q.Stats(); st.Depth != c.capacity || st.Dropped != shed {
+			t.Fatalf("%+v: ring beside the in-flight message: %+v, want depth %d, %d shed", c, st, c.capacity, shed)
+		}
+		close(finish)
+		waitFor(t, "drain", func() bool { return q.Stats().Delivered == uint64(c.capacity+1) })
+		want := []int{1}
+		for v := c.n - c.capacity + 1; v <= c.n; v++ {
+			want = append(want, v)
+		}
+		if st := q.Stats(); fmt.Sprint(order) != fmt.Sprint(want) || st.Dropped != shed {
+			t.Fatalf("delivered %v with %+v, want %v and %d drops", order, st, want, shed)
+		}
+		q.Close()
 	}
 }

@@ -280,7 +280,7 @@ func RunE5(seed uint64, n, trials int) Result {
 			return res
 		}
 	}
-	ids := cl.IDs()
+	ids := cl.ProcIDs()
 	_ = cl.CorruptParent(ids[3], 0, ids[5])
 	_ = cl.CorruptMBR(ids[1], 0, geom.R2(0, 0, 1, 1))
 	rounds, ok := cl.RunUntilStable(2000)

@@ -1,43 +1,40 @@
 package proto
 
-// The omniscient observer both runtimes share: legality, the receipt
-// census that ends a publish and the transient-fault injectors all read
-// or write the nodes' local states directly.
+// The omniscient observer of the actor table: legality and the
+// transient-fault injectors read or write the nodes' local states
+// directly.
 
 import (
 	"fmt"
-	"slices"
 
 	"drtree/internal/core"
 	"drtree/internal/geom"
 )
 
-// sortedIDs returns the keys of a process-indexed map, ascending.
-func sortedIDs[V any](m map[core.ProcID]V) []core.ProcID {
-	out := make([]core.ProcID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+// CheckLegal verifies Definition 3.1 on the distributed configuration,
+// reading only the nodes' local states (as an omniscient observer): no
+// re-join pending, unique root, mutual parent/children coherence, degree
+// bounds, own-child chains, contiguous instance chains, MBR coherence
+// against the actual child MBRs, and reachability of every live process.
+// The cover condition is repaired by the sequential engine's CHECK_COVER
+// and is not part of the wire protocol's legality (see DESIGN.md).
+func (t *actorTable) CheckLegal() error {
+	t.lock.Lock()
+	defer t.lock.Unlock()
+	nodes := t.nodes
+	for _, n := range t.order {
+		if n.rejoinPending {
+			return fmt.Errorf("proto: process %d awaiting re-join", n.id)
+		}
 	}
-	slices.Sort(out)
-	return out
-}
-
-// checkLegal verifies Definition 3.1 on the distributed configuration,
-// reading only the nodes' local states (as an omniscient observer):
-// unique root, mutual parent/children coherence, degree bounds, own-child
-// chains, contiguous instance chains, MBR coherence against the actual
-// child MBRs, and reachability of every live process. The cover condition
-// is repaired by the sequential engine's CHECK_COVER and is not part of
-// the wire protocol's legality (see DESIGN.md).
-func checkLegal(cfg Config, nodes map[core.ProcID]*Node) error {
 	if len(nodes) == 0 {
 		return nil
 	}
 	// Exactly one root: a topmost, self-parented instance.
 	rootID := core.NoProc
 	rootH := -1
-	for _, id := range sortedIDs(nodes) {
-		n := nodes[id]
+	for _, n := range t.order {
+		id := n.id
 		in := n.at(n.top)
 		if in == nil {
 			return fmt.Errorf("proto: node %d missing its topmost instance", id)
@@ -53,7 +50,7 @@ func checkLegal(cfg Config, nodes map[core.ProcID]*Node) error {
 		return fmt.Errorf("proto: no root instance")
 	}
 
-	m, M := cfg.MinFanout, cfg.MaxFanout
+	m, M := t.cfg.MinFanout, t.cfg.MaxFanout
 	reached := make(map[core.ProcID]bool)
 	var walk func(id core.ProcID, h int) (geom.Rect, error)
 	walk = func(id core.ProcID, h int) (geom.Rect, error) {
@@ -127,14 +124,14 @@ func checkLegal(cfg Config, nodes map[core.ProcID]*Node) error {
 	if len(reached) != len(nodes) {
 		return fmt.Errorf("proto: only %d of %d processes reachable from the root", len(reached), len(nodes))
 	}
-	for id, n := range nodes {
+	for _, n := range t.order {
 		for h := 0; h <= n.top; h++ {
 			if n.at(h) == nil {
-				return fmt.Errorf("proto: node %d chain gap at %d", id, h)
+				return fmt.Errorf("proto: node %d chain gap at %d", n.id, h)
 			}
 		}
 		if c := n.instCount(); c != n.top+1 {
-			return fmt.Errorf("proto: node %d owns %d instances, top=%d", id, c, n.top)
+			return fmt.Errorf("proto: node %d owns %d instances, top=%d", n.id, c, n.top)
 		}
 	}
 	return nil
@@ -143,7 +140,7 @@ func checkLegal(cfg Config, nodes map[core.ProcID]*Node) error {
 // Describe renders the distributed configuration level by level.
 func (c *Cluster) Describe() string {
 	maxTop := 0
-	for _, n := range c.nodes {
+	for _, n := range c.order {
 		if n.top > maxTop {
 			maxTop = n.top
 		}
@@ -151,77 +148,53 @@ func (c *Cluster) Describe() string {
 	out := ""
 	for h := maxTop; h >= 0; h-- {
 		out += fmt.Sprintf("height %d:", h)
-		for _, id := range c.IDs() {
-			n := c.nodes[id]
+		for _, n := range c.order {
 			in := n.at(h)
 			if in == nil {
 				continue
 			}
 			if h == 0 {
-				out += fmt.Sprintf(" P%d", id)
+				out += fmt.Sprintf(" P%d", n.id)
 				continue
 			}
-			out += fmt.Sprintf(" P%d%v", id, in.childID)
+			out += fmt.Sprintf(" P%d%v", n.id, in.childID)
 		}
 		out += "\n"
 	}
 	return out
 }
 
-// census fills in who received each event of a drained batch: every
-// node, in ascending pids order, whose seen set holds the event's ID,
-// classified by its filter.
-func census(out []core.Delivery, batch []core.Publication, ids []int64, pids []core.ProcID, node func(core.ProcID) *Node) {
-	for i := range batch {
-		d := &out[i]
-		for _, pid := range pids {
-			n := node(pid)
-			if !n.seen.has(ids[i]) {
-				continue
-			}
-			d.Received = append(d.Received, pid)
-			if n.filter.ContainsPoint(batch[i].Event) {
-				d.TruePositives = append(d.TruePositives, pid)
-			} else {
-				d.FalsePositives = append(d.FalsePositives, pid)
-			}
-		}
-	}
+// The four fault injectors are the transient-fault surface of
+// experiment E5 (the paper's fault model: parent, children, MBR,
+// underloaded are all corruptible).
+
+// CorruptParent overwrites the local parent variable of (id, h).
+func (t *actorTable) CorruptParent(id core.ProcID, h int, parent core.ProcID) error {
+	return t.corrupt(id, h, func(in *instance) { in.parent = parent })
 }
 
-// faults is the transient-fault surface of experiment E5 (the paper's
-// fault model: parent, children, MBR, underloaded are all corruptible),
-// embedded by both runtimes. apply runs fn on the instance (id, h) under
-// whatever exclusion the runtime needs.
-type faults struct {
-	apply func(id core.ProcID, h int, fn func(*instance)) error
+// CorruptChildren replaces the local children set of (id, h).
+func (t *actorTable) CorruptChildren(id core.ProcID, h int, children []core.ProcID) error {
+	return t.corrupt(id, h, func(in *instance) { in.setChildren(children, nil) })
 }
 
-// corruptNode applies fn to n's instance at height h.
-func corruptNode(n *Node, id core.ProcID, h int, fn func(*instance)) error {
+// CorruptMBR overwrites the local MBR of (id, h).
+func (t *actorTable) CorruptMBR(id core.ProcID, h int, mbr geom.Rect) error {
+	return t.corrupt(id, h, func(in *instance) { in.mbr = mbr })
+}
+
+// CorruptUnderloaded flips the local underloaded flag of (id, h).
+func (t *actorTable) CorruptUnderloaded(id core.ProcID, h int) error {
+	return t.corrupt(id, h, func(in *instance) { in.underloaded = !in.underloaded })
+}
+
+func (t *actorTable) corrupt(id core.ProcID, h int, fn func(*instance)) error {
+	t.lock.Lock()
+	defer t.lock.Unlock()
+	n := t.nodes[id]
 	if n == nil || n.at(h) == nil {
 		return fmt.Errorf("proto: no instance (%d,%d)", id, h)
 	}
 	fn(n.at(h))
 	return nil
-}
-
-// CorruptParent overwrites the local parent variable of (id, h).
-func (f faults) CorruptParent(id core.ProcID, h int, parent core.ProcID) error {
-	return f.apply(id, h, func(in *instance) { in.parent = parent })
-}
-
-// CorruptChildren replaces the local children set of (id, h).
-func (f faults) CorruptChildren(id core.ProcID, h int, children []core.ProcID) error {
-	return f.apply(id, h, func(in *instance) { in.setChildren(children, nil) })
-}
-
-// CorruptMBR overwrites the local MBR of (id, h).
-func (f faults) CorruptMBR(id core.ProcID, h int, mbr geom.Rect) error {
-	return f.apply(id, h, func(in *instance) { in.mbr = mbr })
-}
-
-// CorruptUnderloaded flips the local underloaded flag of (id, h).
-func (f faults) CorruptUnderloaded(id core.ProcID, h int) error {
-	return f.apply(id, h, func(in *instance) { in.underloaded = !in.underloaded })
 }

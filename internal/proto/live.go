@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -37,17 +36,10 @@ import (
 //     holding no lock the loop can want: the cluster lock is released for
 //     the wait, and their callers hold none that a hook takes.
 type LiveCluster struct {
-	faults
-	cfg Config
-
-	mu     sync.Mutex
-	actors map[core.ProcID]*liveActor
-	// byID holds the same actors ordered by process ID: a turn fires due
-	// timers in this order, so two stepped runs of one scenario send the
-	// same messages in the same order.
-	byID   []*liveActor
+	mu sync.Mutex
+	// actorTable's lock is mu; a turn fires due timers in its order.
+	actorTable
 	closed bool
-	nextE  int64
 	// fifo holds the pending messages, oldest first; turned is broadcast
 	// at the end of every turn, for those waiting for room or for an empty
 	// FIFO. Actor due times sit on a checkBase grid counted from epoch, so
@@ -81,14 +73,12 @@ type LiveCluster struct {
 // (each one message here and a handful more per level) never waits.
 const fifoBound = 1024
 
-type liveActor struct {
-	node *Node
-
-	// Timer pacing, guarded by the cluster lock (see pace): when the
-	// CHECK_* timers fire next (zero: a period after the next turn), the
-	// current period, the state fingerprint after the latest turn, whether
-	// any turn since the previous tick moved it, and since when the node
-	// has been a root without interruption (zero: it is not one).
+// checkTimer is a live node's CHECK_* pacing, guarded by the cluster lock
+// (see pace): when the timers fire next (zero: a period after the next
+// turn), the current period, the state fingerprint after the latest turn,
+// whether any turn since the previous tick moved it, and since when the
+// node has been a root without interruption (zero: it is not one).
+type checkTimer struct {
 	due       time.Time
 	period    time.Duration
 	fp        uint64
@@ -108,56 +98,42 @@ func NewLiveCluster(cfg Config) (*LiveCluster, error) {
 // newLiveCluster builds a cluster without its loop: a test steps it by
 // calling turn with times of its own, counted from lc.epoch.
 func newLiveCluster(cfg Config) (*LiveCluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.MinFanout < 1 || cfg.MaxFanout < 2*cfg.MinFanout {
-		return nil, fmt.Errorf("proto: invalid fanout bounds m=%d M=%d", cfg.MinFanout, cfg.MaxFanout)
-	}
 	lc := &LiveCluster{
-		cfg:         cfg,
-		actors:      make(map[core.ProcID]*liveActor),
 		msgsByEvent: make(map[int64]int),
 		epoch:       time.Now(),
 		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		stopped:     make(chan struct{}),
 	}
+	var err error
+	if lc.actorTable, err = newActorTable(cfg, &lc.mu); err != nil {
+		return nil, err
+	}
 	lc.turned.L = &lc.mu
-	lc.faults.apply = lc.corrupt
 	return lc, nil
 }
 
 // Join spawns a new subscriber actor and routes its JOIN request through
 // the current root.
 func (lc *LiveCluster) Join(id core.ProcID, filter geom.Rect) error {
-	return lc.join(id, filter, core.NoProc)
+	return lc.JoinFrom(core.NoProc, id, filter)
 }
 
 // JoinFrom spawns a new subscriber actor whose JOIN request routes
-// through an explicit contact rather than the connection oracle.
+// through an explicit contact rather than the connection oracle (NoProc:
+// the oracle, as Join).
 func (lc *LiveCluster) JoinFrom(contact, id core.ProcID, filter geom.Rect) error {
-	return lc.join(id, filter, contact)
-}
-
-func (lc *LiveCluster) join(id core.ProcID, filter geom.Rect, contact core.ProcID) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	if lc.closed {
 		return fmt.Errorf("proto: live cluster closed")
 	}
-	if id <= core.NoProc || filter.IsEmpty() {
-		return fmt.Errorf("proto: invalid id or filter")
+	n, err := lc.admit(id, filter, contact)
+	if err != nil {
+		return err
 	}
-	if lc.actors[id] != nil {
-		return fmt.Errorf("proto: process %d already joined", id)
-	}
-	if contact != core.NoProc && lc.actors[contact] == nil {
-		return core.NotMemberf("proto: contact %d not in the cluster", contact)
-	}
-	a := &liveActor{node: newNode(id, filter, lc.cfg), period: checkBase}
-	lc.actors[id] = a
-	i, _ := slices.BinarySearchFunc(lc.byID, id, func(b *liveActor, id core.ProcID) int { return cmp.Compare(b.node.id, id) })
-	lc.byID = slices.Insert(lc.byID, i, a)
-	a.node.deliverCB = func(eventID int64, ev geom.Point, matched bool) {
+	n.timer.period = checkBase
+	n.deliverCB = func(eventID int64, ev geom.Point, matched bool) {
 		if lc.hook != nil {
 			lc.hookQ = append(lc.hookQ, hookFire{proc: id, event: eventID, ev: ev, matched: matched})
 		}
@@ -167,19 +143,19 @@ func (lc *LiveCluster) join(id core.ProcID, filter geom.Rect, contact core.ProcI
 	// contact of a networked one. Everything else routes a JOIN through
 	// the best known contact — the local oracle when a local stable root
 	// exists, else the configured remote contact.
-	if len(lc.actors) > 1 || lc.remoteJoinNeededLocked(id) {
+	if len(lc.order) > 1 || lc.remoteJoinNeededLocked(id) {
 		// Mark the joiner pending before consulting the oracle: a freshly
 		// created actor is self-parented and would otherwise be chosen as
 		// its own contact on a networked cluster's first join.
-		a.node.rejoinPending = true
+		n.rejoinPending = true
 		if contact == core.NoProc {
 			contact = lc.contactLocked()
 		}
 		if contact != core.NoProc && contact != id {
-			a.node.rejoin(contact, 0)
-			lc.sendLocked(a.node.drainOut()...)
+			n.rejoin(contact, 0)
+			lc.sendLocked(n.drainOut()...)
 		} else {
-			a.node.rejoinPending = false
+			n.rejoinPending = false
 		}
 	}
 	lc.wakeLocked()
@@ -196,18 +172,11 @@ func (lc *LiveCluster) UpdateFilter(id core.ProcID, f geom.Rect) error {
 	if lc.closed {
 		return fmt.Errorf("proto: live cluster closed")
 	}
-	a := lc.actors[id]
-	if a == nil {
-		return core.NotMemberf("proto: process %d not in the cluster", id)
+	n, err := lc.updateFilter(id, f)
+	if err != nil {
+		return err
 	}
-	if f.IsEmpty() {
-		return fmt.Errorf("proto: filter must be non-empty")
-	}
-	if f.Dims() != a.node.filter.Dims() {
-		return fmt.Errorf("proto: filter has %d dims, cluster uses %d", f.Dims(), a.node.filter.Dims())
-	}
-	a.node.onFilterUpdate(mFilterUpdate{Filter: f})
-	lc.sendLocked(a.node.drainOut()...)
+	lc.sendLocked(n.drainOut()...)
 	lc.wakeLocked()
 	return nil
 }
@@ -218,17 +187,12 @@ func (lc *LiveCluster) UpdateFilter(id core.ProcID, f geom.Rect) error {
 func (lc *LiveCluster) Leave(id core.ProcID) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	a := lc.actors[id]
-	if a == nil {
-		return core.NotMemberf("proto: process %d not in the cluster", id)
+	n, err := lc.leave(id)
+	if err != nil {
+		return err
 	}
-	n := a.node
-	if in := n.at(n.top); in != nil && in.parent != id {
-		n.send(in.parent, mLeave{Height: n.top + 1, Child: id})
-		lc.sendLocked(n.drainOut()...)
-		lc.wakeLocked()
-	}
-	lc.removeLocked(a)
+	lc.sendLocked(n.drainOut()...)
+	lc.wakeLocked()
 	return nil
 }
 
@@ -236,18 +200,8 @@ func (lc *LiveCluster) Leave(id core.ProcID) error {
 func (lc *LiveCluster) Crash(id core.ProcID) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	a := lc.actors[id]
-	if a == nil {
-		return core.NotMemberf("proto: process %d not in the cluster", id)
-	}
-	lc.removeLocked(a)
-	return nil
-}
-
-// removeLocked drops actor a from the cluster's map and its ID order.
-func (lc *LiveCluster) removeLocked(a *liveActor) {
-	delete(lc.actors, a.node.id)
-	lc.byID = slices.DeleteFunc(lc.byID, func(b *liveActor) bool { return b == a })
+	_, err := lc.remove(id)
+	return err
 }
 
 // The CHECK_* period of a live actor. The paper leaves the period of its
@@ -329,25 +283,25 @@ func (lc *LiveCluster) wakeLocked() {
 func (lc *LiveCluster) turn(now time.Time) (fires []hookFire, next time.Time) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	for _, a := range lc.byID {
-		if !now.Before(a.due) {
-			if !a.due.IsZero() { // a newcomer is only given its first due time
-				lc.tickLocked(a, now)
+	for _, n := range lc.order {
+		if !now.Before(n.timer.due) {
+			if !n.timer.due.IsZero() { // a newcomer is only given its first due time
+				lc.tickLocked(n, now)
 			}
-			lc.endTurnLocked(a, now, true)
+			lc.endTurnLocked(n, now, true)
 		}
 	}
 	lc.stats.QueueHighWater = max(lc.stats.QueueHighWater, len(lc.fifo))
 	n := 0
 	for ; n < len(lc.fifo) && n < fifoBound; n++ { // handling m may append
 		m := lc.fifo[n]
-		if a := lc.actors[core.ProcID(m.To)]; a != nil {
+		if node := lc.nodes[core.ProcID(m.To)]; node != nil {
 			if inj, ok := m.Payload.(mInject); ok {
-				a.node.onEvent(mEvent{ID: inj.ID, Ev: inj.Ev, Height: a.node.top, Up: true, From: core.NoProc})
+				node.onEvent(mEvent{ID: inj.ID, Ev: inj.Ev, Height: node.top, Up: true, From: core.NoProc})
 			} else {
-				a.node.process(m)
+				node.process(m)
 			}
-			lc.endTurnLocked(a, now, false)
+			lc.endTurnLocked(node, now, false)
 		} else if _, isBounce := m.Payload.(simnet.Bounce); !isBounce {
 			// The failure notice simnet gives for a dead mailbox; a
 			// bounce is never bounced.
@@ -362,9 +316,9 @@ func (lc *LiveCluster) turn(now time.Time) (fires []hookFire, next time.Time) {
 		lc.wakeLocked()
 	}
 	lc.turned.Broadcast()
-	for _, a := range lc.actors {
-		if next.IsZero() || a.due.Before(next) {
-			next = a.due
+	for _, n := range lc.order {
+		if next.IsZero() || n.timer.due.Before(next) {
+			next = n.timer.due
 		}
 	}
 	fires, lc.hookQ = lc.hookQ, nil
@@ -373,8 +327,8 @@ func (lc *LiveCluster) turn(now time.Time) (fires []hookFire, next time.Time) {
 
 // tickLocked fires the node's CHECK_* timers and, on a networked cluster,
 // the root audit.
-func (lc *LiveCluster) tickLocked(a *liveActor, now time.Time) {
-	a.node.periodic(lc.contactLocked())
+func (lc *LiveCluster) tickLocked(n *Node, now time.Time) {
+	n.periodic(lc.contactLocked())
 	if lc.contactFn == nil {
 		return
 	}
@@ -382,38 +336,40 @@ func (lc *LiveCluster) tickLocked(a *liveActor, now time.Time) {
 	// cannot see, so a root that has stayed one for rootAuditAfter
 	// re-verifies through the global bootstrap contact and disjoint
 	// trees on different daemons reconcile.
-	if !a.node.isRootInstance(a.node.top) {
-		a.rootSince = time.Time{}
+	t := &n.timer
+	if !n.isRootInstance(n.top) {
+		t.rootSince = time.Time{}
 		return
 	}
-	if a.rootSince.IsZero() {
-		a.rootSince = now
-	} else if now.Sub(a.rootSince) >= rootAuditAfter {
-		a.rootSince = now
-		a.node.auditRoot(lc.contactFn())
+	if t.rootSince.IsZero() {
+		t.rootSince = now
+	} else if now.Sub(t.rootSince) >= rootAuditAfter {
+		t.rootSince = now
+		n.auditRoot(lc.contactFn())
 	}
 }
 
-// endTurnLocked closes one turn of actor a: the eager upward report
+// endTurnLocked closes one turn of node n: the eager upward report
 // (Node.pushUp), the dispatch of everything the turn sent, and the
-// pacing decision. When pace asks for a period, a is due that long from
+// pacing decision. When pace asks for a period, n is due that long from
 // now, rounded down to the grid (a timer fires just past a grid point, so
 // a steady period stays exact) — or at its root audit, if that is sooner.
-func (lc *LiveCluster) endTurnLocked(a *liveActor, now time.Time, tick bool) {
-	a.node.pushUp()
-	lc.sendLocked(a.node.drainOut()...)
-	p := a.pace(tick)
+func (lc *LiveCluster) endTurnLocked(n *Node, now time.Time, tick bool) {
+	n.pushUp()
+	lc.sendLocked(n.drainOut()...)
+	p := n.pace(tick)
 	if p == 0 {
 		return
 	}
-	a.due = now.Add(p - (now.Sub(lc.epoch)+p)%checkBase)
-	if audit := a.rootSince.Add(rootAuditAfter); !a.rootSince.IsZero() && audit.Before(a.due) {
-		a.due = audit
+	t := &n.timer
+	t.due = now.Add(p - (now.Sub(lc.epoch)+p)%checkBase)
+	if audit := t.rootSince.Add(rootAuditAfter); !t.rootSince.IsZero() && audit.Before(t.due) {
+		t.due = audit
 	}
 }
 
-// pace decides a's CHECK_* period after a turn, from protocol state
-// alone, and returns the period a's timers should run at from now on, or
+// pace decides n's CHECK_* period after a turn, from protocol state
+// alone, and returns the period n's timers should run at from now on, or
 // 0 to leave them as they are. A turn that moved the state fingerprint —
 // and any change made from outside a turn since the last one
 // (UpdateFilter, the fault injectors) — snaps the period to checkBase at
@@ -422,24 +378,25 @@ func (lc *LiveCluster) endTurnLocked(a *liveActor, now time.Time, tick bool) {
 // pending re-join is retried every tick and must not wait); otherwise it
 // stays at checkBase. Probe answers that confirm the caches, and event
 // traffic, move nothing and wake nobody.
-func (a *liveActor) pace(tick bool) time.Duration {
-	if fp := a.node.fingerprint(); fp != a.fp {
-		a.fp, a.moved = fp, true
+func (n *Node) pace(tick bool) time.Duration {
+	t := &n.timer
+	if fp := n.fingerprint(); fp != t.fp {
+		t.fp, t.moved = fp, true
 	}
 	if !tick {
-		if a.moved && a.period > checkBase {
-			a.period = checkBase
+		if t.moved && t.period > checkBase {
+			t.period = checkBase
 			return checkBase
 		}
 		return 0
 	}
-	if a.moved || a.node.rejoinPending {
-		a.period = checkBase
+	if t.moved || n.rejoinPending {
+		t.period = checkBase
 	} else {
-		a.period = min(2*a.period, checkCap)
+		t.period = min(2*t.period, checkCap)
 	}
-	a.moved = false
-	return a.period
+	t.moved = false
+	return t.period
 }
 
 // sendLocked counts what local actors (and the bounces made for them)
@@ -458,7 +415,7 @@ func (lc *LiveCluster) sendLocked(msgs ...simnet.Message) {
 				lc.msgsByEvent[ev.ID]++
 			}
 		}
-		if to := core.ProcID(m.To); lc.remote != nil && lc.actors[to] == nil && !lc.isLocal(to) {
+		if to := core.ProcID(m.To); lc.remote != nil && lc.nodes[to] == nil && !lc.isLocal(to) {
 			lc.remote.Send(m)
 		} else {
 			lc.fifo = append(lc.fifo, m)
@@ -473,13 +430,11 @@ type mInject struct {
 	Ev geom.Point
 }
 
-// injectLocked queues the publication of ev at producer under a new ID.
-func (lc *LiveCluster) injectLocked(producer core.ProcID, ev geom.Point) int64 {
-	lc.nextE++
+// injectLocked queues the publication of ev at producer under event ID id.
+func (lc *LiveCluster) injectLocked(producer core.ProcID, id int64, ev geom.Point) {
 	to := simnet.NodeID(producer)
-	lc.fifo = append(lc.fifo, simnet.Message{From: to, To: to, Payload: mInject{ID: lc.nextE, Ev: ev}})
+	lc.fifo = append(lc.fifo, simnet.Message{From: to, To: to, Payload: mInject{ID: id, Ev: ev}})
 	lc.wakeLocked()
-	return lc.nextE
 }
 
 // awaitRoomLocked parks an event-plane entry point while the FIFO stands
@@ -516,29 +471,12 @@ func (lc *LiveCluster) Stats() LiveStats {
 	// since the last turn are all still queued: count them as the next
 	// turn's starting depth, or Dispatched could stand beside a zero.
 	st.QueueHighWater = max(st.QueueHighWater, len(lc.fifo))
-	for _, a := range lc.actors {
-		if a.period > checkBase {
+	for _, n := range lc.order {
+		if n.timer.period > checkBase {
 			st.BackedOff++
 		}
 	}
 	return st
-}
-
-// oracleLocked returns the best contact: the tallest self-parented actor.
-func (lc *LiveCluster) oracleLocked() core.ProcID {
-	best := core.NoProc
-	bestH := -1
-	for id, a := range lc.actors {
-		n := a.node
-		in := n.at(n.top)
-		if in == nil || in.parent != id || n.rejoinPending {
-			continue
-		}
-		if n.top > bestH || (n.top == bestH && (best == core.NoProc || id < best)) {
-			best, bestH = id, n.top
-		}
-	}
-	return best
 }
 
 // Publish injects an event at the producer and waits for the
@@ -571,18 +509,13 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 	if lc.closed {
 		return nil, fmt.Errorf("proto: live cluster closed")
 	}
-	for i := range batch {
-		if lc.actors[batch[i].Producer] == nil {
-			return nil, core.NotMemberf("proto: producer %d not in the cluster", batch[i].Producer)
-		}
+	ids, err := lc.openBatch(batch)
+	if err != nil {
+		return nil, err
 	}
-	ids := make([]int64, len(batch))
-	for i := range batch {
-		ids[i] = lc.injectLocked(batch[i].Producer, batch[i].Event)
-		for _, b := range lc.actors {
-			b.node.seen.forget(ids[i])
-		}
-		lc.msgsByEvent[ids[i]] = 0
+	for i, id := range ids {
+		lc.msgsByEvent[id] = 0
+		lc.injectLocked(batch[i].Producer, id, batch[i].Event)
 	}
 
 	// A FIFO that is not empty has the loop taking turns back to back, so
@@ -595,7 +528,7 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 		out[i].Messages = lc.msgsByEvent[id]
 		delete(lc.msgsByEvent, id)
 	}
-	census(out, batch, ids, sortedIDs(lc.actors), func(id core.ProcID) *Node { return lc.actors[id].node })
+	lc.census(out, batch, ids)
 	return out, nil
 }
 
@@ -606,10 +539,9 @@ func (lc *LiveCluster) PublishBatch(batch []core.Publication) ([]core.Delivery, 
 // budget means the same thing on both message-passing runtimes. 0 uses
 // the same adaptive default as the round scheduler.
 func (lc *LiveCluster) budgetDuration(configured int) time.Duration {
-	if configured <= 0 {
-		configured = 800 + 200*lc.Len()
-	}
-	return time.Duration(configured) * checkBase
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	return time.Duration(lc.budget(configured)) * checkBase
 }
 
 // Stabilize waits for the actors' periodic checks to restore a legal
@@ -617,58 +549,6 @@ func (lc *LiveCluster) budgetDuration(configured int) time.Duration {
 // the Config.StabilizeBudget round budget mapped onto the actor tick.
 func (lc *LiveCluster) Stabilize() core.StabReport {
 	return core.StabReport{Converged: lc.AwaitLegal(lc.budgetDuration(lc.cfg.StabilizeBudget)) == nil}
-}
-
-// Root returns the root process and height from the omniscient view
-// (tallest self-parented topmost instance), or (NoProc, -1).
-func (lc *LiveCluster) Root() (core.ProcID, int) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	id := lc.oracleLocked()
-	if id == core.NoProc {
-		return core.NoProc, -1
-	}
-	return id, lc.actors[id].node.top
-}
-
-// RootMBR returns the MBR of the root instance, or the empty rectangle.
-func (lc *LiveCluster) RootMBR() geom.Rect {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	id := lc.oracleLocked()
-	if id == core.NoProc {
-		return geom.Rect{}
-	}
-	n := lc.actors[id].node
-	return n.at(n.top).mbr
-}
-
-// ProcIDs returns live process IDs, ascending.
-func (lc *LiveCluster) ProcIDs() []core.ProcID {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return sortedIDs(lc.actors)
-}
-
-// Filter returns the subscription rectangle of process id.
-func (lc *LiveCluster) Filter(id core.ProcID) (geom.Rect, bool) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	a := lc.actors[id]
-	if a == nil {
-		return geom.Rect{}, false
-	}
-	return a.node.filter, true
-}
-
-// corrupt applies a transient fault (see faults) under the cluster lock.
-func (lc *LiveCluster) corrupt(id core.ProcID, h int, fn func(*instance)) error {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if a := lc.actors[id]; a != nil {
-		return corruptNode(a.node, id, h, fn)
-	}
-	return corruptNode(nil, id, h, fn)
 }
 
 // AwaitLegal polls until the configuration is legal and no re-join is
@@ -685,28 +565,6 @@ func (lc *LiveCluster) AwaitLegal(timeout time.Duration) error {
 	return fmt.Errorf("proto: live cluster did not become legal: %w", last)
 }
 
-// CheckLegal verifies Definition 3.1 on a frozen membership snapshot: no
-// re-join pending, and the nodes' local states legal (checkLegal).
-func (lc *LiveCluster) CheckLegal() error {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	nodes := make(map[core.ProcID]*Node, len(lc.actors))
-	for id, a := range lc.actors {
-		if a.node.rejoinPending {
-			return fmt.Errorf("proto: process %d awaiting re-join", id)
-		}
-		nodes[id] = a.node
-	}
-	return checkLegal(lc.cfg, nodes)
-}
-
-// Len returns the live population.
-func (lc *LiveCluster) Len() int {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return len(lc.actors)
-}
-
 // Close drops every actor, stops the loop and waits for it to exit;
 // callers waiting for room return.
 func (lc *LiveCluster) Close() error {
@@ -716,8 +574,8 @@ func (lc *LiveCluster) Close() error {
 		return nil
 	}
 	lc.closed = true
-	clear(lc.actors)
-	lc.byID = nil
+	clear(lc.nodes)
+	lc.order = nil
 	lc.turned.Broadcast()
 	lc.mu.Unlock()
 	close(lc.done)

@@ -24,12 +24,6 @@ func TestLiveClusterValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	if err := lc.Join(0, geom.R2(0, 0, 1, 1)); err == nil {
-		t.Error("id 0 must be rejected")
-	}
-	if err := lc.Join(1, geom.Rect{}); err == nil {
-		t.Error("empty filter must be rejected")
-	}
 	if err := lc.Crash(9); err == nil {
 		t.Error("unknown crash must error")
 	}
@@ -178,9 +172,9 @@ func grownLive(t *testing.T, n int, seed uint64) *LiveCluster {
 func (lc *LiveCluster) periods() map[core.ProcID]time.Duration {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	out := make(map[core.ProcID]time.Duration, len(lc.actors))
-	for id, a := range lc.actors {
-		out[id] = a.period
+	out := make(map[core.ProcID]time.Duration, len(lc.order))
+	for _, n := range lc.order {
+		out[n.id] = n.timer.period
 	}
 	return out
 }
@@ -217,9 +211,9 @@ func interiorNonRoot(t *testing.T, lc *LiveCluster) (core.ProcID, int) {
 	root, _ := lc.Root()
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	for _, id := range sortedIDs(lc.actors) {
-		if n := lc.actors[id].node; id != root && n.top >= 1 {
-			return id, n.top
+	for _, n := range lc.order {
+		if n.id != root && n.top >= 1 {
+			return n.id, n.top
 		}
 	}
 	t.Fatal("no interior non-root process")
@@ -347,13 +341,13 @@ func TestLiveJoinWakesBackedOffActor(t *testing.T) {
 	}
 	woken := 0
 	s.mu.Lock()
-	for id, a := range s.actors {
-		if id == joiner || a.period != checkBase {
+	for _, n := range s.order {
+		if n.id == joiner || n.timer.period != checkBase {
 			continue
 		}
 		woken++
-		if want := s.now.Add(checkBase); !a.due.Equal(want) {
-			t.Errorf("woken actor %d is due at +%v, want one base period after the join (+%v)", id, a.due.Sub(s.epoch), want.Sub(s.epoch))
+		if want := s.now.Add(checkBase); !n.timer.due.Equal(want) {
+			t.Errorf("woken actor %d is due at +%v, want one base period after the join (+%v)", n.id, n.timer.due.Sub(s.epoch), want.Sub(s.epoch))
 		}
 	}
 	s.mu.Unlock()
@@ -465,12 +459,12 @@ func TestLivePaceDecidesFromState(t *testing.T) {
 	in.putChild(3, geom.R2(20, 20, 30, 30), false)
 	n.setInst(1, in)
 	n.top = 1
-	a := &liveActor{node: n, period: checkBase}
+	n.timer.period = checkBase
 	turn := func(tick bool, fn func()) time.Duration {
 		fn()
 		n.pushUp()
 		n.drainOut()
-		return a.pace(tick)
+		return n.pace(tick)
 	}
 	tick := func() time.Duration { return turn(true, func() { n.periodic(1) }) }
 	msg := func(from core.ProcID, payload any) time.Duration {
@@ -487,8 +481,8 @@ func TestLivePaceDecidesFromState(t *testing.T) {
 			t.Fatalf("quiescent tick %d re-arms %v, want %v", i, got, want)
 		}
 	}
-	if a.period != checkCap {
-		t.Fatalf("period %v after eight quiescent ticks, want the cap", a.period)
+	if n.timer.period != checkCap {
+		t.Fatalf("period %v after eight quiescent ticks, want the cap", n.timer.period)
 	}
 
 	// Traffic that leaves the state alone wakes nothing: an event, a
@@ -499,8 +493,8 @@ func TestLivePaceDecidesFromState(t *testing.T) {
 		"parent query":     mParentQuery{Height: 0, Child: 2},
 		"confirming probe": confirm,
 	} {
-		if got := msg(2, p); got != 0 || a.period != checkCap {
-			t.Fatalf("%s: re-arm %v, period %v; want the timer left at the cap", name, got, a.period)
+		if got := msg(2, p); got != 0 || n.timer.period != checkCap {
+			t.Fatalf("%s: re-arm %v, period %v; want the timer left at the cap", name, got, n.timer.period)
 		}
 	}
 	if got := tick(); got != checkCap {
@@ -511,8 +505,8 @@ func TestLivePaceDecidesFromState(t *testing.T) {
 	// once, and the next tick still counts as disturbed.
 	grown := confirm
 	grown.MBR = geom.R2(10, 10, 25, 25)
-	if got := msg(2, grown); got != checkBase || a.period != checkBase {
-		t.Fatalf("changed cache: re-arm %v, period %v; want both at the base period", got, a.period)
+	if got := msg(2, grown); got != checkBase || n.timer.period != checkBase {
+		t.Fatalf("changed cache: re-arm %v, period %v; want both at the base period", got, n.timer.period)
 	}
 	if got := tick(); got != checkBase {
 		t.Fatalf("tick after a change re-arms %v, want the base period", got)
@@ -523,7 +517,7 @@ func TestLivePaceDecidesFromState(t *testing.T) {
 
 	// A change made outside any turn (a fault injector) is caught by the
 	// next turn, whatever that turn handles.
-	a.period = checkCap
+	n.timer.period = checkCap
 	n.at(1).underloaded = true
 	if got := msg(2, mParentQuery{Height: 0, Child: 2}); got != checkBase {
 		t.Fatalf("corruption seen by the next turn re-arms %v, want the base period", got)
@@ -552,9 +546,9 @@ func TestLiveEagerPropagation(t *testing.T) {
 	root, _ := lc.Root()
 	leaf := core.NoProc
 	lc.mu.Lock()
-	for _, id := range sortedIDs(lc.actors) {
-		if n := lc.actors[id].node; n.top == 0 && n.at(0).parent != root {
-			leaf = id
+	for _, n := range lc.order {
+		if n.top == 0 && n.at(0).parent != root {
+			leaf = n.id
 			break
 		}
 	}

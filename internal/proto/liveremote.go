@@ -3,7 +3,6 @@ package proto
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"drtree/internal/core"
 	"drtree/internal/geom"
@@ -61,7 +60,7 @@ type hookFire struct {
 func (lc *LiveCluster) AttachSubstrate(s Substrate, local func(core.ProcID) bool) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	if len(lc.actors) > 0 {
+	if len(lc.order) > 0 {
 		return fmt.Errorf("proto: attach substrate before the first join")
 	}
 	if s == nil || local == nil {
@@ -107,11 +106,12 @@ func (lc *LiveCluster) SetEventSpace(base int64) {
 	}
 }
 
-// contactLocked returns the best join/rejoin contact: the local oracle
-// when a local stable root exists, else the configured bootstrap contact.
+// contactLocked returns the best join/rejoin contact: the local root
+// (actorTable.root) when there is one, else the configured bootstrap
+// contact.
 func (lc *LiveCluster) contactLocked() core.ProcID {
-	if c := lc.oracleLocked(); c != core.NoProc {
-		return c
+	if n := lc.root(); n != nil {
+		return n.id
 	}
 	if lc.contactFn != nil {
 		return lc.contactFn()
@@ -150,10 +150,9 @@ func (lc *LiveCluster) InjectEvent(producer core.ProcID, ev geom.Point) (err err
 	lc.mu.Lock()
 	if lc.awaitRoomLocked(); lc.closed {
 		err = fmt.Errorf("proto: live cluster closed")
-	} else if lc.actors[producer] == nil {
-		err = core.NotMemberf("proto: producer %d not in the cluster", producer)
-	} else {
-		lc.injectLocked(producer, ev)
+	} else if _, err = lc.member("producer", producer); err == nil {
+		lc.nextE++
+		lc.injectLocked(producer, lc.nextE, ev)
 	}
 	lc.mu.Unlock()
 	// Hand the processor to the loop. What a caller does next is write an
@@ -181,17 +180,15 @@ type ActorState struct {
 func (lc *LiveCluster) ActorStates() []ActorState {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	out := make([]ActorState, 0, len(lc.actors))
-	for id, a := range lc.actors {
-		n := a.node
-		st := ActorState{ID: id, Top: n.top, RejoinPending: n.rejoinPending}
+	out := make([]ActorState, 0, len(lc.order))
+	for _, n := range lc.order {
+		st := ActorState{ID: n.id, Top: n.top, RejoinPending: n.rejoinPending}
 		if in := n.at(n.top); in != nil {
 			st.Parent = in.parent
 			st.Children = append([]core.ProcID(nil), in.childID...)
 		}
 		out = append(out, st)
 	}
-	slices.SortFunc(out, func(a, b ActorState) int { return int(a.ID - b.ID) })
 	return out
 }
 

@@ -147,6 +147,10 @@ type Node struct {
 	// re-enter the cluster.
 	deliverCB func(id int64, ev geom.Point, matched bool)
 
+	// timer paces the node's CHECK_* timers in the live runtime (the
+	// round scheduler fires them itself and leaves it zero).
+	timer checkTimer
+
 	out []simnet.Message
 }
 

@@ -63,7 +63,7 @@ func BenchmarkProtocolPublish(b *testing.B) {
 			b.Fatalf("build did not stabilize: %v", cl.CheckLegal())
 		}
 	}
-	ids := cl.IDs()
+	ids := cl.ProcIDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := geom.Point{rng.Float64() * 500, rng.Float64() * 500}

@@ -46,20 +46,10 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
+// TestJoinValidation keeps the refusals of unknown processes; the join
+// refusals are enginetest's TestJoinRefusals, on every engine.
 func TestJoinValidation(t *testing.T) {
 	cl := mustCluster(t, cfg())
-	if err := cl.Join(0, geom.R2(0, 0, 1, 1)); err == nil {
-		t.Error("id 0 must be rejected")
-	}
-	if err := cl.Join(1, geom.Rect{}); err == nil {
-		t.Error("empty filter must be rejected")
-	}
-	if err := cl.Join(1, geom.R2(0, 0, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Join(1, geom.R2(0, 0, 1, 1)); err == nil {
-		t.Error("duplicate must be rejected")
-	}
 	if err := cl.Leave(42); err == nil {
 		t.Error("leaving unknown node must error")
 	}
@@ -118,7 +108,7 @@ func TestControlledLeave(t *testing.T) {
 	cl := mustCluster(t, cfg())
 	rng := rand.New(rand.NewPCG(3, 3))
 	grow(t, cl, rng, 25)
-	ids := cl.IDs()
+	ids := cl.ProcIDs()
 	for _, id := range []core.ProcID{ids[3], ids[10], ids[17]} {
 		if err := cl.Leave(id); err != nil {
 			t.Fatal(err)
@@ -138,7 +128,7 @@ func TestCrashRepair(t *testing.T) {
 	grow(t, cl, rng, 30)
 	// Crash an interior node (one with top >= 1) plus a leaf.
 	var interior core.ProcID
-	for _, id := range cl.IDs() {
+	for _, id := range cl.ProcIDs() {
 		if cl.Node(id).Top() >= 1 && cl.Node(id).Top() < 3 {
 			interior = id
 			break
@@ -179,7 +169,7 @@ func TestCorruptionRepair(t *testing.T) {
 	cl := mustCluster(t, cfg())
 	rng := rand.New(rand.NewPCG(6, 6))
 	grow(t, cl, rng, 20)
-	ids := cl.IDs()
+	ids := cl.ProcIDs()
 
 	if err := cl.CorruptParent(ids[4], 0, ids[7]); err != nil {
 		t.Fatal(err)
@@ -234,7 +224,7 @@ func TestProtocolPublishNoFalseNegatives(t *testing.T) {
 	cl := mustCluster(t, cfg())
 	rng := rand.New(rand.NewPCG(8, 8))
 	grow(t, cl, rng, 30)
-	ids := cl.IDs()
+	ids := cl.ProcIDs()
 	for k := 0; k < 20; k++ {
 		ev := geom.Point{rng.Float64() * 550, rng.Float64() * 550}
 		res, err := cl.Publish(ids[rng.IntN(len(ids))], ev)
@@ -299,7 +289,7 @@ func TestMassiveChurnConvergence(t *testing.T) {
 	grow(t, cl, rng, 30)
 	// Kill a third of the population at once, then let the protocol
 	// stabilize (Lemma 3.5 regime).
-	ids := cl.IDs()
+	ids := cl.ProcIDs()
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	for _, id := range ids[:10] {
 		if err := cl.Crash(id); err != nil {
@@ -344,7 +334,7 @@ func falseNegatives(cl *Cluster, d core.Delivery, ev geom.Point) []core.ProcID {
 		seen[id] = true
 	}
 	var out []core.ProcID
-	for _, id := range cl.IDs() {
+	for _, id := range cl.ProcIDs() {
 		if f, _ := cl.Filter(id); f.ContainsPoint(ev) && !seen[id] {
 			out = append(out, id)
 		}

@@ -301,16 +301,6 @@ func (b *Broker) AttachChan(id core.ProcID, opts ...DeliveryOption) (<-chan Enve
 	return ch, nil
 }
 
-// SubscribeFuncExpr is SubscribeFunc with a textual filter
-// (filter.Parse syntax).
-func (b *Broker) SubscribeFuncExpr(id core.ProcID, src string, h Handler, opts ...DeliveryOption) error {
-	f, err := filter.Parse(src)
-	if err != nil {
-		return err
-	}
-	return b.SubscribeFunc(id, f, h, opts...)
-}
-
 // DeliveryStats is a point-in-time snapshot of one subscriber's
 // delivery queue (embedding the queue's eventbus counters).
 type DeliveryStats struct {

@@ -704,16 +704,6 @@ func (b *Broker) updateFilterUnsynced(id core.ProcID, f filter.Filter, rect geom
 	return seq, nil
 }
 
-// UpdateFilterExpr is UpdateFilter with a textual filter (filter.Parse
-// syntax).
-func (b *Broker) UpdateFilterExpr(id core.ProcID, src string) error {
-	f, err := filter.Parse(src)
-	if err != nil {
-		return err
-	}
-	return b.UpdateFilter(id, f)
-}
-
 // Fail simulates an abrupt subscriber failure; a gateway losing its last
 // subscription crashes out of the overlay (call Repair, or rely on the
 // next Repair, to restore the structure).

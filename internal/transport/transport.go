@@ -60,33 +60,25 @@ type Config struct {
 
 	// WriteTimeout bounds each frame write (default 5s).
 	WriteTimeout time.Duration
-	// DialTimeout bounds each dial attempt (default 2s).
-	DialTimeout time.Duration
-	// BackoffBase and BackoffMax shape the jittered exponential redial
-	// backoff (defaults 25ms and 1s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// QueueDepth is the per-link outbound queue capacity (default 1024).
-	QueueDepth int
 	// Logf, when set, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
 
+// dialTimeout bounds each dial attempt; backoffBase and backoffMax shape
+// the jittered exponential redial backoff. Variables only so a test can
+// shorten them.
+var (
+	dialTimeout = 2 * time.Second
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = time.Second
+)
+
+// queueDepth is the per-link outbound queue capacity.
+const queueDepth = 1024
+
 func (c Config) withDefaults() Config {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -173,7 +165,7 @@ func New(cfg Config) (*TCP, error) {
 		if i == cfg.Self {
 			continue
 		}
-		l := &link{peer: i, addr: addr, q: make(chan simnet.Message, cfg.QueueDepth)}
+		l := &link{peer: i, addr: addr, q: make(chan simnet.Message, queueDepth)}
 		t.links[i] = l
 		t.wg.Add(1)
 		go t.runLink(l)
@@ -368,10 +360,7 @@ func (t *TCP) writeBurst(l *link, lc *linkConn, m simnet.Message) error {
 // a dead peer cannot trigger a reconnect storm.
 func (t *TCP) dialPeer(l *link, rng *rand.Rand, failedDials *int) (*linkConn, bool) {
 	if *failedDials > 0 {
-		backoff := t.cfg.BackoffBase << min(*failedDials-1, 12)
-		if backoff > t.cfg.BackoffMax {
-			backoff = t.cfg.BackoffMax
-		}
+		backoff := min(backoffBase<<min(*failedDials-1, 12), backoffMax)
 		// Full jitter in [backoff/2, backoff).
 		backoff = backoff/2 + time.Duration(rng.Int64N(int64(backoff/2)+1))
 		select {
@@ -380,7 +369,7 @@ func (t *TCP) dialPeer(l *link, rng *rand.Rand, failedDials *int) (*linkConn, bo
 		case <-time.After(backoff):
 		}
 	}
-	conn, err := net.DialTimeout("tcp", l.addr, t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", l.addr, dialTimeout)
 	if err != nil {
 		*failedDials++
 		t.cfg.Logf("transport[%d]: dial peer %d (%s): %v", t.cfg.Self, l.peer, l.addr, err)

@@ -44,6 +44,15 @@ func listen(t *testing.T) net.Listener {
 	return ln
 }
 
+// shorten sets one of the package's timing variables for the rest of the
+// test. Call it before start: cleanups run last-registered first, so the
+// transport is closed, its dialers gone, before the value is restored.
+func shorten(t *testing.T, v *time.Duration, d time.Duration) {
+	saved := *v
+	*v = d
+	t.Cleanup(func() { *v = saved })
+}
+
 func start(t *testing.T, cfg Config) *TCP {
 	t.Helper()
 	cfg.Logf = t.Logf
@@ -95,10 +104,10 @@ func TestUnreachablePeerBounces(t *testing.T) {
 
 	ln0 := listen(t)
 	in0 := make(chan simnet.Message, 16)
+	shorten(t, &dialTimeout, 200*time.Millisecond)
 	t0 := start(t, Config{
 		Self: 0, Peers: []string{ln0.Addr().String(), deadAddr}, Listener: ln0,
 		Deliver: func(m simnet.Message) { in0 <- m }, Owner: ownerByHundreds,
-		DialTimeout: 200 * time.Millisecond,
 	})
 
 	orig := wire.Publish{Ref: 7, Producer: 3, Attrs: []string{"p"}, Values: []float64{1}}
@@ -188,10 +197,12 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 
 	ln0 := listen(t)
 	in0 := make(chan simnet.Message, 1024)
+	shorten(t, &dialTimeout, 100*time.Millisecond)
+	shorten(t, &backoffBase, 10*time.Millisecond)
+	shorten(t, &backoffMax, 100*time.Millisecond)
 	t0 := start(t, Config{
 		Self: 0, Peers: []string{ln0.Addr().String(), peerAddr}, Listener: ln0,
 		Deliver: func(m simnet.Message) { in0 <- m }, Owner: ownerByHundreds,
-		DialTimeout: 100 * time.Millisecond, BackoffBase: 10 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
 	})
 
 	// Hammer the dead peer: every message must come back as a bounce —
